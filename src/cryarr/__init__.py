@@ -40,7 +40,6 @@ from .groupoid import (
 )
 from .linalg import smith_normal_form, vol
 from .localization import (
-    Localization,
     LocalizationCycles,
     PlaneRoots,
     localize,

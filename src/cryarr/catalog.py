@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import make_root_set
-from .groupoid import make_root_object
+from .groupoid import make_root_object, reflect_vector, simple_roots
 
 
 @dataclass(frozen=True)
@@ -51,15 +51,13 @@ def _series_cartan(kind, r):
 def _roots_from_cartan(c):
     """Positive roots as the reflection closure of the simple roots."""
     r = len(c)
-    roots = {tuple(int(j == i) for j in range(r)) for i in range(r)}
+    roots = set(simple_roots(r))
     frontier = set(roots)
     while frontier:
         nxt = set()
         for v in frontier:
             for i in range(r):
-                w = list(v)
-                w[i] = v[i] - sum(c[i][j] * v[j] for j in range(r))
-                w = tuple(w)
+                w = reflect_vector(v, i, c[i])
                 if all(x <= 0 for x in w):
                     w = tuple(-x for x in w)
                 if w not in roots:

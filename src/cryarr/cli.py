@@ -29,19 +29,30 @@ EXIT_PASS, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
 
 
 def _coord(x):
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            pass
     raise ValueError(f"bad coordinate {x!r} (use integers or 'p/q' strings)")
 
 
 def load_document(path) -> RootSet:
+    """Read a root-set document; any malformed input raises OSError or
+    ValueError, which the commands report with exit code 2."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    rank = doc["rank"]
-    roots = [tuple(_coord(x) for x in v) for v in doc["roots"]]
-    return make_root_set(roots, rank=rank)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise ValueError("document must be a JSON object")
+    rank, roots = doc.get("rank"), doc.get("roots")
+    if not isinstance(rank, int) or isinstance(rank, bool):
+        raise ValueError("'rank' must be an integer")
+    if not isinstance(roots, list) or not all(isinstance(v, list) for v in roots):
+        raise ValueError("'roots' must be a list of coordinate lists")
+    return make_root_set([tuple(_coord(x) for x in v) for v in roots], rank=rank)
 
 
 def document_of(entry: cat.CatalogEntry):
@@ -63,7 +74,7 @@ def _write_out(text, out):
 def cmd_verify(args):
     try:
         R = load_document(args.path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         print(json.dumps({"error": str(e)}))
         return EXIT_INPUT
     res = verify_crystallographic(R)
@@ -104,7 +115,7 @@ def _section_plane(R: RootSet):
 def cmd_render_svg(args):
     try:
         R = load_document(args.path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     if R.rank != 3:
@@ -164,7 +175,7 @@ def cmd_render_svg(args):
 def cmd_export_dot(args):
     try:
         R = load_document(args.path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     try:
@@ -245,9 +256,6 @@ def build_parser():
         prog="cryarr",
         description="exact tools for crystallographic hyperplane arrangements",
     )
-    ap.add_argument("--threads", type=int, default=1,
-                    help="accepted for interface stability; execution is "
-                         "sequential for reproducible timing")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check a root-set document")

@@ -30,6 +30,11 @@ class RootObject:
     positive_roots: frozenset  # of int tuples in N_0^r
 
 
+def simple_roots(rank):
+    """The simple roots e_0, ..., e_{rank-1} in root coordinates."""
+    return tuple(tuple(int(t == i) for t in range(rank)) for i in range(rank))
+
+
 def make_root_object(rank, positive_roots) -> RootObject:
     roots = frozenset(tuple(int(x) for x in v) for v in positive_roots)
     dirs = set()
@@ -42,8 +47,7 @@ def make_root_object(rank, positive_roots) -> RootObject:
         if d in dirs:
             raise ValueError(f"parallel roots in direction {d}")
         dirs.add(d)
-    for i in range(rank):
-        e = tuple(int(j == i) for j in range(rank))
+    for e in simple_roots(rank):
         if e not in roots:
             raise ValueError(f"missing simple root {e}")
     return RootObject(rank=rank, positive_roots=roots)

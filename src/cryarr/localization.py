@@ -1,52 +1,28 @@
-"""Localizations of a root object and the rank-2 localization cycles.
+"""Coordinate-plane localizations of a root object and the rank-2 cycles.
 
-The localization of an object at a subspace X keeps the roots lying in X;
-it is itself a root system of smaller rank.  For a rank-3 object and a
-pair of simple roots, walking the 2n chambers around the common line
-produces the quiddity cycle and the auxiliary cycle, from which the
-third-direction plane roots are reconstructed.
+In root coordinates the localization at a set of simple roots keeps the
+roots supported on their coordinates; it is itself a root system of
+smaller rank.  For a rank-3 object and a pair of simple roots, walking
+the 2n chambers around the common line produces the quiddity cycle and
+the auxiliary cycle, from which the third-direction plane roots are
+reconstructed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CycleBrokenError, MissingRootError
 from .groupoid import RootObject, cartan_from_roots, reflect_object
-from .linalg import matrix_rank
 from .rank2 import slope_sorted
 
 
-@dataclass(frozen=True)
-class Localization:
-    ambient: RootObject
-    generators: tuple
-    members: tuple          # positive members, sorted
-    simple: tuple           # subset of members
-
-
-def localize(O: RootObject, generators) -> Localization:
-    gens = [tuple(Fraction(x) for x in g) for g in generators]
-    base_rank = matrix_rank(gens)
-    members = []
-    for v in sorted(O.positive_roots):
-        if matrix_rank(gens + [tuple(Fraction(x) for x in v)]) == base_rank:
-            members.append(v)
-    mset = set(members)
-    simple = []
-    for v in members:
-        decomposable = any(
-            tuple(a - b for a, b in zip(v, u)) in mset for u in members
-        )
-        if not decomposable:
-            simple.append(v)
-    return Localization(
-        ambient=O,
-        generators=tuple(tuple(g) for g in generators),
-        members=tuple(members),
-        simple=tuple(simple),
-    )
+def localize(roots, support) -> tuple:
+    """The roots vanishing off the coordinate indices ``support``, sorted."""
+    return tuple(sorted(
+        v for v in roots
+        if all(x == 0 for t, x in enumerate(v) if t not in support)
+    ))
 
 
 @dataclass(frozen=True)
@@ -68,9 +44,7 @@ def rank2_cycles(O: RootObject, i, j) -> LocalizationCycles:
     if i == j:
         raise ValueError("indices must differ")
     k = 3 - i - j
-    ei = tuple(int(t == i) for t in range(3))
-    ej = tuple(int(t == j) for t in range(3))
-    n = len(localize(O, [ei, ej]).members)
+    n = len(localize(O.positive_roots, (i, j)))
     cs, ds, objs = [], [], []
     cur = O
     for ell in range(1, 2 * n + 1):
@@ -122,8 +96,7 @@ def plane_roots(O: RootObject, i, j) -> PlaneRoots:
     k = 3 - i - j
     perm = (i, j, k)
     P = _permute_object(O, perm)
-    loc = localize(P, [(1, 0, 0), (0, 1, 0)])
-    pairs = slope_sorted([(v[0], v[1]) for v in loc.members])
+    pairs = slope_sorted([(v[0], v[1]) for v in localize(P.positive_roots, (0, 1))])
     betas = tuple((v[0], v[1], 0) for v in pairs)
     n = len(betas)
     if betas[0] != (0, 1, 0) or betas[-1] != (1, 0, 0):

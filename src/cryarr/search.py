@@ -26,12 +26,13 @@ from itertools import combinations
 
 from .errors import NotESequenceError, ExtremeRootsNotUnimodularError
 from .geometry import is_irreducible, make_root_set
-from .groupoid import canonical_form, verify_crystallographic
+from .groupoid import canonical_form, simple_roots, verify_crystallographic
 from .linalg import direction, vol
+from .localization import localize
 from .rank2 import is_crystallographic_rank2
 from .verifier import all_ok, run_all
 
-SIMPLES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+SIMPLES = simple_roots(3)
 
 COMPLETE, INCOMPLETE = "Complete", "Incomplete"
 
@@ -86,9 +87,7 @@ def _plane_systems_ok(roots):
     """Each coordinate-plane localization must be a crystallographic rank-2
     system (a necessary condition for the full arrangement)."""
     for i, j in combinations(range(3), 2):
-        members = [v for v in roots if all(x == 0 for t, x in enumerate(v)
-                                           if t not in (i, j))]
-        pairs = [(v[i], v[j]) for v in members]
+        pairs = [(v[i], v[j]) for v in localize(roots, (i, j))]
         try:
             ok, _ = is_crystallographic_rank2(pairs)
         except (NotESequenceError, ExtremeRootsNotUnimodularError):

@@ -15,7 +15,12 @@ from .errors import (
     MissingRootError,
     PreconditionFailedError,
 )
-from .groupoid import GroupoidGraph, cartan_from_roots, is_object_irreducible
+from .groupoid import (
+    GroupoidGraph,
+    cartan_from_roots,
+    is_object_irreducible,
+    simple_roots,
+)
 from .linalg import vol
 from .localization import localize, plane_roots, rank2_cycles
 
@@ -42,13 +47,9 @@ class CheckReport:
         return self.verdict != FAIL
 
 
-def _simples(rank):
-    return {tuple(int(j == i) for j in range(rank)) for i in range(rank)}
-
-
 def check_sum_of_roots(G: GroupoidGraph) -> CheckReport:
     """Every non-simple positive root is a sum of two positive roots."""
-    simples = _simples(G.rank)
+    simples = set(simple_roots(G.rank))
     witnesses = []
     for oi, O in enumerate(G.objects):
         roots = O.positive_roots
@@ -93,9 +94,7 @@ def check_b128(G: GroupoidGraph) -> CheckReport:
     witnesses = []
     for oi, O in enumerate(G.objects):
         for i, j in combinations(range(3), 2):
-            ei = tuple(int(t == i) for t in range(3))
-            ej = tuple(int(t == j) for t in range(3))
-            n = len(localize(O, [ei, ej]).members)
+            n = len(localize(O.positive_roots, (i, j)))
             hi = max(hi, n)
             if n > 128:
                 witnesses.append((oi, (i, j), n))
@@ -104,46 +103,45 @@ def check_b128(G: GroupoidGraph) -> CheckReport:
 
 
 def compute_k0(G: GroupoidGraph, object_index, ordering):
-    """min{k : k*a_i + 2*a_j + a_k in R} for the ordering (i, j, k).
+    """min{k : k*a_i + 2*a_j + a_k in R} for the ordering (i, j, k), or
+    None when there is no such root.
 
-    Requires the localization <a_i, a_j> to have at least 5 positive roots;
-    the value is asserted to lie in {0,...,4} and to be <= 2 when the
-    Cartan entry c_{i,k} vanishes."""
+    Requires the localization <a_i, a_j> to have at least 5 positive roots."""
     O = G.objects[object_index]
     i, j, k = ordering
-    ei = tuple(int(t == i) for t in range(3))
-    ej = tuple(int(t == j) for t in range(3))
-    if len(localize(O, [ei, ej]).members) < 5:
-        raise PreconditionFailedError("localization has fewer than 5 positive roots")
     roots = O.positive_roots
-    k0 = None
-    for kk in range(0, 200):
+    if len(localize(roots, (i, j))) < 5:
+        raise PreconditionFailedError("localization has fewer than 5 positive roots")
+    for k0 in range(max(v[i] for v in roots) + 1):
         v = [0, 0, 0]
-        v[i], v[j], v[k] = kk, 2, 1
+        v[i], v[j], v[k] = k0, 2, 1
         if tuple(v) in roots:
-            k0 = kk
-            break
-    c = cartan_from_roots(O)
-    assert k0 is not None and 0 <= k0 <= 4, f"k0 bound violated: {k0}"
-    if c[i][k] == 0:
-        assert k0 <= 2, f"k0 <= 2 violated with c_ik = 0: {k0}"
-    return k0
+            return k0
+    return None
 
 
 def check_k0(G: GroupoidGraph) -> CheckReport:
-    """Scan compute_k0 over all objects and orderings with big localizations."""
+    """Over all objects and orderings with big localizations, k0 exists and
+    lies in {0,...,4}, and k0 <= 2 when the Cartan entry c_{i,k} vanishes."""
     if G.rank != 3:
         return CheckReport("k0", SKIP, [], {"reason": "rank 3 only"})
     values = []
     witnesses = []
-    for oi in range(len(G.objects)):
+    for oi, O in enumerate(G.objects):
+        c = cartan_from_roots(O)
         for ordering in permutations(range(3)):
             try:
-                values.append(compute_k0(G, oi, ordering))
+                k0 = compute_k0(G, oi, ordering)
             except PreconditionFailedError:
                 continue
-            except AssertionError as e:
-                witnesses.append((oi, ordering, str(e)))
+            i, _, k = ordering
+            if k0 is None or k0 > 4:
+                witnesses.append((oi, ordering, f"k0 bound violated: {k0}"))
+            elif c[i][k] == 0 and k0 > 2:
+                witnesses.append((oi, ordering,
+                                  f"k0 <= 2 violated with c_ik = 0: {k0}"))
+            else:
+                values.append(k0)
     if not values and not witnesses:
         return CheckReport("k0", SKIP, [], {"reason": "no localization with >= 5 roots"})
     return CheckReport("k0", FAIL if witnesses else PASS, witnesses,
@@ -161,10 +159,19 @@ def _no_negative_ray(alpha, beta, bound):
     return True
 
 
+def _min_cartan_entry(G: GroupoidGraph):
+    return min(min(min(row) for row in cartan_from_roots(O)) for O in G.objects)
+
+
 def check_lemcon(G: GroupoidGraph, object_index, alpha, beta, k) -> CheckReport:
     """Root-string convexity: under the stated hypotheses, beta and all of
     alpha + l*beta (0 <= l <= k) are roots, and some object in the closure
     has a Cartan entry <= -k."""
+    return _lemcon(G, object_index, alpha, beta, k, _min_cartan_entry(G))
+
+
+def _lemcon(G: GroupoidGraph, object_index, alpha, beta, k, min_entry):
+    """check_lemcon with the closure's minimum Cartan entry given."""
     O = G.objects[object_index]
     roots = O.positive_roots
     full = roots | {tuple(-x for x in v) for v in roots}
@@ -187,9 +194,6 @@ def check_lemcon(G: GroupoidGraph, object_index, alpha, beta, k) -> CheckReport:
         v = tuple(a + ell * b for a, b in zip(alpha, beta))
         if v not in full:
             witnesses.append(("missing intermediate", v))
-    min_entry = min(
-        min(min(row) for row in cartan_from_roots(O2)) for O2 in G.objects
-    )
     if min_entry > -k:
         witnesses.append(("no Cartan entry <= -k", min_entry))
     return CheckReport("lemcon", FAIL if witnesses else PASS, witnesses,
@@ -198,6 +202,7 @@ def check_lemcon(G: GroupoidGraph, object_index, alpha, beta, k) -> CheckReport:
 
 def lemcon_sweep(G: GroupoidGraph) -> CheckReport:
     """check_lemcon over every hypothesis-satisfying (object, alpha, beta, k)."""
+    min_entry = _min_cartan_entry(G)
     witnesses = []
     triples = 0
     for oi, O in enumerate(G.objects):
@@ -209,7 +214,7 @@ def lemcon_sweep(G: GroupoidGraph) -> CheckReport:
                     if tuple(a + k * b for a, b in zip(alpha, beta)) not in full:
                         continue
                     try:
-                        rep = check_lemcon(G, oi, alpha, beta, k)
+                        rep = _lemcon(G, oi, alpha, beta, k, min_entry)
                     except HypothesisFailedError:
                         continue
                     triples += 1
@@ -226,7 +231,7 @@ def check_convexity_statements(G: GroupoidGraph) -> CheckReport:
     has two 2-root localizations through the same simple root."""
     if G.rank != 3:
         return CheckReport("convexity", SKIP, [], {"reason": "rank 3 only"})
-    simples = _simples(3)
+    simples = set(simple_roots(3))
     witnesses = []
     for oi, O in enumerate(G.objects):
         roots = O.positive_roots
@@ -257,9 +262,7 @@ def check_convexity_statements(G: GroupoidGraph) -> CheckReport:
                 for j in range(3):
                     if j == i:
                         continue
-                    ei = tuple(int(t == i) for t in range(3))
-                    ej = tuple(int(t == j) for t in range(3))
-                    if len(localize(O, [ei, ej]).members) == 2:
+                    if len(localize(O.positive_roots, (i, j))) == 2:
                         small += 1
                 if small == 2:
                     witnesses.append((oi, "c", i))

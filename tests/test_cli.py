@@ -1,7 +1,11 @@
+import io
 import json
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryarr.cli import main
 
@@ -43,6 +47,13 @@ def test_verify_fail_with_cartan_witness(tmp_path, capsys):
 def test_verify_malformed_input(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{"rank": 2, "roots": [[1,')
+    code, _, _ = run(capsys, "verify", str(p))
+    assert code == 2
+
+
+def test_verify_deeply_nested_json(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100000 + "]" * 100000)
     code, _, _ = run(capsys, "verify", str(p))
     assert code == 2
 
@@ -147,6 +158,48 @@ def test_catalog_unknown(capsys):
     assert code == 2
 
 
-def test_threads_flag_accepted(capsys):
-    code, out, _ = run(capsys, "--threads", "4", "enumerate-rank2", "4")
-    assert code == 0 and out.strip() == "2"
+def test_threads_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "4", "enumerate-rank2", "4"])
+    assert exc.value.code == 2
+
+
+MALFORMED = {
+    "roots not a list": {"rank": 3, "roots": 5},
+    "top-level list": [[1, 0], [0, 1]],
+    "root not a list": {"rank": 2, "roots": [1, 2]},
+    "missing rank": {"roots": [[1, 0], [0, 1]]},
+    "missing roots": {"rank": 2},
+    "bool rank": {"rank": True, "roots": [[1]]},
+    "bool coordinate": {"rank": 2, "roots": [[True, 0], [0, 1], [1, 1]]},
+    "float coordinate": {"rank": 2, "roots": [[1.5, 0], [0, 1]]},
+    "zero denominator": {"rank": 2, "roots": [["1/0", 0], [0, 1]]},
+    "null coordinate": {"rank": 2, "roots": [[None, 0], [0, 1]]},
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "render-svg", "export-dot"])
+@pytest.mark.parametrize("doc", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_document_exits_2(tmp_path, capsys, command, doc):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, _, _ = run(capsys, command, str(p))
+    assert code == 2
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.sampled_from(["1", "1/2", "x", "1/0"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["rank", "roots", "name"]), inner),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=JSON_VALUES)
+def test_verify_never_raises_on_any_document(tmp_path_factory, doc):
+    p = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    p.write_text(json.dumps(doc))
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify", str(p)]) in (0, 1, 2)

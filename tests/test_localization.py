@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 import pytest
 
 from cryarr import catalog as cat
-from cryarr.groupoid import make_root_object
+from cryarr.groupoid import make_root_object, simple_roots
 from cryarr.linalg import matrix_rank
 from cryarr.localization import localize, plane_roots, rank2_cycles
 from cryarr.rank2 import is_crystallographic_rank2, quiddity_of
@@ -11,31 +11,26 @@ from cryarr.rank2 import is_crystallographic_rank2, quiddity_of
 
 def test_localize_a3_plane():
     O = cat.root_object_of(cat.get("A3"))
-    loc = localize(O, [(1, 0, 0), (0, 1, 0)])
-    assert set(loc.members) == {(1, 0, 0), (0, 1, 0), (1, 1, 0)}
-    assert set(loc.simple) == {(1, 0, 0), (0, 1, 0)}
-
-
-def test_localize_single_root():
-    O = cat.root_object_of(cat.get("A3"))
-    loc = localize(O, [(1, 1, 0)])
-    assert loc.members == ((1, 1, 0),)
-    assert loc.simple == ((1, 1, 0),)
+    assert localize(O.positive_roots, (0, 1)) == ((0, 1, 0), (1, 0, 0), (1, 1, 0))
 
 
 def test_localize_b3_plane_is_b2():
     O = cat.root_object_of(cat.get("B3"))
-    loc = localize(O, [(0, 1, 0), (0, 0, 1)])
-    assert len(loc.members) == 4
+    assert len(localize(O.positive_roots, (1, 2))) == 4
 
 
 def test_localize_members_match_bruteforce_span():
-    O = cat.root_object_of(cat.get("B3"))
-    gens = [(1, 0, 0), (0, 0, 1)]
-    loc = localize(O, gens)
-    for v in O.positive_roots:
-        in_span = matrix_rank(gens + [v]) == matrix_rank(gens)
-        assert (v in set(loc.members)) == in_span
+    # the support filter equals membership in the span of the two simple
+    # roots, decided by rank, for every pair of every rank-3 catalog object
+    for entry in cat.entries():
+        if entry.rank != 3:
+            continue
+        O = cat.root_object_of(entry)
+        for i, j in combinations(range(3), 2):
+            gens = [simple_roots(3)[i], simple_roots(3)[j]]
+            span = [v for v in O.positive_roots
+                    if matrix_rank(gens + [v]) == matrix_rank(gens)]
+            assert localize(O.positive_roots, (i, j)) == tuple(sorted(span))
 
 
 def test_rank2_cycles_a3():
@@ -63,9 +58,8 @@ def test_cycle_quiddity_matches_slope_sorted_sequence():
     # interior quiddity of the localization's sequence appears in the cycle
     O = cat.root_object_of(cat.get("B3"))
     for i, j in combinations(range(3), 2):
-        loc = localize(O, [tuple(int(t == i) for t in range(3)),
-                           tuple(int(t == j) for t in range(3))])
-        ok, seq = is_crystallographic_rank2([(v[i], v[j]) for v in loc.members])
+        members = localize(O.positive_roots, (i, j))
+        ok, seq = is_crystallographic_rank2([(v[i], v[j]) for v in members])
         assert ok
         if len(seq) < 3:
             continue

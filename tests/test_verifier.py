@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +79,28 @@ def test_compute_k0_trivial_case():
         (1, 1, 0), (1, 2, 0), (2, 3, 0), (0, 2, 1),
     ])
     assert compute_k0(G, 0, (0, 1, 2)) == 0
+
+
+K0_FAILURE = """
+from cryarr.groupoid import GroupoidGraph, make_root_object
+from cryarr.verifier import check_k0
+
+O = make_root_object(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                         (1, 1, 0), (1, 2, 0), (2, 3, 0)])
+rep = check_k0(GroupoidGraph(rank=3, objects=(O,), edges={}))
+print(rep.verdict, len(rep.witnesses))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_check_k0_fails_without_k0_root(flags):
+    # the <a0, a1> plane has 5 roots but no k*a_i + 2*a_j + a_2 root exists
+    # for either ordering of the pair; python -O must not hide the failure
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, *flags, "-c", K0_FAILURE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["fail", "2"]
 
 
 def test_lemcon_hypothesis_failure():
