@@ -17,7 +17,6 @@ from .geometry import (
     Chamber,
     RootSet,
     adjacent_chamber,
-    adjacent_reflection,
     cartan_of_chamber,
     chamber_graph,
     enumerate_chambers,

@@ -197,7 +197,11 @@ def cmd_export_dot(args):
 
 
 def cmd_enumerate_rank2(args):
-    seqs = sorted(enumerate_esequences(args.n))
+    try:
+        seqs = sorted(enumerate_esequences(args.n))
+    except ValueError as e:
+        print(f"input error: {e}", file=sys.stderr)
+        return EXIT_INPUT
     if args.json:
         _write_out(json.dumps([[list(v) for v in s] for s in seqs]) + "\n", args.out)
     else:
@@ -206,7 +210,11 @@ def cmd_enumerate_rank2(args):
 
 
 def cmd_search(args):
-    result = enumerate_rank3(args.cap, budget=args.budget)
+    try:
+        result = enumerate_rank3(args.cap, budget=args.budget)
+    except ValueError as e:
+        print(f"input error: {e}", file=sys.stderr)
+        return EXIT_INPUT
     doc = {
         "verdict": result.verdict,
         "states_visited": result.states_visited,

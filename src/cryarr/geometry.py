@@ -1,4 +1,4 @@
-"""Chambers, walls and reflections of a central hyperplane arrangement.
+"""Chambers, walls and Cartan matrices of a central hyperplane arrangement.
 
 An arrangement is given by a finite set of covectors (one per hyperplane,
 up to sign).  Chambers are identified by their sign vector over the
@@ -9,15 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations
 
 from .errors import NonSimplicialError
 from .linalg import (
-    clear_denominators,
     direction,
     dot,
-    invert,
     kernel_vector,
     matrix_rank,
     sign_normalize,
@@ -36,6 +34,22 @@ class RootSet:
 
     rank: int
     positives: tuple
+
+    @cached_property
+    def ray_signs(self):
+        """Candidate extreme rays: the primitive, sign-normalized generators
+        of 1-dim intersections of (rank-1)-subsets of hyperplanes, each
+        mapped to the signs (-1, 0, 1) of every positive covector on it."""
+        out = {}
+        for subset in combinations(self.positives, self.rank - 1):
+            v = kernel_vector(subset, self.rank)
+            if v is None:
+                continue
+            v = sign_normalize(v)
+            if v not in out:
+                out[v] = tuple((d > 0) - (d < 0)
+                               for d in (dot(cov, v) for cov in self.positives))
+        return out
 
 
 def make_root_set(covectors, rank=None) -> RootSet:
@@ -80,48 +94,28 @@ class Chamber:
     walls: tuple
 
 
-@lru_cache(maxsize=None)
-def _ray_candidates(R: RootSet):
-    """Candidate extreme rays: 1-dim intersections of (rank-1)-subsets of
-    hyperplanes, with precomputed evaluations against all positive covectors."""
-    n = len(R.positives)
-    out = {}
-    for subset in combinations(range(n), R.rank - 1):
-        v = kernel_vector([R.positives[i] for i in subset], R.rank)
-        if v is None:
-            continue
-        v = sign_normalize(v)
-        if v not in out:
-            out[v] = tuple(dot(R.positives[k], v) for k in range(n))
-    return tuple(out.items())
-
-
-@lru_cache(maxsize=None)
-def _direction_index(R: RootSet):
-    return {direction(cov): k for k, cov in enumerate(R.positives)}
-
-
 def _rays_for_signs(R: RootSet, signs):
     rays = []
-    for v, evs in _ray_candidates(R):
-        vals = [s * e for s, e in zip(signs, evs)]
-        if all(x >= 0 for x in vals):
+    for v, evs in R.ray_signs.items():
+        vals = {s * e for s, e in zip(signs, evs)}
+        if -1 not in vals:
             rays.append(v)
-        elif all(x <= 0 for x in vals):
+        elif 1 not in vals:
             rays.append(vec_neg(v))
     return rays
 
 
 def _walls_for_rays(R: RootSet, rays):
-    # dual covectors of the frame are rows of the inverse of the ray-column matrix
-    m = invert([[ray[i] for ray in rays] for i in range(R.rank)])
-    idx = _direction_index(R)
+    # the wall opposite ray i is the one hyperplane containing all other rays
+    zeros = [{k for k, e in enumerate(R.ray_signs[sign_normalize(v)]) if e == 0}
+             for v in rays]
     walls = []
-    for b in m:
-        key = direction(b)
-        if key not in idx:
-            raise ValueError(f"wall covector {b} is not an arrangement hyperplane")
-        walls.append(idx[key])
+    for i in range(R.rank):
+        common = set(range(len(R.positives))).intersection(
+            *(z for j, z in enumerate(zeros) if j != i))
+        if len(common) != 1:
+            raise ValueError(f"no arrangement hyperplane is opposite ray {rays[i]}")
+        walls.append(common.pop())
     return tuple(walls)
 
 
@@ -253,54 +247,16 @@ def chamber_coordinates(R: RootSet, K: Chamber, covector, rays=None):
     return tuple(dot(covector, v) for v in rays)
 
 
-@dataclass(frozen=True)
-class AdjacentReflection:
-    chamber: Chamber
-    sigma: tuple       # reflection matrix with respect to the wall-root basis
-    mu: tuple          # off-diagonal coefficients mu_j, j != i, ascending j
-    beta_vee: tuple    # the unique normalized new ray generator
-
-
-def adjacent_reflection(R: RootSet, K: Chamber, i: int) -> AdjacentReflection:
-    """Cross wall i: the adjacent chamber, the unique reflection carrying the
-    wall-root basis of K to the one of the neighbour, and its coefficients."""
-    Kn = adjacent_chamber(R, K, i)
-    basis = chamber_root_basis(R, K)
-    w = Kn.rays[i]
-    coeff = [dot(b, w) for b in basis]
-    if coeff[i] >= 0:
-        raise ValueError("new ray is not on the far side of the wall")
-    scale = Fraction(-1, 1) / coeff[i]
-    mu = {j: coeff[j] * scale for j in range(R.rank) if j != i}
-    beta_vee = tuple(Fraction(c) * scale for c in w)
-    sigma = []
-    for a in range(R.rank):
-        if a == i:
-            sigma.append(tuple(Fraction(-1) if b == i else mu[b] for b in range(R.rank)))
-        else:
-            sigma.append(tuple(Fraction(int(a == b)) for b in range(R.rank)))
-    return AdjacentReflection(
-        chamber=Kn,
-        sigma=tuple(sigma),
-        mu=tuple(mu[j] for j in sorted(mu)),
-        beta_vee=beta_vee,
-    )
-
-
 def cartan_of_chamber(R: RootSet, K: Chamber):
-    """Cartan matrix of (K, B^K): 2 on the diagonal, -mu_{i,j} off it."""
-    r = R.rank
+    """Cartan matrix of (K, B^K): 2 on the diagonal and, in row i,
+    c_ij = <alpha_j, w> / <alpha_i, w> for the new ray w across wall i."""
+    basis = chamber_root_basis(R, K)
     rows = []
-    for i in range(r):
-        refl = adjacent_reflection(R, K, i)
-        row = []
-        js = [j for j in range(r) if j != i]
-        for j in range(r):
-            if j == i:
-                row.append(Fraction(2))
-            else:
-                row.append(-refl.mu[js.index(j)])
-        rows.append(tuple(row))
+    for i in range(R.rank):
+        w = adjacent_chamber(R, K, i).rays[i]
+        coeff = [dot(b, w) for b in basis]
+        rows.append(tuple(Fraction(2) if j == i else Fraction(coeff[j]) / coeff[i]
+                          for j in range(R.rank)))
     return tuple(rows)
 
 

@@ -9,16 +9,14 @@ in the crystallographic case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 
 from .errors import ClosureOverflowError, NonSimplicialError, NotClosedError
 from .geometry import (
     RootSet,
+    cartan_of_chamber,
     chamber_coordinates,
     chamber_graph,
-    chamber_root_basis,
-    initial_chamber,
     scaled_rays,
 )
 from .linalg import direction
@@ -136,12 +134,6 @@ class VerifyResult:
     graph: object              # GroupoidGraph on success, else None
 
 
-def base_cartan_of(R: RootSet):
-    from .geometry import cartan_of_chamber
-
-    return cartan_of_chamber(R, initial_chamber(R))
-
-
 def root_object_of_chamber(R: RootSet, K):
     """Root coordinates of all covectors in the chamber's wall-root basis."""
     rays = scaled_rays(R, K)
@@ -167,7 +159,7 @@ def verify_crystallographic(R: RootSet) -> VerifyResult:
     except NonSimplicialError as e:
         return VerifyResult(False, "non-simplicial", (e.signs, e.ray_count),
                             0, (), None, None)
-    base_cartan = base_cartan_of(R)
+    base_cartan = cartan_of_chamber(R, chambers[0])
     base_object = None
     for K in chambers:
         obj, witness = root_object_of_chamber(R, K)
@@ -214,13 +206,6 @@ def canonical_form_of_rootset(R: RootSet) -> bytes:
     if not res.ok:
         raise ValueError(f"not crystallographic: {res.reason}")
     return canonical_form(res.graph)
-
-
-def rootset_of_object(O: RootObject) -> RootSet:
-    from .geometry import make_root_set
-
-    return make_root_set([tuple(Fraction(x) for x in v) for v in O.positive_roots],
-                         rank=O.rank)
 
 
 def is_object_irreducible(O: RootObject) -> bool:

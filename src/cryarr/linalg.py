@@ -24,20 +24,8 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_neg(u):
     return tuple(-a for a in u)
-
-
-def vec_scale(c, u):
-    return tuple(c * a for a in u)
 
 
 def clear_denominators(vec):
@@ -64,19 +52,6 @@ def sign_normalize(vec):
 def direction(vec):
     """Canonical key for the line spanned by ``vec``: primitive, first nonzero positive."""
     return sign_normalize(clear_denominators(vec))
-
-
-def identity_matrix(n, one=1):
-    return tuple(tuple(one if i == j else 0 * one for j in range(n)) for i in range(n))
-
-
-def mat_vec(m, v):
-    return tuple(dot(row, v) for row in m)
-
-
-def mat_mul(a, b):
-    cols = list(zip(*b))
-    return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
 def matrix_rank(rows) -> int:
@@ -241,10 +216,3 @@ def vol(m, vectors):
     for d in smith_normal_form(cols_matrix):
         result *= d
     return result
-
-
-def dual_basis(basis):
-    """Dual covectors B* with <B*_i, B_j> = delta_ij for independent rational B."""
-    inv = invert(basis)
-    n = len(basis)
-    return tuple(tuple(inv[k][i] for k in range(n)) for i in range(n))

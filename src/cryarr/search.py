@@ -142,14 +142,12 @@ def enumerate_rank3(cap, budget=10 ** 7) -> SearchResult:
                 found.setdefault(canonical_form(G), tuple(sorted(S)))
         if len(S) >= cap:
             continue
+        dirs = {direction(u) for u in S}
         sums = set()
         for a, b in combinations(S, 2):
             v = tuple(x + y for x, y in zip(a, b))
-            if v in S:
-                continue
-            if any(direction(v) == direction(u) for u in S):
-                continue
-            sums.add(v)
+            if direction(v) not in dirs:
+                sums.add(v)
         for v in sorted(sums):
             stack.append(_close(S | {v}, cap))
     forms = tuple(sorted(found))

@@ -319,31 +319,31 @@ def check_plane_roots(G: GroupoidGraph) -> CheckReport:
                        {"pairs": pairs})
 
 
-def check_pigeonhole(G: GroupoidGraph) -> CheckReport:
-    """|R_+| <= (m+1)^r where m is the observed Vol_2 maximum."""
-    m = check_vol2_bound(G, m=10 ** 9).stats["max_vol2"]
+def check_pigeonhole(G: GroupoidGraph, max_vol2) -> CheckReport:
+    """|R_+| <= (m+1)^r where m = ``max_vol2`` is the observed Vol_2
+    maximum, the ``max_vol2`` stat of ``check_vol2_bound``."""
     n = len(G.objects[0].positive_roots)
-    ok = n <= (m + 1) ** G.rank
+    ok = n <= (max_vol2 + 1) ** G.rank
     return CheckReport("pigeonhole", PASS if ok else FAIL,
-                       [] if ok else [(n, m)],
-                       {"positive_roots": n, "max_vol2": m})
+                       [] if ok else [(n, max_vol2)],
+                       {"positive_roots": n, "max_vol2": max_vol2})
 
 
 def run_all(G: GroupoidGraph, vol2_m=6):
     """The full suite; returns the list of reports."""
-    reports = [
+    vol2 = check_vol2_bound(G, vol2_m)
+    return [
         check_sum_of_roots(G),
         check_r111(G),
         check_bound7(G),
         check_b128(G),
         check_k0(G),
-        check_vol2_bound(G, vol2_m),
+        vol2,
         check_convexity_statements(G),
         check_plane_roots(G),
-        check_pigeonhole(G),
+        check_pigeonhole(G, vol2.stats["max_vol2"]),
         lemcon_sweep(G),
     ]
-    return reports
 
 
 def all_ok(reports):

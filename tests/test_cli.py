@@ -120,6 +120,15 @@ def test_enumerate_rank2(capsys):
     assert out.strip() == "14"
 
 
+@pytest.mark.parametrize("argv", [("search", "--cap", "5"),
+                                  ("enumerate-rank2", "1")])
+def test_out_of_range_argument_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_search_cli(tmp_path, capsys):
     out_path = tmp_path / "results.json"
     code, _, _ = run(capsys, "search", "--cap", "6", "--out", str(out_path))

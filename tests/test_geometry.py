@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cryarr.errors import NonSimplicialError
 from cryarr.geometry import (
     adjacent_chamber,
-    adjacent_reflection,
     cartan_of_chamber,
     chamber_graph,
     chamber_root_basis,
@@ -16,6 +17,7 @@ from cryarr.geometry import (
     make_root_set,
 )
 from cryarr import catalog as cat
+from cryarr.linalg import direction, dot, invert
 from oracles import count_chambers
 
 EX26 = [(1, 0), (0, 1), (1, 2)]
@@ -40,14 +42,6 @@ def test_example26_chambers_and_cartan():
     assert chamber_root_basis(R, K) == ((1, 0), (0, 1))
     c = cartan_of_chamber(R, K)
     assert c == ((2, Fraction(-1, 2)), (-2, 2))
-
-
-def test_example26_reflection():
-    R = make_root_set(EX26)
-    K = initial_chamber(R)
-    ar = adjacent_reflection(R, K, 0)
-    assert ar.beta_vee == (-1, Fraction(1, 2))
-    assert ar.sigma == ((-1, Fraction(1, 2)), (0, 1))
 
 
 def test_wall_crossing_is_involutive():
@@ -103,3 +97,34 @@ def test_cartan_integral_on_weyl_base():
     for row in c:
         for x in row:
             assert x == int(x)
+
+
+def _check_walls_and_signs(R):
+    """Walls of every chamber against the inverse-matrix rule (the rows of
+    the inverse ray matrix are the dual wall covectors, found among the
+    hyperplanes by direction), and the sign table against exact products."""
+    for v, signs in R.ray_signs.items():
+        products = [dot(cov, v) for cov in R.positives]
+        assert signs == tuple((d > 0) - (d < 0) for d in products)
+    index = {direction(cov): k for k, cov in enumerate(R.positives)}
+    for K in enumerate_chambers(R):
+        inverse = invert([[ray[i] for ray in K.rays] for i in range(R.rank)])
+        assert K.walls == tuple(index[direction(row)] for row in inverse)
+
+
+@pytest.mark.parametrize("name", [e.name for e in cat.entries()])
+def test_walls_and_ray_signs_match_exact_rule_on_catalog(name):
+    _check_walls_and_signs(cat.root_set_of(cat.get(name)))
+
+
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(RATIONALS, RATIONALS), min_size=2, max_size=7))
+def test_walls_and_ray_signs_match_exact_rule_rank2(covectors):
+    try:
+        R = make_root_set(covectors, rank=2)
+    except ValueError:
+        assume(False)
+    _check_walls_and_signs(R)

@@ -4,7 +4,7 @@ import pytest
 
 from cryarr import catalog as cat
 from cryarr.errors import ClosureOverflowError, NotClosedError
-from cryarr.geometry import cartan_of_chamber, initial_chamber, make_root_set
+from cryarr.geometry import cartan_of_chamber, enumerate_chambers, make_root_set
 from cryarr.groupoid import (
     canonical_form,
     canonical_form_of_rootset,
@@ -79,13 +79,12 @@ def test_verify_examples():
 
 
 def test_geometric_cartan_cross_check():
-    # chamber route and root-coordinate route agree at the base chamber
-    for name in ("A2", "A3", "B3", "C3", "rank2-7"):
-        e = cat.get(name)
-        R = cat.root_set_of(e)
-        K = initial_chamber(R)
-        obj, _ = root_object_of_chamber(R, K)
-        assert cartan_of_chamber(R, K) == cartan_from_roots(obj)
+    # chamber route and root-coordinate route agree at every chamber
+    for name in ("A2", "A3", "A4", "B3", "C3", "D4", "rank2-7"):
+        R = cat.root_set_of(cat.get(name))
+        for K in enumerate_chambers(R):
+            obj, _ = root_object_of_chamber(R, K)
+            assert cartan_of_chamber(R, K) == cartan_from_roots(obj)
 
 
 def test_canonical_form_permutation_invariance():

@@ -6,7 +6,6 @@ import pytest
 
 from cryarr.errors import SingularMatrixError
 from cryarr.linalg import (
-    dual_basis,
     invert,
     kernel_vector,
     matrix_rank,
@@ -86,11 +85,6 @@ def test_kernel_vector():
     assert g == 1
     # nullity 2: no unique kernel line
     assert kernel_vector([(1, 0, 0)], 3) is None
-
-
-def test_dual_basis():
-    b = dual_basis([(1, 0), (1, 1)])
-    assert b == ((Fraction(1), Fraction(-1)), (Fraction(0), Fraction(1)))
 
 
 def test_matrix_rank():

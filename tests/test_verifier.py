@@ -148,4 +148,5 @@ def test_pigeonhole():
         G = closure(name)
         from cryarr.verifier import check_pigeonhole
 
-        assert check_pigeonhole(G).verdict == "pass"
+        max_vol2 = check_vol2_bound(G).stats["max_vol2"]
+        assert check_pigeonhole(G, max_vol2).verdict == "pass"
