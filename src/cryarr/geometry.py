@@ -260,11 +260,10 @@ def cartan_of_chamber(R: RootSet, K: Chamber):
     return tuple(rows)
 
 
-def is_irreducible(R: RootSet) -> bool:
-    """Connectivity of coordinate supports in the base-chamber frame."""
-    K = initial_chamber(R)
-    rays = scaled_rays(R, K)
-    parent = list(range(R.rank))
+def supports_connected(vectors, rank) -> bool:
+    """Whether the coordinate supports of ``vectors`` link all ``rank``
+    coordinates (union-find over the coordinates of each support)."""
+    parent = list(range(rank))
 
     def find(x):
         while parent[x] != x:
@@ -272,14 +271,21 @@ def is_irreducible(R: RootSet) -> bool:
             x = parent[x]
         return x
 
-    for cov in R.positives:
-        coords = chamber_coordinates(R, K, cov, rays)
-        support = [k for k, c in enumerate(coords) if c != 0]
+    for v in vectors:
+        support = [k for k, c in enumerate(v) if c != 0]
         for a in support[1:]:
             ra, rb = find(a), find(support[0])
             if ra != rb:
                 parent[ra] = rb
-    return len({find(k) for k in range(R.rank)}) == 1
+    return len({find(k) for k in range(rank)}) == 1
+
+
+def is_irreducible(R: RootSet) -> bool:
+    """Connectivity of coordinate supports in the base-chamber frame."""
+    K = initial_chamber(R)
+    rays = scaled_rays(R, K)
+    return supports_connected(
+        (chamber_coordinates(R, K, cov, rays) for cov in R.positives), R.rank)
 
 
 def primitive_hyperplanes(R: RootSet):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from math import gcd
 
 from .errors import SingularMatrixError
@@ -51,6 +52,9 @@ def sign_normalize(vec):
 
 def direction(vec):
     """Canonical key for the line spanned by ``vec``: primitive, first nonzero positive."""
+    if all(type(x) is int for x in vec):
+        g = gcd(*vec)
+        return sign_normalize(tuple(x // g for x in vec) if g > 1 else vec)
     return sign_normalize(clear_denominators(vec))
 
 
@@ -198,12 +202,36 @@ def _min_nonzero(a, t, rows, cols):
     return pos
 
 
+def _det(rows):
+    """Determinant of a square integer matrix (fraction-free Bareiss)."""
+    n = len(rows)
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    a = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 def vol(m, vectors):
     """Product of the elementary divisors of the matrix whose columns are
     the first ``m`` vectors.
 
     For m = 1 this is the gcd of the coordinates, for m = r the absolute
-    value of the determinant.  A zero column makes the result 0.
+    value of the determinant.  A zero column makes the result 0.  For
+    integer vectors and m <= r the product is the gcd of the m x m minors;
+    otherwise it is read off ``smith_normal_form``.
     """
     if m < 1 or m > len(vectors):
         raise ValueError("need 1 <= m <= number of vectors")
@@ -211,6 +239,13 @@ def vol(m, vectors):
     r = len(vs[0])
     if any(len(v) != r for v in vs):
         raise ValueError("dimension mismatch")
+    if m <= r and all(type(x) is int for v in vs for x in v):
+        g = 0
+        for minor in combinations(zip(*vs), m):
+            g = gcd(g, _det(minor))
+            if g == 1:
+                break
+        return g
     cols_matrix = [[vs[j][i] for j in range(m)] for i in range(r)]
     result = 1
     for d in smith_normal_form(cols_matrix):

@@ -15,18 +15,38 @@ superset of the state:
   * with k*e_i + e_j present, every l*e_i + e_j (l <= k) is a root
     (root-string convexity), so those are added for free.
 
-Every emitted arrangement is re-verified from scratch by the geometric
-pipeline and the full statement-check suite; the pruning is never trusted
-for soundness."""
+Each state S that passes the rank-2 plane tests is decided integer-first,
+in root coordinates: the supports of S must be connected, the reflection
+closure of the root object S must finish with at most n(n-1)+2 objects
+(n = |S|), and the statement checks must pass on that closure.  This
+pre-filter drops no arrangement the geometry would accept: a simplicial
+rank-3 arrangement of n planes has at most n(n-1)+2 chambers, so the
+geometric closure of the same base object finishes within that bound too,
+and irreducibility in the base chamber is exactly support connectivity of
+S.  The geometry still decides: each survivor is re-verified from scratch
+by the chamber walk, which must reproduce S as its base object and the
+same closure; neither the pruning nor the pre-filter is trusted for
+soundness."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, product
 
-from .errors import NotESequenceError, ExtremeRootsNotUnimodularError
-from .geometry import is_irreducible, make_root_set
-from .groupoid import canonical_form, simple_roots, verify_crystallographic
+from .errors import (
+    ClosureOverflowError,
+    ExtremeRootsNotUnimodularError,
+    NotClosedError,
+    NotESequenceError,
+)
+from .geometry import make_root_set, supports_connected
+from .groupoid import (
+    canonical_form,
+    make_root_object,
+    simple_roots,
+    traverse,
+    verify_crystallographic,
+)
 from .linalg import direction, vol
 from .localization import localize
 from .rank2 import is_crystallographic_rank2
@@ -46,9 +66,13 @@ class SearchResult:
     emitted: int
 
 
-def _close(roots, cap):
+def _close(roots, cap, known=frozenset()):
     """Add forced roots; return None if the state cannot extend to a
-    crystallographic arrangement within the cap."""
+    crystallographic arrangement within the cap.
+
+    ``known`` is a subset of ``roots`` already known to be pairwise
+    non-parallel with Vol_2 at most 6, so pairs inside it are not tested
+    again."""
     roots = set(roots)
     changed = True
     while changed:
@@ -71,13 +95,14 @@ def _close(roots, cap):
                             changed = True
     if len(roots) > cap:
         return None
-    dirs = set()
-    for v in roots:
+    fresh = roots - known
+    dirs = {direction(v) for v in known}
+    for v in fresh:
         d = direction(v)
         if d in dirs:
             return None
         dirs.add(d)
-    for a, b in combinations(roots, 2):
+    for a, b in chain(product(fresh, known), combinations(fresh, 2)):
         if vol(2, [a, b]) > 6:
             return None
     return frozenset(roots)
@@ -98,20 +123,29 @@ def _plane_systems_ok(roots):
 
 
 def _verify_candidate(roots):
-    """Full from-scratch verification; returns the groupoid closure or None."""
+    """Decide a state; returns its groupoid closure or None.
+
+    The integer tests in root coordinates run first and reject almost every
+    state; the geometric re-verification from scratch then decides the
+    survivors."""
+    n = len(roots)
+    if not supports_connected(roots, 3):
+        return None
+    try:
+        G = traverse(make_root_object(3, roots), max_objects=n * (n - 1) + 2)
+    except (NotClosedError, ClosureOverflowError):
+        return None
+    if not all_ok(run_all(G)):
+        return None
     try:
         R = make_root_set(roots, rank=3)
     except ValueError:
         return None
-    if not is_irreducible(R):
-        return None
     res = verify_crystallographic(R)
-    if not res.ok:
-        return None
-    if res.base_object.positive_roots != frozenset(roots):
-        # the state must be the honest positive system of its own base chamber
-        return None
-    if not all_ok(run_all(res.graph)):
+    # the state must be the honest positive system of its own base chamber,
+    # and the geometry must reproduce the integer closure
+    if (not res.ok or res.base_object.positive_roots != frozenset(roots)
+            or res.graph != G):
         return None
     return res.graph
 
@@ -149,7 +183,7 @@ def enumerate_rank3(cap, budget=10 ** 7) -> SearchResult:
             if direction(v) not in dirs:
                 sums.add(v)
         for v in sorted(sums):
-            stack.append(_close(S | {v}, cap))
+            stack.append(_close(S | {v}, cap, S))
     forms = tuple(sorted(found))
     return SearchResult(
         verdict=INCOMPLETE if exhausted else COMPLETE,

@@ -163,19 +163,23 @@ def _min_cartan_entry(G: GroupoidGraph):
     return min(min(min(row) for row in cartan_from_roots(O)) for O in G.objects)
 
 
+def _signed(roots):
+    return roots | {tuple(-x for x in v) for v in roots}
+
+
 def check_lemcon(G: GroupoidGraph, object_index, alpha, beta, k) -> CheckReport:
     """Root-string convexity: under the stated hypotheses, beta and all of
     alpha + l*beta (0 <= l <= k) are roots, and some object in the closure
     has a Cartan entry <= -k."""
-    return _lemcon(G, object_index, alpha, beta, k, _min_cartan_entry(G))
+    roots = G.objects[object_index].positive_roots
+    return _lemcon(roots, _signed(roots), max(max(v) for v in roots),
+                   tuple(alpha), tuple(beta), k, _min_cartan_entry(G))
 
 
-def _lemcon(G: GroupoidGraph, object_index, alpha, beta, k, min_entry):
-    """check_lemcon with the closure's minimum Cartan entry given."""
-    O = G.objects[object_index]
-    roots = O.positive_roots
-    full = roots | {tuple(-x for x in v) for v in roots}
-    alpha, beta = tuple(alpha), tuple(beta)
+def _lemcon(roots, full, top, alpha, beta, k, min_entry):
+    """check_lemcon on one object's positive roots, given their signed set
+    ``full``, their largest coordinate ``top`` and the closure's minimum
+    Cartan entry."""
     if k < 2:
         raise HypothesisFailedError("k >= 2")
     if alpha not in roots:
@@ -184,8 +188,7 @@ def _lemcon(G: GroupoidGraph, object_index, alpha, beta, k, min_entry):
         raise HypothesisFailedError("alpha + k*beta is a root")
     if vol(2, [alpha, beta]) != 1:
         raise HypothesisFailedError("Vol_2(alpha, beta) = 1")
-    bound = max(max(v) for v in roots) + 1
-    if not _no_negative_ray(alpha, beta, bound):
+    if not _no_negative_ray(alpha, beta, top + 1):
         raise HypothesisFailedError("(-N*alpha + Z*beta) misses N_0^r")
     witnesses = []
     if beta not in full:
@@ -207,14 +210,16 @@ def lemcon_sweep(G: GroupoidGraph) -> CheckReport:
     triples = 0
     for oi, O in enumerate(G.objects):
         roots = O.positive_roots
-        full = sorted(roots | {tuple(-x for x in v) for v in roots})
+        full = _signed(roots)
+        betas = sorted(full)
+        top = max(max(v) for v in roots)
         for alpha in roots:
-            for beta in full:
-                for k in range(2, 2 * max(max(v) for v in roots) + 2):
+            for beta in betas:
+                for k in range(2, 2 * top + 2):
                     if tuple(a + k * b for a, b in zip(alpha, beta)) not in full:
                         continue
                     try:
-                        rep = _lemcon(G, oi, alpha, beta, k, min_entry)
+                        rep = _lemcon(roots, full, top, alpha, beta, k, min_entry)
                     except HypothesisFailedError:
                         continue
                     triples += 1
@@ -235,7 +240,7 @@ def check_convexity_statements(G: GroupoidGraph) -> CheckReport:
     witnesses = []
     for oi, O in enumerate(G.objects):
         roots = O.positive_roots
-        full = roots | {tuple(-x for x in v) for v in roots}
+        full = _signed(roots)
         for a, b, c in combinations(sorted(roots), 3):
             if vol(3, [a, b, c]) != 1:
                 continue

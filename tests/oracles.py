@@ -4,12 +4,18 @@ Everything here is deliberately written from first principles, without
 using the package's own algorithms: chamber counts come from sign-vector
 enumeration with Fourier-Motzkin feasibility, determinants from cofactor
 expansion, elementary divisors from gcds of minors, and Catalan numbers
-from the binomial closed form.
+from the binomial closed form.  ``verify_candidate_geometric`` is the
+exception: it is the search's slow path, the geometric pipeline alone,
+kept as the reference its integer-first replacement is compared with.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
+
+from cryarr.geometry import is_irreducible, make_root_set
+from cryarr.groupoid import verify_crystallographic
+from cryarr.verifier import all_ok, run_all
 
 
 def _primitive(v):
@@ -99,3 +105,23 @@ def snf_divisors_minors(m):
 
 def catalan_binomial(k):
     return comb(2 * k, k) // (k + 1)
+
+
+def verify_candidate_geometric(roots):
+    """A search state decided by the geometry alone: the groupoid closure
+    of an irreducible crystallographic arrangement whose base-chamber
+    positive system is ``roots`` and whose statement checks pass, or None."""
+    try:
+        R = make_root_set(roots, rank=3)
+    except ValueError:
+        return None
+    if not is_irreducible(R):
+        return None
+    res = verify_crystallographic(R)
+    if not res.ok:
+        return None
+    if res.base_object.positive_roots != frozenset(roots):
+        return None
+    if not all_ok(run_all(res.graph)):
+        return None
+    return res.graph

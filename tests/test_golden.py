@@ -1,8 +1,9 @@
 """Byte-identity of the CLI answers against files pinned in tests/golden/.
 
-The verify report of every catalog entry and the cap-6 search output must
-not change under refactoring.  The search's ``states_visited`` is left out:
-a symmetry reduction may legitimately change how many states are walked.
+The verify report of every catalog entry and the search output at caps 6
+and 9 must not change under refactoring.  The search's ``states_visited``
+is left out: a symmetry reduction may legitimately change how many states
+are walked.
 
 Regenerate the files (only when an answer is meant to change) with
 ``PYTHONPATH=src python tests/test_golden.py``."""
@@ -31,9 +32,9 @@ def verify_stdout(name, workdir):
     return buf.getvalue()
 
 
-def search_answer(workdir):
-    path = Path(workdir) / "search.json"
-    main(["search", "--cap", "6", "--out", str(path)])
+def search_answer(workdir, cap=6):
+    path = Path(workdir) / f"search{cap}.json"
+    main(["search", "--cap", str(cap), "--out", str(path)])
     doc = json.loads(path.read_text())
     del doc["states_visited"]
     return json.dumps(doc, indent=2) + "\n"
@@ -54,6 +55,11 @@ def test_search_cap6_is_pinned(tmp_path):
     assert search_answer(tmp_path) == expected
 
 
+def test_search_cap9_is_pinned(tmp_path):
+    expected = (GOLDEN / "search_cap9.json").read_text(encoding="utf-8")
+    assert search_answer(tmp_path, 9) == expected
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -62,6 +68,7 @@ if __name__ == "__main__":
         for name in NAMES:
             (GOLDEN / f"verify_{name}.json").write_text(
                 verify_stdout(name, tmp), encoding="utf-8")
-        (GOLDEN / "search_cap6.json").write_text(search_answer(tmp),
-                                                 encoding="utf-8")
+        for cap in (6, 9):
+            (GOLDEN / f"search_cap{cap}.json").write_text(
+                search_answer(tmp, cap), encoding="utf-8")
     sys.exit(0)

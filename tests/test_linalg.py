@@ -1,14 +1,19 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryarr.errors import SingularMatrixError
 from cryarr.linalg import (
+    clear_denominators,
+    direction,
     invert,
     kernel_vector,
     matrix_rank,
+    sign_normalize,
     smith_normal_form,
     vol,
 )
@@ -55,6 +60,36 @@ def test_vol_examples():
     assert vol(2, [(1, 0, 0), (0, 1, 0)]) == 1
     assert vol(2, [(2, 0, 0), (0, 3, 0)]) == 6
     assert vol(2, [(1, 2, 0), (2, 4, 0)]) == 0  # parallel columns
+
+
+@st.composite
+def vector_lists(draw):
+    """(m, vectors): m in 1..len(vectors), all vectors of one dimension r,
+    so that both m <= r and m > r occur."""
+    r = draw(st.integers(1, 4))
+    vectors = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * r),
+                            min_size=1, max_size=5))
+    return draw(st.integers(1, len(vectors))), vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_lists())
+def test_vol_matches_snf_product_and_minor_oracle(case):
+    m, vectors = case
+    cols = [[v[i] for v in vectors[:m]] for i in range(len(vectors[0]))]
+    got = vol(m, vectors)
+    assert got == prod(smith_normal_form(cols))
+    assert got == prod(snf_divisors_minors(cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-60, 60), min_size=1, max_size=5))
+def test_direction_integer_path_matches_fraction_path(vec):
+    expected = sign_normalize(clear_denominators(vec))
+    assert direction(vec) == expected
+    assert direction(tuple(vec)) == expected
+    assert direction([Fraction(x) for x in vec]) == expected
+    assert all(type(x) is int for x in direction(vec))
 
 
 def test_invert_round_trip():
