@@ -105,7 +105,7 @@ def _section_plane(R: RootSet):
     # is parallel to no hyperplane (so every hyperplane meets it in a line)
     t = 2
     while True:
-        p = (Fraction(1), Fraction(t), Fraction(t * t))
+        p = (1, t, t * t)
         if all(any(p[a] * cov[b] != p[b] * cov[a] for a in range(3) for b in range(3))
                for cov in R.positives):
             return p

@@ -2,7 +2,8 @@
 
 An arrangement is given by a finite set of covectors (one per hyperplane,
 up to sign).  Chambers are identified by their sign vector over the
-positive covector representatives; every computation is exact.
+positive covector representatives; every computation is exact, on integer
+covectors, and only Cartan entries are rational.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 
 from .errors import NonSimplicialError
 from .linalg import (
@@ -28,12 +30,16 @@ class RootSet:
     """A finite set of pairwise non-parallel covectors spanning the dual space.
 
     ``positives`` holds one representative per +/- pair, sign-normalized so
-    the first nonzero coordinate is positive, sorted canonically.  The full
-    root set is ``positives`` together with its negatives.
+    the first nonzero coordinate is positive, sorted canonically, as integer
+    tuples: the given covectors times ``denominator``, the lcm of their
+    denominators.  The full root set is ``positives`` together with its
+    negatives.  One positive scale for all covectors changes no chamber,
+    wall, root coordinate or Cartan entry.
     """
 
     rank: int
     positives: tuple
+    denominator: int
 
     @cached_property
     def ray_signs(self):
@@ -57,6 +63,7 @@ def make_root_set(covectors, rank=None) -> RootSet:
 
     Exact duplicates and negatives collapse; distinct parallel covectors
     are rejected because a root set contains each line only as +/- one pair.
+    The accepted covectors are stored scaled to integers (see RootSet).
     """
     covectors = [tuple(Fraction(x) for x in cov) for cov in covectors]
     if not covectors:
@@ -73,10 +80,12 @@ def make_root_set(covectors, rank=None) -> RootSet:
         if key in seen and seen[key] != pos:
             raise ValueError(f"parallel roots {seen[key]} and {pos}")
         seen[key] = pos
-    positives = tuple(sorted(seen.values()))
+    positives = sorted(seen.values())
     if matrix_rank(positives) != r:
         raise ValueError("roots do not span the dual space")
-    return RootSet(rank=r, positives=positives)
+    d = lcm(*(x.denominator for cov in positives for x in cov))
+    return RootSet(rank=r, positives=tuple(tuple(int(x * d) for x in cov)
+                                           for cov in positives), denominator=d)
 
 
 @dataclass(frozen=True)
@@ -230,23 +239,6 @@ def chamber_root_basis(R: RootSet, K: Chamber):
     return tuple(out)
 
 
-def scaled_rays(R: RootSet, K: Chamber):
-    """Ray generators rescaled so the signed wall roots are their dual basis."""
-    basis = chamber_root_basis(R, K)
-    out = []
-    for i in range(R.rank):
-        s = dot(basis[i], K.rays[i])
-        out.append(tuple(Fraction(c, 1) / s for c in K.rays[i]))
-    return tuple(out)
-
-
-def chamber_coordinates(R: RootSet, K: Chamber, covector, rays=None):
-    """Coordinates of a covector in the signed wall-root basis of K."""
-    if rays is None:
-        rays = scaled_rays(R, K)
-    return tuple(dot(covector, v) for v in rays)
-
-
 def cartan_of_chamber(R: RootSet, K: Chamber):
     """Cartan matrix of (K, B^K): 2 on the diagonal and, in row i,
     c_ij = <alpha_j, w> / <alpha_i, w> for the new ray w across wall i."""
@@ -281,11 +273,11 @@ def supports_connected(vectors, rank) -> bool:
 
 
 def is_irreducible(R: RootSet) -> bool:
-    """Connectivity of coordinate supports in the base-chamber frame."""
+    """Connectivity of coordinate supports in the base-chamber frame; the
+    i-th coordinate of a root is nonzero exactly when its value on ray i is."""
     K = initial_chamber(R)
-    rays = scaled_rays(R, K)
     return supports_connected(
-        (chamber_coordinates(R, K, cov, rays) for cov in R.positives), R.rank)
+        (tuple(dot(cov, v) for v in K.rays) for cov in R.positives), R.rank)
 
 
 def primitive_hyperplanes(R: RootSet):

@@ -9,23 +9,39 @@ in the crystallographic case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 
 from .errors import ClosureOverflowError, NonSimplicialError, NotClosedError
-from .geometry import (
-    RootSet,
-    cartan_of_chamber,
-    chamber_coordinates,
-    chamber_graph,
-    scaled_rays,
-)
-from .linalg import direction
+from .geometry import RootSet, cartan_of_chamber, chamber_graph, chamber_root_basis
+from .linalg import direction, dot
 
 
 @dataclass(frozen=True)
 class RootObject:
     rank: int
     positive_roots: frozenset  # of int tuples in N_0^r
+
+    @cached_property
+    def cartan(self):
+        """c_ij = -max{k >= 0 : k*alpha_i + alpha_j in R}, c_ii = 2."""
+        r = self.rank
+        c = [[2] * r for _ in range(r)]
+        for v in self.positive_roots:
+            support = [t for t, x in enumerate(v) if x != 0]
+            if len(support) != 2:
+                continue
+            s, t = support
+            if v[s] == 1 and c[t][s] > -v[t]:
+                c[t][s] = -v[t]
+            if v[t] == 1 and c[s][t] > -v[s]:
+                c[s][t] = -v[s]
+        for i in range(r):
+            for j in range(r):
+                if i != j and c[i][j] == 2:
+                    c[i][j] = 0
+        return tuple(tuple(row) for row in c)
 
 
 def simple_roots(rank):
@@ -52,23 +68,8 @@ def make_root_object(rank, positive_roots) -> RootObject:
 
 
 def cartan_from_roots(O: RootObject):
-    """c_ij = -max{k >= 0 : k*alpha_i + alpha_j in R}, c_ii = 2."""
-    r = O.rank
-    c = [[2] * r for _ in range(r)]
-    for v in O.positive_roots:
-        support = [t for t, x in enumerate(v) if x != 0]
-        if len(support) != 2:
-            continue
-        s, t = support
-        if v[s] == 1 and c[t][s] > -v[t]:
-            c[t][s] = -v[t]
-        if v[t] == 1 and c[s][t] > -v[s]:
-            c[s][t] = -v[s]
-    for i in range(r):
-        for j in range(r):
-            if i != j and c[i][j] == 2:
-                c[i][j] = 0
-    return tuple(tuple(row) for row in c)
+    """The Cartan matrix of O, computed once per object."""
+    return O.cartan
 
 
 def reflect_vector(v, i, cartan_row):
@@ -78,18 +79,18 @@ def reflect_vector(v, i, cartan_row):
 
 
 def reflect_object(O: RootObject, i):
-    """Apply sigma_i and re-positivize.  Returns (object, cartan_row_i)."""
-    c = cartan_from_roots(O)
+    """Apply sigma_i and re-positivize."""
+    row = O.cartan[i]
     out = set()
     for v in O.positive_roots:
-        w = reflect_vector(v, i, c[i])
+        w = reflect_vector(v, i, row)
         if all(x >= 0 for x in w):
             out.add(w)
         elif all(x <= 0 for x in w):
             out.add(tuple(-x for x in w))
         else:
             raise NotClosedError(v, w)
-    return RootObject(rank=O.rank, positive_roots=frozenset(out)), c[i]
+    return RootObject(rank=O.rank, positive_roots=frozenset(out))
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ def traverse(base: RootObject, max_objects) -> GroupoidGraph:
         oi = head
         head += 1
         for i in range(base.rank):
-            img, _ = reflect_object(objects[oi], i)
+            img = reflect_object(objects[oi], i)
             j = index.get(img.positive_roots)
             if j is None:
                 if len(objects) >= max_objects:
@@ -135,19 +136,20 @@ class VerifyResult:
 
 
 def root_object_of_chamber(R: RootSet, K):
-    """Root coordinates of all covectors in the chamber's wall-root basis."""
-    rays = scaled_rays(R, K)
+    """Root coordinates of all covectors in the chamber's wall-root basis:
+    x_i = <cov, ray_i> / <b_i, ray_i> for the signed wall roots b_i.  The
+    failure witness is (chamber signs, covector, coordinates) in the
+    document's own scale, as Fractions."""
+    scales = [dot(b, v) for b, v in zip(chamber_root_basis(R, K), K.rays)]
     roots = set()
     for cov in R.positives:
-        coords = chamber_coordinates(R, K, cov, rays)
-        if any(x != int(x) for x in coords):
-            return None, (K.signs, cov, coords)
-        w = tuple(int(x) for x in coords)
-        if all(x <= 0 for x in w):
-            w = tuple(-x for x in w)
-        elif not all(x >= 0 for x in w):
-            return None, (K.signs, cov, coords)
-        roots.add(w)
+        values = [dot(cov, v) for v in K.rays]
+        coords = [divmod(x, s) for x, s in zip(values, scales)]
+        if any(rem for _, rem in coords):
+            return None, (K.signs, tuple(Fraction(x, R.denominator) for x in cov),
+                          tuple(map(Fraction, values, scales)))
+        # no hyperplane cuts the open chamber: the values share one sign
+        roots.add(tuple(abs(q) for q, _ in coords))
     return make_root_object(R.rank, roots), None
 
 

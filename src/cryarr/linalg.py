@@ -102,33 +102,22 @@ def invert(matrix):
 
 
 def kernel_vector(rows, dim):
-    """Primitive integer generator of the kernel of the given covectors,
-    or None unless the kernel is exactly one-dimensional."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(dim):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(dim) if c not in pivots]
-    if len(free) != 1:
+    """Primitive integer generator of the kernel of ``dim - 1`` integer
+    covectors: their signed maximal minors (a generalised cross product)
+    divided by their gcd.  None if there are fewer rows or they are
+    dependent."""
+    if len(rows) > dim - 1:
+        raise ValueError("kernel_vector takes at most dim - 1 rows")
+    if len(rows) < dim - 1:
         return None
-    fc = free[0]
-    vec = [Fraction(0)] * dim
-    vec[fc] = Fraction(1)
-    for row_idx, c in enumerate(pivots):
-        vec[c] = -m[row_idx][fc]
-    return clear_denominators(vec)
+    if dim == 1:
+        return (1,)
+    cols = list(zip(*rows))
+    vec = [(-1) ** j * _det(cols[:j] + cols[j + 1:]) for j in range(dim)]
+    g = gcd(*vec)
+    if g == 0:
+        return None
+    return tuple(x // g for x in vec)
 
 
 def smith_normal_form(matrix):

@@ -57,7 +57,7 @@ def rank2_cycles(O: RootObject, i, j) -> LocalizationCycles:
             cs.append(-c[j][i])
             ds.append(-c[j][k])
         label = i if (ell + 1) % 2 == 0 else j
-        cur, _ = reflect_object(cur, label)
+        cur = reflect_object(cur, label)
     if cur.positive_roots != O.positive_roots:
         raise CycleBrokenError("walk of length 2n does not return to the start")
     for ell in range(n):

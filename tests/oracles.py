@@ -3,18 +3,25 @@
 Everything here is deliberately written from first principles, without
 using the package's own algorithms: chamber counts come from sign-vector
 enumeration with Fourier-Motzkin feasibility, determinants from cofactor
-expansion, elementary divisors from gcds of minors, and Catalan numbers
-from the binomial closed form.  ``verify_candidate_geometric`` is the
-exception: it is the search's slow path, the geometric pipeline alone,
-kept as the reference its integer-first replacement is compared with.
+expansion, elementary divisors from gcds of minors, Catalan numbers
+from the binomial closed form, and the simpliciality and chamber count of
+a rank-3 arrangement from its intersection points (Melchior, Zaslavsky).
+Three references are the exception, each kept as the slow path that a
+faster one replaced: ``verify_candidate_geometric`` (the geometric
+pipeline alone, for the search's integer-first filter),
+``kernel_vector_gauss_jordan`` (the Fraction elimination, for the integer
+maximal-minor kernel) and ``verify_fraction_coordinates`` (Fraction root
+coordinates against rescaled rays, for the integer covectors).
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 
-from cryarr.geometry import is_irreducible, make_root_set
-from cryarr.groupoid import verify_crystallographic
+from cryarr.errors import ClosureOverflowError, NonSimplicialError, NotClosedError
+from cryarr.geometry import adjacent_chamber, chamber_graph, is_irreducible, make_root_set
+from cryarr.groupoid import make_root_object, traverse, verify_crystallographic
+from cryarr.linalg import clear_denominators, sign_normalize
 from cryarr.verifier import all_ok, run_all
 
 
@@ -125,3 +132,108 @@ def verify_candidate_geometric(roots):
     if not all_ok(run_all(res.graph)):
         return None
     return res.graph
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def kernel_vector_gauss_jordan(rows, dim):
+    """Primitive integer generator of the kernel of the rows by Gauss-Jordan
+    elimination over the rationals, or None unless the kernel is a line."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(dim):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    free = [c for c in range(dim) if c not in pivots]
+    if len(free) != 1:
+        return None
+    vec = [Fraction(0)] * dim
+    vec[free[0]] = Fraction(1)
+    for row_idx, c in enumerate(pivots):
+        vec[c] = -m[row_idx][free[0]]
+    return clear_denominators(vec)
+
+
+def scaled_ray_coordinates(basis, rays, covector):
+    """Coordinates of ``covector`` in the wall-root basis of a chamber: its
+    products with the rays rescaled so that ``basis`` is their dual basis."""
+    scaled = [tuple(Fraction(c, 1) / _dot(b, v) for c in v) for b, v in zip(basis, rays)]
+    return tuple(_dot(covector, v) for v in scaled)
+
+
+def verify_fraction_coordinates(covectors, rank):
+    """``verify_crystallographic`` on the given covectors kept as Fractions:
+    (reason, chamber count, base Cartan matrix, base object, witness).  The
+    chamber walk and the closure are the package's; the covectors, Cartan
+    entries and root coordinates are computed here in Fractions."""
+    R = make_root_set(covectors, rank)
+    positives = sorted({sign_normalize(tuple(Fraction(x) for x in c)) for c in covectors})
+    assert len(positives) == len(R.positives)
+    try:
+        chambers, _ = chamber_graph(R)
+    except NonSimplicialError as e:
+        return "non-simplicial", 0, (), None, (e.signs, e.ray_count)
+
+    def basis(K):
+        return [positives[k] if K.signs[k] > 0 else tuple(-x for x in positives[k])
+                for k in K.walls]
+
+    b0 = basis(chambers[0])
+    cartan = []
+    for i in range(rank):
+        coeff = [_dot(b, adjacent_chamber(R, chambers[0], i).rays[i]) for b in b0]
+        cartan.append(tuple(Fraction(2) if j == i else coeff[j] / coeff[i]
+                            for j in range(rank)))
+    cartan = tuple(cartan)
+    base = None
+    for K in chambers:
+        roots = set()
+        for cov in positives:
+            coords = scaled_ray_coordinates(basis(K), K.rays, cov)
+            if any(x.denominator != 1 for x in coords) or not (
+                    all(x >= 0 for x in coords) or all(x <= 0 for x in coords)):
+                return ("non-integral root coordinates", len(chambers), cartan, None,
+                        (K.signs, cov, coords))
+            roots.add(tuple(abs(int(x)) for x in coords))
+        if base is None:
+            base = make_root_object(rank, roots)
+    try:
+        traverse(base, max_objects=len(chambers))
+    except NotClosedError as e:
+        return ("reflection image not sign-coherent", len(chambers), cartan, base,
+                (e.root, e.image))
+    except ClosureOverflowError as e:
+        return "closure exceeds chamber count", len(chambers), cartan, base, str(e)
+    return "", len(chambers), cartan, base, None
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def melchior_zaslavsky(covectors):
+    """(simplicial, chamber count) of a central rank-3 arrangement of
+    pairwise non-parallel integer covectors, from the intersection points p
+    of its projective lines and the number m_p of lines through each:
+    simplicial iff sum_p (3 - m_p) = 3 (Melchior), and 2(1 - f0 + f1)
+    chambers with f0 points and f1 = sum_p m_p edges (Zaslavsky)."""
+    points = {}
+    for a, b in combinations(range(len(covectors)), 2):
+        p = sign_normalize(_primitive(_cross(covectors[a], covectors[b])))
+        points.setdefault(p, set()).update((a, b))
+    multiplicities = [len(through) for through in points.values()]
+    f0, f1 = len(multiplicities), sum(multiplicities)
+    return sum(3 - m for m in multiplicities) == 3, 2 * (1 - f0 + f1)

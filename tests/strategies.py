@@ -1,0 +1,33 @@
+"""Hypothesis strategies shared by the test modules."""
+
+from fractions import Fraction
+
+from hypothesis import strategies as st
+
+from cryarr import catalog as cat
+
+SCALES = (1, 2, -1, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3))
+SMALL = (-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-1, 3))
+
+
+def written(x):
+    """A coordinate as a document writes it: an integer or a "p/q" string."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else str(x)
+
+
+@st.composite
+def arrangements(draw, rank):
+    """Covectors of a catalog arrangement of the given rank, or of a subset
+    of it, each rescaled by a small rational, plus up to two small random
+    covectors.  Coordinates are integers or "p/q" strings, so integral,
+    non-integral, simplicial and non-simplicial arrangements all occur."""
+    entry = draw(st.sampled_from([e for e in cat.entries() if e.rank == rank]))
+    roots = list(entry.positive_roots)
+    if draw(st.booleans()):
+        roots = draw(st.lists(st.sampled_from(roots), min_size=1, unique=True))
+    scales = draw(st.lists(st.sampled_from(SCALES), min_size=len(roots),
+                           max_size=len(roots)))
+    extra = draw(st.lists(st.tuples(*[st.sampled_from(SMALL)] * rank), max_size=2))
+    covectors = [tuple(s * x for x in v) for v, s in zip(roots, scales)] + extra
+    return [[written(x) for x in cov] for cov in covectors]

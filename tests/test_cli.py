@@ -2,12 +2,15 @@ import io
 import json
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cryarr import catalog as cat
 from cryarr.cli import main
+from strategies import written
 
 
 def run(capsys, *argv):
@@ -59,10 +62,34 @@ def test_verify_deeply_nested_json(tmp_path, capsys):
 
 
 def test_verify_rational_coordinates(tmp_path, capsys):
-    path = write_doc(tmp_path, "rat", 2, [["1", "0"], ["0", "1"], ["1", "1/2"]])
+    path = write_doc(tmp_path, "rat", 2, [[1, 0], [0, 1], ["1", "1/2"]])
     code, out, _ = run(capsys, "verify", path)
-    assert code in (0, 1)
-    json.loads(out)
+    assert code == 1
+    # the witness is the covector and its coordinates in the document's scale
+    assert json.loads(out) == {
+        "crystallographic": False,
+        "reason": "non-integral root coordinates",
+        "chambers": 6,
+        "base_cartan": [["2", "-2"], ["-1/2", "2"]],
+        "witness": "((1, 1, 1), (Fraction(1, 1), Fraction(1, 2)), "
+                   "(Fraction(1, 1), Fraction(1, 2)))",
+        "checks": [],
+    }
+
+
+@pytest.mark.parametrize("factor", ["1/2", "3"])
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_verify_is_invariant_under_a_common_scale(tmp_path, capsys, name, factor):
+    roots = cat.get(name).positive_roots
+
+    def report(doc_roots):
+        code, out, _ = run(capsys, "verify", write_doc(tmp_path, name, 3, doc_roots))
+        r = json.loads(out)
+        return code, r["crystallographic"], r["chambers"], r["base_cartan"], r["canonical_form"]
+
+    scaled = [[written(Fraction(x) * Fraction(factor)) for x in v] for v in roots]
+    assert report(scaled) == report(roots)
+    assert report(roots)[:2] == (0, True)
 
 
 def test_render_svg(tmp_path, capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,7 +19,8 @@ from cryarr.geometry import (
 )
 from cryarr import catalog as cat
 from cryarr.linalg import direction, dot, invert
-from oracles import count_chambers
+from oracles import count_chambers, melchior_zaslavsky
+from strategies import arrangements
 
 EX26 = [(1, 0), (0, 1), (1, 2)]
 
@@ -33,6 +35,15 @@ def test_make_root_set_rejects_bad_input():
     # negatives collapse onto their positive representative
     R = make_root_set([(1, 0), (-1, 0), (0, 1)])
     assert len(R.positives) == 2
+
+
+def test_make_root_set_scales_to_integers():
+    R = make_root_set([(1, 0), (0, 1), ("1", "1/2")])
+    assert R.denominator == 2
+    assert R.positives == ((0, 2), (2, 0), (2, 1))
+    assert all(type(x) is int for cov in R.positives for x in cov)
+    R = make_root_set([(Fraction(3), 0), (0, -1)])
+    assert (R.denominator, R.positives) == (1, ((0, 1), (3, 0)))
 
 
 def test_example26_chambers_and_cartan():
@@ -104,7 +115,8 @@ def _check_walls_and_signs(R):
     the inverse ray matrix are the dual wall covectors, found among the
     hyperplanes by direction), and the sign table against exact products."""
     for v, signs in R.ray_signs.items():
-        products = [dot(cov, v) for cov in R.positives]
+        products = [dot([Fraction(x, R.denominator) for x in cov], v)
+                    for cov in R.positives]
         assert signs == tuple((d > 0) - (d < 0) for d in products)
     index = {direction(cov): k for k, cov in enumerate(R.positives)}
     for K in enumerate_chambers(R):
@@ -128,3 +140,55 @@ def test_walls_and_ray_signs_match_exact_rule_rank2(covectors):
     except ValueError:
         assume(False)
     _check_walls_and_signs(R)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrangements(3))
+def test_walls_and_ray_signs_match_exact_rule_rank3(covectors):
+    try:
+        R = make_root_set(covectors, rank=3)
+    except ValueError:
+        assume(False)
+    try:
+        _check_walls_and_signs(R)
+    except NonSimplicialError:
+        pass  # the sign table was checked before the walk
+
+
+def _check_melchior_zaslavsky(R):
+    simplicial, count = melchior_zaslavsky(R.positives)
+    try:
+        chambers, _ = chamber_graph(R)
+    except NonSimplicialError:
+        assert not simplicial
+        assert count == count_chambers(R.positives, 3)
+        return
+    assert simplicial
+    assert count == len(chambers)
+
+
+@pytest.mark.parametrize("name", [e.name for e in cat.entries() if e.rank == 3])
+def test_melchior_zaslavsky_on_catalog(name):
+    _check_melchior_zaslavsky(cat.root_set_of(cat.get(name)))
+
+
+def test_melchior_zaslavsky_on_13_line_box():
+    box = [v for v in product((-1, 0, 1), repeat=3) if v > (0, 0, 0)]
+    R = make_root_set(box, rank=3)
+    assert len(R.positives) == 13
+    assert melchior_zaslavsky(R.positives) == (True, len(enumerate_chambers(R)))
+
+
+SMALL_INTS = st.integers(-2, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(arrangements(3),
+                 st.lists(st.tuples(SMALL_INTS, SMALL_INTS, SMALL_INTS),
+                          min_size=3, max_size=6)))
+def test_melchior_zaslavsky_matches_chamber_walk(covectors):
+    try:
+        R = make_root_set(covectors, rank=3)
+    except ValueError:
+        assume(False)
+    _check_melchior_zaslavsky(R)

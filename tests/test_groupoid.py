@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cryarr import catalog as cat
 from cryarr.errors import ClosureOverflowError, NotClosedError
@@ -16,6 +18,8 @@ from cryarr.groupoid import (
     traverse,
     verify_crystallographic,
 )
+from oracles import verify_fraction_coordinates
+from strategies import arrangements
 
 
 def test_make_root_object_validation():
@@ -37,9 +41,9 @@ def test_cartan_from_roots_examples():
 
 def test_reflect_object_b2():
     b2 = make_root_object(2, [(1, 0), (0, 1), (1, 1), (1, 2)])
-    img, _ = reflect_object(b2, 0)
+    img = reflect_object(b2, 0)
     assert img.positive_roots == b2.positive_roots
-    img, _ = reflect_object(b2, 1)
+    img = reflect_object(b2, 1)
     assert img.positive_roots == b2.positive_roots
 
 
@@ -47,8 +51,8 @@ def test_reflect_is_involution():
     for name in ("A3", "B3", "rank2-7"):
         O = cat.root_object_of(cat.get(name))
         for i in range(O.rank):
-            once, _ = reflect_object(O, i)
-            twice, _ = reflect_object(once, i)
+            once = reflect_object(O, i)
+            twice = reflect_object(once, i)
             assert twice.positive_roots == O.positive_roots
 
 
@@ -145,3 +149,18 @@ def test_sum_of_two_positive_roots_over_closures():
                 assert any(
                     tuple(a - b for a, b in zip(v, u)) in roots for u in roots
                 )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(lambda r: st.tuples(st.just(r), arrangements(r))))
+def test_verify_matches_fraction_coordinate_oracle(case):
+    rank, covectors = case
+    try:
+        R = make_root_set(covectors, rank=rank)
+    except ValueError:
+        assume(False)
+    res = verify_crystallographic(R)
+    reason, chambers, cartan, base, witness = verify_fraction_coordinates(covectors, rank)
+    assert (res.reason, res.chamber_count, res.base_object) == (reason, chambers, base)
+    assert repr(res.base_cartan) == repr(cartan)
+    assert repr(res.witness) == repr(witness)

@@ -17,7 +17,7 @@ from cryarr.linalg import (
     smith_normal_form,
     vol,
 )
-from oracles import det_cofactor, snf_divisors_minors
+from oracles import det_cofactor, kernel_vector_gauss_jordan, snf_divisors_minors
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -120,6 +120,35 @@ def test_kernel_vector():
     assert g == 1
     # nullity 2: no unique kernel line
     assert kernel_vector([(1, 0, 0)], 3) is None
+    assert kernel_vector([(1, 2, 3), (2, 4, 6)], 3) is None
+    assert kernel_vector([], 1) == (1,)
+    with pytest.raises(ValueError):
+        kernel_vector([(1, 0), (0, 1)], 2)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(rows, dim): dim - 1 integer rows; small entries and repeated or
+    zero rows make rank-deficient matrices common."""
+    dim = draw(st.integers(1, 5))
+    row = st.tuples(*[st.integers(-3, 3)] * dim)
+    rows = draw(st.lists(row, min_size=dim - 1, max_size=dim - 1))
+    if rows and draw(st.booleans()):
+        rows[-1] = draw(st.sampled_from([rows[0], tuple(0 for _ in rows[0])]))
+    return rows, dim
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_kernel_vector_matches_gauss_jordan_oracle(case):
+    rows, dim = case
+    got = kernel_vector(rows, dim)
+    expected = kernel_vector_gauss_jordan(rows, dim)
+    if expected is None:
+        assert got is None
+    else:
+        assert got in (expected, tuple(-x for x in expected))
+        assert all(type(x) is int for x in got)
 
 
 def test_matrix_rank():
