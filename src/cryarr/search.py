@@ -31,7 +31,7 @@ soundness."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, combinations, permutations, product
 
 from .errors import (
     ClosureOverflowError,
@@ -61,7 +61,7 @@ COMPLETE, INCOMPLETE = "Complete", "Incomplete"
 class SearchResult:
     verdict: str
     canonical_forms: tuple     # sorted canonical byte strings
-    arrangements: tuple        # matching tuple of sorted positive-root tuples
+    arrangements: tuple        # matching tuple of representative root tuples
     states_visited: int
     emitted: int
 
@@ -150,6 +150,15 @@ def _verify_candidate(roots):
     return res.graph
 
 
+def _representative(G):
+    """The least sorted root tuple over the closure's objects and their
+    coordinate permutations.  States of one canonical form have the same
+    closure up to a permutation, so this does not depend on which state
+    the search meets first."""
+    return min(tuple(sorted(tuple(v[p] for p in perm) for v in O.positive_roots))
+               for O in G.objects for perm in permutations(range(3)))
+
+
 def enumerate_rank3(cap, budget=10 ** 7) -> SearchResult:
     """All irreducible rank-3 crystallographic arrangements with at most
     ``cap`` positive roots, reachable within ``budget`` visited states."""
@@ -173,7 +182,9 @@ def enumerate_rank3(cap, budget=10 ** 7) -> SearchResult:
         if _plane_systems_ok(S):
             G = _verify_candidate(S)
             if G is not None:
-                found.setdefault(canonical_form(G), tuple(sorted(S)))
+                form = canonical_form(G)
+                if form not in found:
+                    found[form] = _representative(G)
         if len(S) >= cap:
             continue
         dirs = {direction(u) for u in S}
