@@ -31,7 +31,6 @@ from .groupoid import (
     VerifyResult,
     canonical_form,
     canonical_form_of_rootset,
-    cartan_from_roots,
     make_root_object,
     reflect_object,
     traverse,

@@ -278,8 +278,3 @@ def is_irreducible(R: RootSet) -> bool:
     K = initial_chamber(R)
     return supports_connected(
         (tuple(dot(cov, v) for v in K.rays) for cov in R.positives), R.rank)
-
-
-def primitive_hyperplanes(R: RootSet):
-    """The arrangement as a set of primitive normal directions (forgets scaling)."""
-    return frozenset(direction(cov) for cov in R.positives)

@@ -67,11 +67,6 @@ def make_root_object(rank, positive_roots) -> RootObject:
     return RootObject(rank=rank, positive_roots=roots)
 
 
-def cartan_from_roots(O: RootObject):
-    """The Cartan matrix of O, computed once per object."""
-    return O.cartan
-
-
 def reflect_vector(v, i, cartan_row):
     w = list(v)
     w[i] = v[i] - sum(cartan_row[j] * v[j] for j in range(len(v)))
@@ -79,17 +74,19 @@ def reflect_vector(v, i, cartan_row):
 
 
 def reflect_object(O: RootObject, i):
-    """Apply sigma_i and re-positivize."""
+    """Apply sigma_i and re-positivize.  sigma_i changes only coordinate i,
+    so an image is positive when that coordinate is nonnegative, and
+    negative only when every other coordinate is 0."""
     row = O.cartan[i]
     out = set()
     for v in O.positive_roots:
         w = reflect_vector(v, i, row)
-        if all(x >= 0 for x in w):
+        if w[i] >= 0:
             out.add(w)
-        elif all(x <= 0 for x in w):
-            out.add(tuple(-x for x in w))
-        else:
+        elif any(w[:i] + w[i + 1:]):
             raise NotClosedError(v, w)
+        else:
+            out.add(tuple(-x for x in w))
     return RootObject(rank=O.rank, positive_roots=frozenset(out))
 
 
@@ -212,7 +209,7 @@ def canonical_form_of_rootset(R: RootSet) -> bytes:
 
 def is_object_irreducible(O: RootObject) -> bool:
     """Connectivity of the Cartan graph (i ~ j when c_ij != 0)."""
-    c = cartan_from_roots(O)
+    c = O.cartan
     r = O.rank
     seen = {0}
     stack = [0]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CycleBrokenError, MissingRootError
-from .groupoid import RootObject, cartan_from_roots, reflect_object
+from .groupoid import RootObject, reflect_object
 from .rank2 import slope_sorted
 
 
@@ -48,7 +48,7 @@ def rank2_cycles(O: RootObject, i, j) -> LocalizationCycles:
     cs, ds, objs = [], [], []
     cur = O
     for ell in range(1, 2 * n + 1):
-        c = cartan_from_roots(cur)
+        c = cur.cartan
         objs.append(cur)
         if ell % 2 == 1:
             cs.append(-c[i][j])

@@ -17,7 +17,6 @@ from .errors import (
 )
 from .groupoid import (
     GroupoidGraph,
-    cartan_from_roots,
     is_object_irreducible,
     simple_roots,
 )
@@ -76,7 +75,7 @@ def check_bound7(G: GroupoidGraph) -> CheckReport:
     lo = 2
     witnesses = []
     for oi, O in enumerate(G.objects):
-        c = cartan_from_roots(O)
+        c = O.cartan
         m = min(min(row) for row in c)
         lo = min(lo, m)
         if m < -7:
@@ -128,7 +127,7 @@ def check_k0(G: GroupoidGraph) -> CheckReport:
     values = []
     witnesses = []
     for oi, O in enumerate(G.objects):
-        c = cartan_from_roots(O)
+        c = O.cartan
         for ordering in permutations(range(3)):
             try:
                 k0 = compute_k0(G, oi, ordering)
@@ -160,7 +159,7 @@ def _no_negative_ray(alpha, beta, bound):
 
 
 def _min_cartan_entry(G: GroupoidGraph):
-    return min(min(min(row) for row in cartan_from_roots(O)) for O in G.objects)
+    return min(min(min(row) for row in O.cartan) for O in G.objects)
 
 
 def _signed(roots):

@@ -21,7 +21,7 @@ from math import comb, gcd
 from cryarr.errors import ClosureOverflowError, NonSimplicialError, NotClosedError
 from cryarr.geometry import adjacent_chamber, chamber_graph, is_irreducible, make_root_set
 from cryarr.groupoid import make_root_object, traverse, verify_crystallographic
-from cryarr.linalg import clear_denominators, sign_normalize
+from cryarr.linalg import clear_denominators, direction, sign_normalize
 from cryarr.verifier import all_ok, run_all
 
 
@@ -237,3 +237,8 @@ def melchior_zaslavsky(covectors):
     multiplicities = [len(through) for through in points.values()]
     f0, f1 = len(multiplicities), sum(multiplicities)
     return sum(3 - m for m in multiplicities) == 3, 2 * (1 - f0 + f1)
+
+
+def primitive_hyperplanes(R):
+    """The arrangement as a set of primitive normal directions (forgets scaling)."""
+    return frozenset(direction(cov) for cov in R.positives)

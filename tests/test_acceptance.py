@@ -8,14 +8,9 @@ from fractions import Fraction
 from itertools import permutations
 
 from cryarr import catalog as cat
-from cryarr.geometry import (
-    enumerate_chambers,
-    make_root_set,
-    primitive_hyperplanes,
-)
+from cryarr.geometry import enumerate_chambers, make_root_set
 from cryarr.groupoid import (
     canonical_form_of_rootset,
-    cartan_from_roots,
     reflect_object,
     verify_crystallographic,
 )
@@ -40,7 +35,7 @@ from cryarr.verifier import (
     run_all,
 )
 from conftest import record_acceptance
-from oracles import catalan_binomial, count_chambers
+from oracles import catalan_binomial, count_chambers, primitive_hyperplanes
 
 
 def check(number, label, ok):
@@ -93,10 +88,10 @@ def test_criterion_5_catalog_weyl_suite():
         res = verify_crystallographic(cat.root_set_of(e))
         ok = ok and res.ok and res.chamber_count == chambers
         ok = ok and count_chambers(e.positive_roots, e.rank) == chambers
-        classical = cartan_from_roots(res.base_object)
+        classical = res.base_object.cartan
         r = e.rank
         for O in res.graph.objects:
-            c = cartan_from_roots(O)
+            c = O.cartan
             ok = ok and any(
                 all(c[p[i]][p[j]] == classical[i][j]
                     for i in range(r) for j in range(r))

@@ -1,8 +1,9 @@
 import pytest
 
 from cryarr import catalog as cat
-from cryarr.geometry import enumerate_chambers, primitive_hyperplanes
+from cryarr.geometry import enumerate_chambers
 from cryarr.groupoid import canonical_form_of_rootset, verify_crystallographic
+from oracles import primitive_hyperplanes
 
 
 def test_series_sizes():
@@ -61,14 +62,12 @@ def test_b3_c3_same_hyperplanes_different_forms():
 
 
 def test_min_cartan_pins():
-    from cryarr.groupoid import cartan_from_roots
-
     for e in cat.entries():
         if not e.crystallographic:
             continue
         res = verify_crystallographic(cat.root_set_of(e))
         lo = min(
-            min(min(row) for row in cartan_from_roots(O))
+            min(min(row) for row in O.cartan)
             for O in res.graph.objects
         )
         assert lo == e.expected_min_cartan, e.name

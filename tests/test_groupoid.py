@@ -10,7 +10,6 @@ from cryarr.geometry import cartan_of_chamber, enumerate_chambers, make_root_set
 from cryarr.groupoid import (
     canonical_form,
     canonical_form_of_rootset,
-    cartan_from_roots,
     is_object_irreducible,
     make_root_object,
     reflect_object,
@@ -31,12 +30,10 @@ def test_make_root_object_validation():
 
 
 def test_cartan_from_roots_examples():
-    assert cartan_from_roots(make_root_object(2, [(1, 0), (0, 1), (1, 1)])) == (
-        (2, -1), (-1, 2))
-    assert cartan_from_roots(make_root_object(2, [(1, 0), (0, 1)])) == (
-        (2, 0), (0, 2))
+    assert make_root_object(2, [(1, 0), (0, 1), (1, 1)]).cartan == ((2, -1), (-1, 2))
+    assert make_root_object(2, [(1, 0), (0, 1)]).cartan == ((2, 0), (0, 2))
     seven = make_root_object(2, cat.SEVEN_ROOTS)
-    assert cartan_from_roots(seven) == ((2, -3), (-1, 2))
+    assert seven.cartan == ((2, -3), (-1, 2))
 
 
 def test_reflect_object_b2():
@@ -88,7 +85,7 @@ def test_geometric_cartan_cross_check():
         R = cat.root_set_of(cat.get(name))
         for K in enumerate_chambers(R):
             obj, _ = root_object_of_chamber(R, K)
-            assert cartan_of_chamber(R, K) == cartan_from_roots(obj)
+            assert cartan_of_chamber(R, K) == obj.cartan
 
 
 def test_canonical_form_permutation_invariance():
@@ -119,12 +116,12 @@ def test_weyl_cartans_classical_up_to_permutation():
     for name in ("A2", "A3", "B3"):
         e = cat.get(name)
         base = cat.root_object_of(e)
-        classical = cartan_from_roots(base)
+        classical = base.cartan
         res = verify_crystallographic(cat.root_set_of(e))
         from itertools import permutations
 
         for O in res.graph.objects:
-            c = cartan_from_roots(O)
+            c = O.cartan
             r = e.rank
             assert any(
                 all(c[p[i]][p[j]] == classical[i][j]
