@@ -1,19 +1,39 @@
 """Bounded exhaustive enumeration of irreducible rank-3 crystallographic
 arrangements up to a positive-root cap.
 
-States are sets of positive roots containing the simple roots.  Every
-non-simple positive root of a crystallographic arrangement is a sum of two
-positive roots, so induction on height shows that growing a state by sums
-of its members reaches every target system: the minimal-height missing
-root always splits into two roots of smaller height that are already
-present.  Pruning uses only facts valid for every crystallographic
-superset of the state:
+A state is a set of positive roots containing the simple roots.  It is
+valid when
 
-  * roots are pairwise non-parallel;
-  * Vol_2 of any two positive roots is at most 6;
-  * Cartan entries are bounded below by -7, so k*e_i + e_j needs k <= 7;
-  * with k*e_i + e_j present, every l*e_i + e_j (l <= k) is a root
-    (root-string convexity), so those are added for free.
+  (a) every non-simple member is the sum of two members;
+  (b) its roots are pairwise non-parallel;
+  (c) Vol_2 of any two members is at most 6;
+  (d) for every member k*e_i + e_j, k <= 7 (Cartan entries are at least
+      -7) and every l*e_i + e_j with 1 <= l < k is a member (root-string
+      convexity);
+  (e) it has at most ``cap`` members.
+
+The positive roots of every crystallographic arrangement within the cap
+form a valid state: every non-simple positive root is a sum of two
+positive roots, and (b)-(d) hold for all of them.  The search walks every
+valid state once, as a tree.  Roots are ordered by key(v) = (sum(v), v);
+a state is the tuple of its roots in key order, and its last root is its
+top.  The children of a state S are the tuples S + (v,) for each sum v of
+two members with key(v) > key(top) that is parallel to no member and that
+``_close`` accepts: it tests (c)-(e) for the pairs and strings that
+contain v, where (d) reduces to (k-1)*e_i + e_j being in S because S
+already satisfies (d).  Every child is valid, and its top is v.
+
+The walk is a tree: every valid state T other than the simple roots has
+exactly one parent, P = T without its top t.  P is valid, because (b),
+(c) and (e) hold for subsets, and t is neither a summand of a member nor
+a lower member of a root string: either would be a member w = t + u or
+w = t + m*e_i with sum(w) > sum(t), against t being the top.  T is a
+child of P: t has a sum >= 2, so it is not simple; by (a) it is the sum
+of two roots of smaller sum, which are in P; key(t) exceeds the key of
+P's top; and by (b)-(e) for T, ``_close`` accepts t.  No other state has
+T as a child, since a child's last root is its top.  So the walk reaches
+every valid state exactly once, by induction on its size, with no visited
+set: memory is the stack of at most cap * C(cap, 2) pending states.
 
 Each state S that passes the rank-2 plane tests is decided integer-first,
 in root coordinates: the supports of S must be connected, the reflection
@@ -31,7 +51,7 @@ soundness."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, permutations, product
+from itertools import combinations, permutations
 
 from .errors import (
     ClosureOverflowError,
@@ -66,46 +86,26 @@ class SearchResult:
     emitted: int
 
 
-def _close(roots, cap, known=frozenset()):
-    """Add forced roots; return None if the state cannot extend to a
-    crystallographic arrangement within the cap.
+def _key(v):
+    return sum(v), v
 
-    ``known`` is a subset of ``roots`` already known to be pairwise
-    non-parallel with Vol_2 at most 6, so pairs inside it are not tested
-    again."""
-    roots = set(roots)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(roots):
-            support = [t for t, x in enumerate(v) if x != 0]
-            if len(support) != 2:
-                continue
-            s, t = support
-            for (a, b) in ((s, t), (t, s)):
-                if v[b] == 1:
-                    if v[a] > 7:
-                        return None
-                    for ell in range(1, v[a]):
-                        w = [0, 0, 0]
-                        w[a], w[b] = ell, 1
-                        w = tuple(w)
-                        if w not in roots:
-                            roots.add(w)
-                            changed = True
-    if len(roots) > cap:
+
+def _close(S, v, cap):
+    """The state S + (v,) if the new root v keeps the valid state S valid
+    under the cap, k <= 7, root-string and Vol_2 rules; None if it prunes."""
+    if len(S) >= cap:
         return None
-    fresh = roots - known
-    dirs = {direction(v) for v in known}
-    for v in fresh:
-        d = direction(v)
-        if d in dirs:
-            return None
-        dirs.add(d)
-    for a, b in chain(product(fresh, known), combinations(fresh, 2)):
-        if vol(2, [a, b]) > 6:
-            return None
-    return frozenset(roots)
+    support = [t for t, x in enumerate(v) if x != 0]
+    if len(support) == 2:
+        for i, j in (support, support[::-1]):
+            if v[j] == 1 and v[i] > 1:
+                lower = list(v)
+                lower[i] -= 1
+                if v[i] > 7 or tuple(lower) not in S:
+                    return None
+    if any(vol(2, [u, v]) > 6 for u in S):
+        return None
+    return S + (v,)
 
 
 def _plane_systems_ok(roots):
@@ -164,37 +164,32 @@ def enumerate_rank3(cap, budget=10 ** 7) -> SearchResult:
     ``cap`` positive roots, reachable within ``budget`` visited states."""
     if cap < 6:
         raise ValueError("cap must be at least 6")
-    start = _close(SIMPLES, cap)
-    visited = set()
     found = {}
-    stack = [start]
+    stack = [tuple(sorted(SIMPLES, key=_key))]
     states = 0
     exhausted = False
     while stack:
         S = stack.pop()
-        if S is None or S in visited:
-            continue
         if states >= budget:
             exhausted = True
             break
         states += 1
-        visited.add(S)
         if _plane_systems_ok(S):
             G = _verify_candidate(S)
             if G is not None:
                 form = canonical_form(G)
                 if form not in found:
                     found[form] = _representative(G)
-        if len(S) >= cap:
+        if len(S) >= cap:   # a full state has no children
             continue
+        top = _key(S[-1])
         dirs = {direction(u) for u in S}
-        sums = set()
-        for a, b in combinations(S, 2):
-            v = tuple(x + y for x, y in zip(a, b))
-            if direction(v) not in dirs:
-                sums.add(v)
+        sums = {tuple(x + y for x, y in zip(a, b)) for a, b in combinations(S, 2)}
         for v in sorted(sums):
-            stack.append(_close(S | {v}, cap, S))
+            if _key(v) > top and direction(v) not in dirs:
+                T = _close(S, v, cap)
+                if T is not None:
+                    stack.append(T)
     forms = tuple(sorted(found))
     return SearchResult(
         verdict=INCOMPLETE if exhausted else COMPLETE,

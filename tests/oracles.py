@@ -6,22 +6,24 @@ enumeration with Fourier-Motzkin feasibility, determinants from cofactor
 expansion, elementary divisors from gcds of minors, Catalan numbers
 from the binomial closed form, and the simpliciality and chamber count of
 a rank-3 arrangement from its intersection points (Melchior, Zaslavsky).
-Three references are the exception, each kept as the slow path that a
+Four references are the exception, each kept as the slow path that a
 faster one replaced: ``verify_candidate_geometric`` (the geometric
 pipeline alone, for the search's integer-first filter),
 ``kernel_vector_gauss_jordan`` (the Fraction elimination, for the integer
-maximal-minor kernel) and ``verify_fraction_coordinates`` (Fraction root
-coordinates against rescaled rays, for the integer covectors).
+maximal-minor kernel), ``verify_fraction_coordinates`` (Fraction root
+coordinates against rescaled rays, for the integer covectors) and
+``dfs_states`` (the graph search with a visited set and forced root
+strings, for the search's tree walk).
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, product
 from math import comb, gcd
 
 from cryarr.errors import ClosureOverflowError, NonSimplicialError, NotClosedError
 from cryarr.geometry import adjacent_chamber, chamber_graph, is_irreducible, make_root_set
-from cryarr.groupoid import make_root_object, traverse, verify_crystallographic
-from cryarr.linalg import clear_denominators, direction, sign_normalize
+from cryarr.groupoid import make_root_object, simple_roots, traverse, verify_crystallographic
+from cryarr.linalg import clear_denominators, direction, sign_normalize, vol
 from cryarr.verifier import all_ok, run_all
 
 
@@ -242,3 +244,90 @@ def melchior_zaslavsky(covectors):
 def primitive_hyperplanes(R):
     """The arrangement as a set of primitive normal directions (forgets scaling)."""
     return frozenset(direction(cov) for cov in R.positives)
+
+
+def close_forcing(roots, cap, known=frozenset()):
+    """The search's old state closure: insert the lower members of every
+    root string l*e_i + e_j, then return None if the state breaks the cap,
+    k <= 7, non-parallelism or Vol_2 <= 6.  Pairs inside ``known`` are
+    not tested again."""
+    roots = set(roots)
+    changed = True
+    while changed:
+        changed = False
+        for v in list(roots):
+            support = [t for t, x in enumerate(v) if x != 0]
+            if len(support) != 2:
+                continue
+            s, t = support
+            for (a, b) in ((s, t), (t, s)):
+                if v[b] == 1:
+                    if v[a] > 7:
+                        return None
+                    for ell in range(1, v[a]):
+                        w = [0, 0, 0]
+                        w[a], w[b] = ell, 1
+                        w = tuple(w)
+                        if w not in roots:
+                            roots.add(w)
+                            changed = True
+    if len(roots) > cap:
+        return None
+    fresh = roots - known
+    dirs = {direction(v) for v in known}
+    for v in fresh:
+        d = direction(v)
+        if d in dirs:
+            return None
+        dirs.add(d)
+    for a, b in chain(product(fresh, known), combinations(fresh, 2)):
+        if vol(2, [a, b]) > 6:
+            return None
+    return frozenset(roots)
+
+
+def dfs_states(cap):
+    """Every state the rank-3 search walks, found as the old graph search
+    found them: any non-parallel sum of two members is added, its root
+    string is filled in by ``close_forcing``, and a visited set stops the
+    states reached along more than one path."""
+    visited = set()
+    stack = [close_forcing(simple_roots(3), cap)]
+    while stack:
+        S = stack.pop()
+        if S is None or S in visited:
+            continue
+        visited.add(S)
+        if len(S) >= cap:
+            continue
+        dirs = {direction(u) for u in S}
+        sums = {tuple(x + y for x, y in zip(a, b)) for a, b in combinations(S, 2)}
+        for v in sorted(sums):
+            if direction(v) not in dirs:
+                stack.append(close_forcing(S | {v}, cap, S))
+    return visited
+
+
+def search_state_ok(roots, cap):
+    """The search's pruning rules checked from scratch on every root and
+    every pair: at most ``cap`` roots, pairwise non-parallel with Vol_2 at
+    most 6 (the gcd of the cross product's entries), and for every
+    k*e_i + e_j both k <= 7 and every l*e_i + e_j with l < k present."""
+    roots = set(roots)
+    if len(roots) > cap:
+        return False
+    for a, b in combinations(roots, 2):
+        c = _cross(a, b)
+        if not any(c) or gcd(*c) > 6:
+            return False
+    for v in roots:
+        support = [t for t, x in enumerate(v) if x != 0]
+        if len(support) != 2:
+            continue
+        for i, j in (support, support[::-1]):
+            if v[j] == 1 and v[i] > 1:
+                lower = [tuple(ell if t == i else x for t, x in enumerate(v))
+                         for ell in range(1, v[i])]
+                if v[i] > 7 or any(w not in roots for w in lower):
+                    return False
+    return True

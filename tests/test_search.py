@@ -1,16 +1,25 @@
+import importlib.util
 from functools import lru_cache
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from cryarr import catalog as cat
 from cryarr import search
-from cryarr.geometry import enumerate_chambers, make_root_set
-from cryarr.groupoid import canonical_form_of_rootset, verify_crystallographic
+from cryarr.geometry import enumerate_chambers, is_irreducible, make_root_set
+from cryarr.groupoid import (
+    canonical_form,
+    canonical_form_of_rootset,
+    verify_crystallographic,
+)
 from cryarr.search import _close, _plane_systems_ok, enumerate_rank3
 from cryarr.verifier import all_ok, run_all
-from oracles import verify_candidate_geometric
+from oracles import dfs_states, search_state_ok, verify_candidate_geometric
 
 search_at = lru_cache(maxsize=None)(enumerate_rank3)
+SIMPLES = tuple(sorted(search.SIMPLES))
+INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
 
 
 def test_cap_too_small():
@@ -19,11 +28,14 @@ def test_cap_too_small():
 
 
 def test_close_rules():
-    # root strings are filled in, and Cartan entries below -7 prune
-    S = _close({(1, 0, 0), (0, 1, 0), (0, 0, 1), (3, 1, 0)}, cap=10)
-    assert S is not None and (1, 1, 0) in S and (2, 1, 0) in S
-    assert _close({(1, 0, 0), (0, 1, 0), (0, 0, 1), (8, 1, 0)}, cap=40) is None
-    assert _close({(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)}, cap=3) is None
+    # a root string must already be present below the new root; Cartan
+    # entries below -7 (here also Vol_2 with (1,1,0)) and the cap prune
+    assert _close(SIMPLES, (3, 1, 0), cap=10) is None
+    S = _close(_close(SIMPLES, (1, 1, 0), cap=10), (2, 1, 0), cap=10)
+    assert _close(S, (3, 1, 0), cap=10) == S + ((3, 1, 0),)
+    string = SIMPLES + tuple((k, 1, 0) for k in range(1, 8))
+    assert _close(string, (8, 1, 0), cap=40) is None
+    assert _close(SIMPLES, (1, 1, 0), cap=3) is None
 
 
 def test_plane_systems_filter():
@@ -50,6 +62,7 @@ def test_cap6_output_is_sound():
 def test_budget_exhaustion_reports_incomplete():
     result = enumerate_rank3(9, budget=10)
     assert result.verdict == "Incomplete"
+    assert result.states_visited == 10
 
 
 @pytest.mark.parametrize("cap, states, emitted",
@@ -67,29 +80,91 @@ def test_found_forms_grow_with_the_cap(cap):
 
 
 def test_close_checks_new_roots_against_known_ones():
-    S = frozenset(search.SIMPLES)
-    # Vol_2((1,0,0), (1,7,7)) = 7 pairs a known root with a new one
-    assert _close(S | {(1, 7, 7)}, 20, S) is None
-    # (2,2,0) is new and parallel to the known (1,1,0)
-    T = _close(S | {(1, 1, 0)}, 20, S)
-    assert T is not None
-    assert _close(T | {(2, 2, 0)}, 20, T) is None
+    # Vol_2((1,0,0), (1,7,7)) = 7 pairs a simple root with the new one
+    assert _close(SIMPLES, (1, 7, 7), 20) is None
+    # Vol_2((1,1,0), (1,1,7)) = 7, while (1,1,7) passes against the simples
+    assert _close(SIMPLES, (1, 1, 7), 20) is not None
+    assert _close(_close(SIMPLES, (1, 1, 0), 20), (1, 1, 7), 20) is None
 
 
-def test_close_with_known_matches_full_check(monkeypatch):
+def test_close_matches_all_pairs_check(monkeypatch):
+    # cap 8, because no _close call of the cap-7 search prunes
     calls = []
     fast = search._close
 
-    def recording(roots, cap, known=frozenset()):
-        out = fast(roots, cap, known)
-        calls.append((frozenset(roots), cap, out))
+    def recording(S, v, cap):
+        out = fast(S, v, cap)
+        calls.append((S, v, cap, out))
         return out
 
     monkeypatch.setattr(search, "_close", recording)
-    enumerate_rank3(7)
-    assert len(calls) > 400
-    for roots, cap, out in calls:
-        assert out == fast(roots, cap)
+    enumerate_rank3(8)
+    assert len(calls) == 2777
+    for S, v, cap, out in calls:
+        assert (out is not None) == search_state_ok(S + (v,), cap), (S, v)
+        assert out is None or out == S + (v,)
+    assert 0 < sum(out is None for *_, out in calls) < len(calls)
+
+
+@pytest.mark.parametrize("cap", [6, 7, 8])
+def test_tree_walk_decides_the_states_of_the_graph_search(cap, monkeypatch):
+    decided = []
+    fast = search._plane_systems_ok
+
+    def recording(roots):
+        decided.append(frozenset(roots))
+        return fast(roots)
+
+    monkeypatch.setattr(search, "_plane_systems_ok", recording)
+    enumerate_rank3(cap)
+    assert len(set(decided)) == len(decided)
+    assert set(decided) == dfs_states(cap)
+
+
+def _inputs():
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@lru_cache(maxsize=None)
+def weyl_restriction_forms():
+    """Canonical form -> line count of every irreducible rank-3 coordinate
+    restriction with at most 9 lines of A_n, B_n, C_n, D_n (n = 4, 5, 6),
+    F4 and E6-E8.  Restrictions of crystallographic arrangements are
+    crystallographic (Cuntz 2011), so each one must be found by a search
+    whose cap covers its line count."""
+    inputs = _inputs()
+    cartans = [inputs.CARTAN[name] for name in ("A4", "D4", "F4", "E6", "E7", "E8")]
+    chain = inputs._chain
+    for n in (4, 5, 6):
+        cartans.append(inputs._cartan(n, chain(n), doubles=[(n - 1, n - 2)]))
+        cartans.append(inputs._cartan(n, chain(n), doubles=[(n - 2, n - 1)]))
+    for n in (5, 6):
+        cartans.append(inputs._cartan(n, chain(n)))
+        cartans.append(inputs._cartan(n, chain(n - 1) + [(n - 3, n - 1)]))
+    forms = {}
+    for cartan in cartans:
+        for keep in combinations(range(len(cartan)), 3):
+            lines = inputs.restriction(cartan, keep)
+            if len(lines) > 9:
+                continue
+            R = make_root_set(lines, rank=3)
+            if not is_irreducible(R):
+                continue
+            res = verify_crystallographic(R)
+            assert res.ok, (cartan, keep)
+            forms[canonical_form(res.graph)] = len(lines)
+    return forms
+
+
+@pytest.mark.parametrize("cap", [6, 7, 8, 9])
+def test_search_finds_every_weyl_restriction(cap):
+    forms = weyl_restriction_forms()
+    assert len(forms) == 5
+    expected = {form for form, n in forms.items() if n <= cap}
+    assert expected and expected <= set(search_at(cap).canonical_forms)
 
 
 def test_closure_bound_covers_every_chamber_count():
