@@ -1,7 +1,8 @@
 """Byte-identity of the CLI answers against files pinned in tests/golden/.
 
-The verify report of every catalog entry and the search output at caps 6
-and 9 must not change under refactoring.  The search's ``states_visited``
+The verify report of every catalog entry, the ``run_all`` reports of the
+Weyl-restriction closures of the benchmark (several objects each) and the
+search output at caps 6 and 9 must not change under refactoring.  The search's ``states_visited``
 is left out: a symmetry reduction may legitimately change how many states
 are walked.
 
@@ -18,6 +19,9 @@ import pytest
 
 from cryarr import catalog as cat
 from cryarr.cli import document_of, main
+from cryarr.groupoid import make_root_object, traverse
+from cryarr.verifier import run_all
+from test_search import _inputs
 
 GOLDEN = Path(__file__).parent / "golden"
 NAMES = [e.name for e in cat.entries()]
@@ -30,6 +34,20 @@ def verify_stdout(name, workdir):
     with redirect_stdout(buf):
         main(["verify", str(path)])
     return buf.getvalue()
+
+
+def restriction_reports():
+    """The ``run_all`` reports of the closures of F4 (0,1,2), E6/E7/E8 (0,1,3)
+    and E8 (0,1,4), as JSON keyed by restriction."""
+    inputs = _inputs()
+    out = {}
+    for weyl_type, keep in inputs.RESTRICTIONS:
+        lines = inputs.restriction(inputs.CARTAN[weyl_type], keep)
+        n = len(lines)
+        G = traverse(make_root_object(3, lines), max_objects=n * (n - 1) + 2)
+        out[f"{weyl_type}-restriction-{''.join(map(str, keep))}"] = [
+            r.to_dict() for r in run_all(G)]
+    return json.dumps(out, indent=2) + "\n"
 
 
 def search_answer(workdir, cap=6):
@@ -50,6 +68,11 @@ def test_verify_report_is_pinned(name, tmp_path):
     assert verify_stdout(name, tmp_path) == expected
 
 
+def test_run_all_restriction_reports_are_pinned():
+    expected = (GOLDEN / "run_all_restrictions.json").read_text(encoding="utf-8")
+    assert restriction_reports() == expected
+
+
 def test_search_cap6_is_pinned(tmp_path):
     expected = (GOLDEN / "search_cap6.json").read_text(encoding="utf-8")
     assert search_answer(tmp_path) == expected
@@ -68,6 +91,8 @@ if __name__ == "__main__":
         for name in NAMES:
             (GOLDEN / f"verify_{name}.json").write_text(
                 verify_stdout(name, tmp), encoding="utf-8")
+        (GOLDEN / "run_all_restrictions.json").write_text(
+            restriction_reports(), encoding="utf-8")
         for cap in (6, 9):
             (GOLDEN / f"search_cap{cap}.json").write_text(
                 search_answer(tmp, cap), encoding="utf-8")
