@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
+from math import gcd
 
 from .errors import (
     CycleBrokenError,
@@ -148,13 +149,22 @@ def check_k0(G: GroupoidGraph) -> CheckReport:
 
 
 def _no_negative_ray(alpha, beta, bound):
-    """(-N*alpha + Z*beta) fails to meet N_0^r within the coordinate box."""
-    r = len(alpha)
+    """(-N*alpha + Z*beta) fails to meet N_0^r within the coordinate box
+    1 <= a <= bound, |b| <= bound.  For each a, the b with
+    -a*alpha + b*beta >= 0 form an interval, the intersection of one
+    interval per coordinate: b >= ceil(a*x/y) where y > 0, b <= floor(a*x/y)
+    where y < 0, and none at all where y = 0 < x."""
     for a in range(1, bound + 1):
-        for b in range(-bound, bound + 1):
-            v = tuple(-a * x + b * y for x, y in zip(alpha, beta))
-            if all(t >= 0 for t in v):
-                return False
+        lo, hi = -bound, bound
+        for x, y in zip(alpha, beta):
+            if y > 0:
+                lo = max(lo, -(-a * x // y))
+            elif y < 0:
+                hi = min(hi, a * x // y)
+            elif x > 0:
+                return True
+        if lo <= hi:
+            return False
     return True
 
 
@@ -203,27 +213,37 @@ def _lemcon(roots, full, top, alpha, beta, k, min_entry):
 
 
 def lemcon_sweep(G: GroupoidGraph) -> CheckReport:
-    """check_lemcon over every hypothesis-satisfying (object, alpha, beta, k)."""
+    """check_lemcon over every hypothesis-satisfying (object, alpha, beta, k)
+    with beta a root.
+
+    The candidates come from the roots gamma = alpha + k*beta themselves:
+    Vol_2(alpha, beta) = 1 makes beta primitive, so k is the gcd of
+    d = gamma - alpha and beta = d/k.  Each alpha's candidates are checked
+    in the order (beta, k)."""
     min_entry = _min_cartan_entry(G)
     witnesses = []
     triples = 0
     for oi, O in enumerate(G.objects):
         roots = O.positive_roots
         full = _signed(roots)
-        betas = sorted(full)
         top = max(max(v) for v in roots)
         for alpha in roots:
-            for beta in betas:
-                for k in range(2, 2 * top + 2):
-                    if tuple(a + k * b for a, b in zip(alpha, beta)) not in full:
-                        continue
-                    try:
-                        rep = _lemcon(roots, full, top, alpha, beta, k, min_entry)
-                    except HypothesisFailedError:
-                        continue
-                    triples += 1
-                    if not rep.ok:
-                        witnesses.append((oi, alpha, beta, k, rep.witnesses))
+            found = []
+            for gamma in full:
+                d = [g - a for g, a in zip(gamma, alpha)]
+                k = gcd(*d)
+                if k >= 2:
+                    beta = tuple(x // k for x in d)
+                    if beta in full:
+                        found.append((beta, k))
+            for beta, k in sorted(found):
+                try:
+                    rep = _lemcon(roots, full, top, alpha, beta, k, min_entry)
+                except HypothesisFailedError:
+                    continue
+                triples += 1
+                if not rep.ok:
+                    witnesses.append((oi, alpha, beta, k, rep.witnesses))
     return CheckReport("lemcon_sweep", FAIL if witnesses else PASS, witnesses,
                        {"triples_checked": triples})
 
@@ -240,21 +260,31 @@ def check_convexity_statements(G: GroupoidGraph) -> CheckReport:
     for oi, O in enumerate(G.objects):
         roots = O.positive_roots
         full = _signed(roots)
-        for a, b, c in combinations(sorted(roots), 3):
-            if vol(3, [a, b, c]) != 1:
-                continue
-            diffs = (
-                tuple(x - y for x, y in zip(a, b)),
-                tuple(x - y for x, y in zip(b, c)),
-                tuple(x - y for x, y in zip(a, c)),
-            )
-            if any(d in full for d in diffs):
-                continue
-            if {a, b, c} != simples:
-                witnesses.append((oi, "a", (a, b, c)))
+        ordered = sorted(roots)
+        for t, a in enumerate(ordered):
+            for u in range(t + 1, len(ordered)):
+                b = ordered[u]
+                # det(a, b, c) by cofactors along c: c . (a x b)
+                x = a[1] * b[2] - a[2] * b[1]
+                y = a[2] * b[0] - a[0] * b[2]
+                z = a[0] * b[1] - a[1] * b[0]
+                for c in ordered[u + 1:]:
+                    if x * c[0] + y * c[1] + z * c[2] not in (1, -1):
+                        continue
+                    diffs = (
+                        tuple(p - q for p, q in zip(a, b)),
+                        tuple(p - q for p, q in zip(b, c)),
+                        tuple(p - q for p, q in zip(a, c)),
+                    )
+                    if any(d in full for d in diffs):
+                        continue
+                    if {a, b, c} != simples:
+                        witnesses.append((oi, "a", (a, b, c)))
         for g1, g2 in combinations(sorted(simples), 2):
+            # Vol_3(g1, g2, a) = |a_k| for the third coordinate k
+            k = 3 - g1.index(1) - g2.index(1)
             for a in roots:
-                if a in simples or vol(3, [g1, g2, a]) != 1:
+                if a in simples or abs(a[k]) != 1:
                     continue
                 d1 = tuple(x - y for x, y in zip(a, g1))
                 d2 = tuple(x - y for x, y in zip(a, g2))

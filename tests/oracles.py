@@ -6,25 +6,51 @@ enumeration with Fourier-Motzkin feasibility, determinants from cofactor
 expansion, elementary divisors from gcds of minors, Catalan numbers
 from the binomial closed form, and the simpliciality and chamber count of
 a rank-3 arrangement from its intersection points (Melchior, Zaslavsky).
-Four references are the exception, each kept as the slow path that a
+Seven references are the exception, each kept as the slow path that a
 faster one replaced: ``verify_candidate_geometric`` (the geometric
 pipeline alone, for the search's integer-first filter),
 ``kernel_vector_gauss_jordan`` (the Fraction elimination, for the integer
 maximal-minor kernel), ``verify_fraction_coordinates`` (Fraction root
-coordinates against rescaled rays, for the integer covectors) and
+coordinates against rescaled rays, for the integer covectors),
 ``dfs_states`` (the graph search with a visited set and forced root
-strings, for the search's tree walk).
+strings, for the search's tree walk), ``no_negative_ray_box`` (every
+point of the coordinate box, for the per-coordinate intervals),
+``lemcon_sweep_triple_loop`` (every alpha + k*beta, for the sweep over
+root differences) and ``convexity_statements_vol3`` (``vol(3, .)`` on
+every triple, for the inline determinants).
 """
 
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import comb, gcd
 
-from cryarr.errors import ClosureOverflowError, NonSimplicialError, NotClosedError
+from cryarr.errors import (
+    ClosureOverflowError,
+    HypothesisFailedError,
+    NonSimplicialError,
+    NotClosedError,
+)
 from cryarr.geometry import adjacent_chamber, chamber_graph, is_irreducible, make_root_set
-from cryarr.groupoid import make_root_object, simple_roots, traverse, verify_crystallographic
+from cryarr.groupoid import (
+    GroupoidGraph,
+    is_object_irreducible,
+    make_root_object,
+    simple_roots,
+    traverse,
+    verify_crystallographic,
+)
 from cryarr.linalg import clear_denominators, direction, sign_normalize, vol
-from cryarr.verifier import all_ok, run_all
+from cryarr.localization import localize
+from cryarr.verifier import (
+    FAIL,
+    PASS,
+    SKIP,
+    CheckReport,
+    _min_cartan_entry,
+    _signed,
+    all_ok,
+    run_all,
+)
 
 
 def _primitive(v):
@@ -331,3 +357,111 @@ def search_state_ok(roots, cap):
                 if v[i] > 7 or any(w not in roots for w in lower):
                     return False
     return True
+
+
+def no_negative_ray_box(alpha, beta, bound):
+    """(-N*alpha + Z*beta) fails to meet N_0^r within the coordinate box."""
+    r = len(alpha)
+    for a in range(1, bound + 1):
+        for b in range(-bound, bound + 1):
+            v = tuple(-a * x + b * y for x, y in zip(alpha, beta))
+            if all(t >= 0 for t in v):
+                return False
+    return True
+
+
+def _lemcon_box(roots, full, top, alpha, beta, k, min_entry):
+    """``verifier._lemcon`` with the hypothesis on the ray decided by
+    ``no_negative_ray_box``."""
+    if k < 2:
+        raise HypothesisFailedError("k >= 2")
+    if alpha not in roots:
+        raise HypothesisFailedError("alpha is a positive root")
+    if tuple(a + k * b for a, b in zip(alpha, beta)) not in full:
+        raise HypothesisFailedError("alpha + k*beta is a root")
+    if vol(2, [alpha, beta]) != 1:
+        raise HypothesisFailedError("Vol_2(alpha, beta) = 1")
+    if not no_negative_ray_box(alpha, beta, top + 1):
+        raise HypothesisFailedError("(-N*alpha + Z*beta) misses N_0^r")
+    witnesses = []
+    if beta not in full:
+        witnesses.append(("beta not a root", beta))
+    for ell in range(k + 1):
+        v = tuple(a + ell * b for a, b in zip(alpha, beta))
+        if v not in full:
+            witnesses.append(("missing intermediate", v))
+    if min_entry > -k:
+        witnesses.append(("no Cartan entry <= -k", min_entry))
+    return CheckReport("lemcon", FAIL if witnesses else PASS, witnesses,
+                       {"k": k, "min_cartan_entry": min_entry})
+
+
+def lemcon_sweep_triple_loop(G: GroupoidGraph) -> CheckReport:
+    """check_lemcon over every hypothesis-satisfying (object, alpha, beta, k)."""
+    min_entry = _min_cartan_entry(G)
+    witnesses = []
+    triples = 0
+    for oi, O in enumerate(G.objects):
+        roots = O.positive_roots
+        full = _signed(roots)
+        betas = sorted(full)
+        top = max(max(v) for v in roots)
+        for alpha in roots:
+            for beta in betas:
+                for k in range(2, 2 * top + 2):
+                    if tuple(a + k * b for a, b in zip(alpha, beta)) not in full:
+                        continue
+                    try:
+                        rep = _lemcon_box(roots, full, top, alpha, beta, k, min_entry)
+                    except HypothesisFailedError:
+                        continue
+                    triples += 1
+                    if not rep.ok:
+                        witnesses.append((oi, alpha, beta, k, rep.witnesses))
+    return CheckReport("lemcon_sweep", FAIL if witnesses else PASS, witnesses,
+                       {"triples_checked": triples})
+
+
+def convexity_statements_vol3(G: GroupoidGraph) -> CheckReport:
+    """(a) the only unimodular difference-free positive triple is the simple
+    one; (b) a positive root completing two simples to a unimodular triple
+    is simple or exceeds one of them by a root; (c) no irreducible object
+    has two 2-root localizations through the same simple root."""
+    if G.rank != 3:
+        return CheckReport("convexity", SKIP, [], {"reason": "rank 3 only"})
+    simples = set(simple_roots(3))
+    witnesses = []
+    for oi, O in enumerate(G.objects):
+        roots = O.positive_roots
+        full = _signed(roots)
+        for a, b, c in combinations(sorted(roots), 3):
+            if vol(3, [a, b, c]) != 1:
+                continue
+            diffs = (
+                tuple(x - y for x, y in zip(a, b)),
+                tuple(x - y for x, y in zip(b, c)),
+                tuple(x - y for x, y in zip(a, c)),
+            )
+            if any(d in full for d in diffs):
+                continue
+            if {a, b, c} != simples:
+                witnesses.append((oi, "a", (a, b, c)))
+        for g1, g2 in combinations(sorted(simples), 2):
+            for a in roots:
+                if a in simples or vol(3, [g1, g2, a]) != 1:
+                    continue
+                d1 = tuple(x - y for x, y in zip(a, g1))
+                d2 = tuple(x - y for x, y in zip(a, g2))
+                if d1 not in full and d2 not in full:
+                    witnesses.append((oi, "b", (g1, g2, a)))
+        if is_object_irreducible(O):
+            for i in range(3):
+                small = 0
+                for j in range(3):
+                    if j == i:
+                        continue
+                    if len(localize(O.positive_roots, (i, j))) == 2:
+                        small += 1
+                if small == 2:
+                    witnesses.append((oi, "c", i))
+    return CheckReport("convexity", FAIL if witnesses else PASS, witnesses, {})

@@ -5,11 +5,20 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryarr import catalog as cat
 from cryarr.errors import HypothesisFailedError, PreconditionFailedError
-from cryarr.groupoid import GroupoidGraph, make_root_object, verify_crystallographic
+from cryarr.groupoid import (
+    GroupoidGraph,
+    make_root_object,
+    simple_roots,
+    verify_crystallographic,
+)
+from cryarr.linalg import direction
 from cryarr.verifier import (
+    _no_negative_ray,
     all_ok,
     check_b128,
     check_bound7,
@@ -23,6 +32,7 @@ from cryarr.verifier import (
     lemcon_sweep,
     run_all,
 )
+from oracles import convexity_statements_vol3, lemcon_sweep_triple_loop, no_negative_ray_box
 
 
 def closure(name):
@@ -150,3 +160,33 @@ def test_pigeonhole():
 
         max_vol2 = check_vol2_bound(G).stats["max_vol2"]
         assert check_pigeonhole(G, max_vol2).verdict == "pass"
+
+
+@st.composite
+def single_object_graphs(draw):
+    """A rank-2 or rank-3 object: the simple roots plus up to 12 random
+    vectors in {0..4}^r, one per direction.  Most are not root systems, so
+    failing reports with many witnesses are common."""
+    rank = draw(st.sampled_from([2, 3]))
+    extra = draw(st.lists(st.tuples(*[st.integers(0, 4)] * rank), max_size=12))
+    roots = {}
+    for v in simple_roots(rank) + tuple(extra):
+        if any(v):
+            roots.setdefault(direction(v), v)
+    return single_object_graph(rank, roots.values())
+
+
+@settings(max_examples=400, deadline=None)
+@given(G=single_object_graphs())
+def test_sweep_and_convexity_match_their_slow_paths(G):
+    assert lemcon_sweep(G).to_dict() == lemcon_sweep_triple_loop(G).to_dict()
+    assert (check_convexity_statements(G).to_dict()
+            == convexity_statements_vol3(G).to_dict())
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data(), rank=st.integers(1, 4), bound=st.integers(-1, 9))
+def test_no_negative_ray_matches_the_box_loop(data, rank, bound):
+    vectors = st.tuples(*[st.integers(-6, 6)] * rank)
+    alpha, beta = data.draw(vectors), data.draw(vectors)
+    assert _no_negative_ray(alpha, beta, bound) == no_negative_ray_box(alpha, beta, bound)
