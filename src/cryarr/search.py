@@ -38,7 +38,10 @@ set: memory is the stack of at most cap * C(cap, 2) pending states.
 Each state S that passes the rank-2 plane tests is decided integer-first,
 in root coordinates: the supports of S must be connected, the reflection
 closure of the root object S must finish with at most n(n-1)+2 objects
-(n = |S|), and the statement checks must pass on that closure.  This
+(n = |S|), and the statement checks must pass on that closure.  S is a
+root object as it stands, with no further validation: its members are
+nonzero sums of non-negative vectors, include the simple roots and are
+pairwise non-parallel by (b).  This
 pre-filter drops no arrangement the geometry would accept: a simplicial
 rank-3 arrangement of n planes has at most n(n-1)+2 chambers, so the
 geometric closure of the same base object finishes within that bound too,
@@ -61,8 +64,8 @@ from .errors import (
 )
 from .geometry import make_root_set, supports_connected
 from .groupoid import (
+    RootObject,
     canonical_form,
-    make_root_object,
     simple_roots,
     traverse,
     verify_crystallographic,
@@ -132,7 +135,7 @@ def _verify_candidate(roots):
     if not supports_connected(roots, 3):
         return None
     try:
-        G = traverse(make_root_object(3, roots), max_objects=n * (n - 1) + 2)
+        G = traverse(RootObject(3, frozenset(roots)), max_objects=n * (n - 1) + 2)
     except (NotClosedError, ClosureOverflowError):
         return None
     if not all_ok(run_all(G)):

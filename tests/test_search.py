@@ -11,6 +11,7 @@ from cryarr.geometry import enumerate_chambers, is_irreducible, make_root_set
 from cryarr.groupoid import (
     canonical_form,
     canonical_form_of_rootset,
+    make_root_object,
     verify_crystallographic,
 )
 from cryarr.search import _close, _plane_systems_ok, enumerate_rank3
@@ -119,6 +120,9 @@ def test_tree_walk_decides_the_states_of_the_graph_search(cap, monkeypatch):
     enumerate_rank3(cap)
     assert len(set(decided)) == len(decided)
     assert set(decided) == dfs_states(cap)
+    # _verify_candidate builds its root object without make_root_object's checks
+    for S in decided:
+        assert make_root_object(3, S).positive_roots == S
 
 
 def _inputs():
