@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -28,8 +29,12 @@ from .verifier import run_all
 EXIT_PASS, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
 
 
+COORDINATE = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+
+
 def _coord(x):
-    if isinstance(x, (int, str)) and not isinstance(x, bool):
+    if (isinstance(x, int) and not isinstance(x, bool)
+            or isinstance(x, str) and COORDINATE.fullmatch(x)):
         try:
             return Fraction(x)
         except ZeroDivisionError:

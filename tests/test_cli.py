@@ -211,6 +211,10 @@ MALFORMED = {
     "float coordinate": {"rank": 2, "roots": [[1.5, 0], [0, 1]]},
     "zero denominator": {"rank": 2, "roots": [["1/0", 0], [0, 1]]},
     "null coordinate": {"rank": 2, "roots": [[None, 0], [0, 1]]},
+    "decimal string": {"rank": 2, "roots": [["1.5", 0], [0, 1]]},
+    "exponent string": {"rank": 2, "roots": [["1e400", 0], [0, 1]]},
+    "huge exponent string": {"rank": 2, "roots": [["1e5000", 0], [0, 1]]},
+    "underscore string": {"rank": 2, "roots": [["1_0", 0], [0, 1]]},
 }
 
 
