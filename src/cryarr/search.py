@@ -38,10 +38,7 @@ set: memory is the stack of at most cap * C(cap, 2) pending states.
 Each state S that passes the rank-2 plane tests is decided integer-first,
 in root coordinates: the supports of S must be connected, the reflection
 closure of the root object S must finish with at most n(n-1)+2 objects
-(n = |S|), and the statement checks must pass on that closure.  S is a
-root object as it stands, with no further validation: its members are
-nonzero sums of non-negative vectors, include the simple roots and are
-pairwise non-parallel by (b).  This
+(n = |S|), and the statement checks must pass on that closure.  This
 pre-filter drops no arrangement the geometry would accept: a simplicial
 rank-3 arrangement of n planes has at most n(n-1)+2 chambers, so the
 geometric closure of the same base object finishes within that bound too,
@@ -49,7 +46,9 @@ and irreducibility in the base chamber is exactly support connectivity of
 S.  The geometry still decides: each survivor is re-verified from scratch
 by the chamber walk, which must reproduce S as its base object and the
 same closure; neither the pruning nor the pre-filter is trusted for
-soundness."""
+soundness.  The root object S is built as it stands, without
+validation: its members are the simple roots and sums of non-negative
+vectors, pairwise non-parallel by (b)."""
 
 from __future__ import annotations
 

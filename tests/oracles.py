@@ -46,6 +46,7 @@ from cryarr.verifier import (
     PASS,
     SKIP,
     CheckReport,
+    _lemcon,
     _min_cartan_entry,
     _signed,
     all_ok,
@@ -370,32 +371,6 @@ def no_negative_ray_box(alpha, beta, bound):
     return True
 
 
-def _lemcon_box(roots, full, top, alpha, beta, k, min_entry):
-    """``verifier._lemcon`` with the hypothesis on the ray decided by
-    ``no_negative_ray_box``."""
-    if k < 2:
-        raise HypothesisFailedError("k >= 2")
-    if alpha not in roots:
-        raise HypothesisFailedError("alpha is a positive root")
-    if tuple(a + k * b for a, b in zip(alpha, beta)) not in full:
-        raise HypothesisFailedError("alpha + k*beta is a root")
-    if vol(2, [alpha, beta]) != 1:
-        raise HypothesisFailedError("Vol_2(alpha, beta) = 1")
-    if not no_negative_ray_box(alpha, beta, top + 1):
-        raise HypothesisFailedError("(-N*alpha + Z*beta) misses N_0^r")
-    witnesses = []
-    if beta not in full:
-        witnesses.append(("beta not a root", beta))
-    for ell in range(k + 1):
-        v = tuple(a + ell * b for a, b in zip(alpha, beta))
-        if v not in full:
-            witnesses.append(("missing intermediate", v))
-    if min_entry > -k:
-        witnesses.append(("no Cartan entry <= -k", min_entry))
-    return CheckReport("lemcon", FAIL if witnesses else PASS, witnesses,
-                       {"k": k, "min_cartan_entry": min_entry})
-
-
 def lemcon_sweep_triple_loop(G: GroupoidGraph) -> CheckReport:
     """check_lemcon over every hypothesis-satisfying (object, alpha, beta, k)."""
     min_entry = _min_cartan_entry(G)
@@ -412,7 +387,7 @@ def lemcon_sweep_triple_loop(G: GroupoidGraph) -> CheckReport:
                     if tuple(a + k * b for a, b in zip(alpha, beta)) not in full:
                         continue
                     try:
-                        rep = _lemcon_box(roots, full, top, alpha, beta, k, min_entry)
+                        rep = _lemcon(roots, full, top, alpha, beta, k, min_entry)
                     except HypothesisFailedError:
                         continue
                     triples += 1
