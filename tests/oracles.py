@@ -362,7 +362,6 @@ def search_state_ok(roots, cap):
 
 def no_negative_ray_box(alpha, beta, bound):
     """(-N*alpha + Z*beta) fails to meet N_0^r within the coordinate box."""
-    r = len(alpha)
     for a in range(1, bound + 1):
         for b in range(-bound, bound + 1):
             v = tuple(-a * x + b * y for x, y in zip(alpha, beta))
