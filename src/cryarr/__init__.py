@@ -19,10 +19,8 @@ from .geometry import (
     adjacent_chamber,
     cartan_of_chamber,
     chamber_graph,
-    enumerate_chambers,
     initial_chamber,
     is_irreducible,
-    is_simplicial,
     make_root_set,
 )
 from .groupoid import (

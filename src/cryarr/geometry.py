@@ -58,6 +58,11 @@ class RootSet:
         return out
 
 
+def _show(v):
+    """A Fraction vector as a tuple of written coordinates: (2,), (1/2, 1)."""
+    return "(" + ", ".join(map(str, v)) + ("," if len(v) == 1 else "") + ")"
+
+
 def make_root_set(covectors, rank=None) -> RootSet:
     """Build a RootSet from covectors (a positive half suffices).
 
@@ -78,7 +83,7 @@ def make_root_set(covectors, rank=None) -> RootSet:
         pos = sign_normalize(cov)
         key = direction(pos)
         if key in seen and seen[key] != pos:
-            raise ValueError(f"parallel roots {seen[key]} and {pos}")
+            raise ValueError(f"parallel roots {_show(seen[key])} and {_show(pos)}")
         seen[key] = pos
     positives = sorted(seen.values())
     if matrix_rank(positives) != r:
@@ -104,6 +109,8 @@ class Chamber:
 
 
 def _rays_for_signs(R: RootSet, signs):
+    """The extreme rays of the chamber with these signs, by one scan of the
+    sign table; NonSimplicialError unless there are exactly rank of them."""
     rays = []
     for v, evs in R.ray_signs.items():
         vals = {s * e for s, e in zip(signs, evs)}
@@ -111,6 +118,8 @@ def _rays_for_signs(R: RootSet, signs):
             rays.append(v)
         elif 1 not in vals:
             rays.append(vec_neg(v))
+    if len(rays) != R.rank:
+        raise NonSimplicialError(signs, len(rays))
     return rays
 
 
@@ -128,31 +137,6 @@ def _walls_for_rays(R: RootSet, rays):
     return tuple(walls)
 
 
-def _chamber_from_signs(R: RootSet, signs, frame=None) -> Chamber:
-    rays = _rays_for_signs(R, signs)
-    if len(rays) != R.rank:
-        raise NonSimplicialError(signs, len(rays))
-    if frame is None:
-        # canonical frame order: signed wall covectors, lexicographically
-        # descending, so standard-basis covectors come out as e1, e2, ...
-        walls = _walls_for_rays(R, rays)
-
-        def signed(i):
-            cov = R.positives[walls[i]]
-            return cov if signs[walls[i]] > 0 else vec_neg(cov)
-
-        order = sorted(range(R.rank), key=signed, reverse=True)
-        rays = [rays[i] for i in order]
-        walls = tuple(walls[i] for i in order)
-    else:
-        have = set(rays)
-        if set(frame) - have:
-            raise ValueError("frame hint does not match chamber rays")
-        rays = list(frame)
-        walls = _walls_for_rays(R, rays)
-    return Chamber(signs=tuple(signs), rays=tuple(rays), walls=walls)
-
-
 def generic_point(R: RootSet):
     """Deterministic point off all hyperplanes: (1, t, t^2, ...) for the
     smallest positive integer t that works."""
@@ -165,27 +149,36 @@ def generic_point(R: RootSet):
 
 
 def initial_chamber(R: RootSet) -> Chamber:
+    """The chamber of ``generic_point`` in the canonical frame order: signed
+    wall covectors, lexicographically descending, so standard-basis
+    covectors come out as e1, e2, ..."""
     p = generic_point(R)
     signs = tuple(1 if dot(cov, p) > 0 else -1 for cov in R.positives)
-    return _chamber_from_signs(R, signs)
+    rays = _rays_for_signs(R, signs)
+    walls = _walls_for_rays(R, rays)
+
+    def signed(i):
+        cov = R.positives[walls[i]]
+        return cov if signs[walls[i]] > 0 else vec_neg(cov)
+
+    order = sorted(range(R.rank), key=signed, reverse=True)
+    return Chamber(signs=signs, rays=tuple(rays[i] for i in order),
+                   walls=tuple(walls[i] for i in order))
 
 
 def adjacent_chamber(R: RootSet, K: Chamber, i: int) -> Chamber:
-    """The chamber across wall i of K, with frame labels propagated."""
+    """The chamber across wall i of K, with frame labels propagated: K's
+    rays with ray i replaced by the one new ray.  Once the new chamber has
+    rank rays that ray is unique, since each kept ray lies on the crossed
+    wall and so is in the new chamber's closure."""
     if not 0 <= i < R.rank:
         raise IndexError("wall index out of range")
     signs = list(K.signs)
     signs[K.walls[i]] *= -1
-    rays = _rays_for_signs(R, signs)
-    if len(rays) != R.rank:
-        raise NonSimplicialError(tuple(signs), len(rays))
-    kept = set(K.rays) - {K.rays[i]}
-    new = [v for v in rays if v not in kept]
-    if len(new) != 1:
-        raise ValueError("wall crossing did not produce a unique new ray")
-    frame = list(K.rays)
-    frame[i] = new[0]
-    return _chamber_from_signs(R, tuple(signs), frame=frame)
+    signs = tuple(signs)
+    rays = list(K.rays)
+    rays[i] = next(v for v in _rays_for_signs(R, signs) if v not in K.rays)
+    return Chamber(signs=signs, rays=tuple(rays), walls=_walls_for_rays(R, rays))
 
 
 def chamber_graph(R: RootSet):
@@ -213,18 +206,6 @@ def chamber_graph(R: RootSet):
                 chambers.append(Kn)
             edges[(ci, i)] = j
     return chambers, edges
-
-
-def enumerate_chambers(R: RootSet):
-    return chamber_graph(R)[0]
-
-
-def is_simplicial(R: RootSet) -> bool:
-    try:
-        chamber_graph(R)
-    except NonSimplicialError:
-        return False
-    return True
 
 
 def chamber_root_basis(R: RootSet, K: Chamber):

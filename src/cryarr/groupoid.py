@@ -136,7 +136,13 @@ def root_object_of_chamber(R: RootSet, K):
     """Root coordinates of all covectors in the chamber's wall-root basis:
     x_i = <cov, ray_i> / <b_i, ray_i> for the signed wall roots b_i.  The
     failure witness is (chamber signs, covector, coordinates) in the
-    document's own scale, as Fractions."""
+    document's own scale, as Fractions.
+
+    The root object needs no validation: no coordinate vector is zero,
+    because the rays form a basis; no two roots are parallel, because the
+    coordinates are an injective linear image of pairwise non-parallel
+    covectors, and a covector's coordinates share one sign; and the wall
+    root b_i has coordinates e_i."""
     scales = [dot(b, v) for b, v in zip(chamber_root_basis(R, K), K.rays)]
     roots = set()
     for cov in R.positives:
@@ -147,7 +153,7 @@ def root_object_of_chamber(R: RootSet, K):
                           tuple(map(Fraction, values, scales)))
         # no hyperplane cuts the open chamber: the values share one sign
         roots.add(tuple(abs(q) for q, _ in coords))
-    return make_root_object(R.rank, roots), None
+    return RootObject(R.rank, frozenset(roots)), None
 
 
 def verify_crystallographic(R: RootSet) -> VerifyResult:

@@ -72,7 +72,7 @@ from .groupoid import (
 from .linalg import direction, vol
 from .localization import localize
 from .rank2 import is_crystallographic_rank2
-from .verifier import all_ok, run_all
+from .verifier import VOL2_MAX, all_ok, run_all
 
 SIMPLES = simple_roots(3)
 
@@ -105,7 +105,7 @@ def _close(S, v, cap):
                 lower[i] -= 1
                 if v[i] > 7 or tuple(lower) not in S:
                     return None
-    if any(vol(2, [u, v]) > 6 for u in S):
+    if any(vol(2, [u, v]) > VOL2_MAX for u in S):
         return None
     return S + (v,)
 
@@ -166,6 +166,8 @@ def enumerate_rank3(cap, budget=10 ** 7) -> SearchResult:
     ``cap`` positive roots, reachable within ``budget`` visited states."""
     if cap < 6:
         raise ValueError("cap must be at least 6")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     found = {}
     stack = [tuple(sorted(SIMPLES, key=_key))]
     states = 0

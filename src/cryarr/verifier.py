@@ -26,6 +26,9 @@ from .localization import localize, plane_roots, rank2_cycles
 
 PASS, FAIL, SKIP = "pass", "fail", "skipped"
 
+# the bound on Vol_2 of two positive roots; the search prunes by it too
+VOL2_MAX = 6
+
 
 @dataclass
 class CheckReport:
@@ -303,18 +306,18 @@ def check_convexity_statements(G: GroupoidGraph) -> CheckReport:
     return CheckReport("convexity", FAIL if witnesses else PASS, witnesses, {})
 
 
-def check_vol2_bound(G: GroupoidGraph, m=6) -> CheckReport:
-    """Vol_2 over all pairs of positive roots is at most m (default 6)."""
+def check_vol2_bound(G: GroupoidGraph) -> CheckReport:
+    """Vol_2 over all pairs of positive roots is at most ``VOL2_MAX``."""
     hi = 0
     witnesses = []
     for oi, O in enumerate(G.objects):
         for a, b in combinations(sorted(O.positive_roots), 2):
             v = vol(2, [a, b])
             hi = max(hi, v)
-            if v > m:
+            if v > VOL2_MAX:
                 witnesses.append((oi, a, b, v))
     return CheckReport("vol2_bound", FAIL if witnesses else PASS, witnesses,
-                       {"max_vol2": hi, "m": m})
+                       {"max_vol2": hi, "m": VOL2_MAX})
 
 
 def check_plane_roots(G: GroupoidGraph) -> CheckReport:
@@ -363,9 +366,9 @@ def check_pigeonhole(G: GroupoidGraph, max_vol2) -> CheckReport:
                        {"positive_roots": n, "max_vol2": max_vol2})
 
 
-def run_all(G: GroupoidGraph, vol2_m=6):
+def run_all(G: GroupoidGraph):
     """The full suite; returns the list of reports."""
-    vol2 = check_vol2_bound(G, vol2_m)
+    vol2 = check_vol2_bound(G)
     return [
         check_sum_of_roots(G),
         check_r111(G),

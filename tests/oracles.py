@@ -6,7 +6,7 @@ enumeration with Fourier-Motzkin feasibility, determinants from cofactor
 expansion, elementary divisors from gcds of minors, Catalan numbers
 from the binomial closed form, and the simpliciality and chamber count of
 a rank-3 arrangement from its intersection points (Melchior, Zaslavsky).
-Seven references are the exception, each kept as the slow path that a
+Nine references are the exception, each kept as the slow path that a
 faster one replaced: ``verify_candidate_geometric`` (the geometric
 pipeline alone, for the search's integer-first filter),
 ``kernel_vector_gauss_jordan`` (the Fraction elimination, for the integer
@@ -16,8 +16,10 @@ coordinates against rescaled rays, for the integer covectors),
 strings, for the search's tree walk), ``no_negative_ray_box`` (every
 point of the coordinate box, for the per-coordinate intervals),
 ``lemcon_sweep_triple_loop`` (every alpha + k*beta, for the sweep over
-root differences) and ``convexity_statements_vol3`` (``vol(3, .)`` on
-every triple, for the inline determinants).
+root differences), ``convexity_statements_vol3`` (``vol(3, .)`` on
+every triple, for the inline determinants), and
+``chamber_from_signs_rescan`` and ``adjacent_chamber_rescan`` (a second
+scan of the sign table per wall crossing, for the one-scan crossing).
 """
 
 from fractions import Fraction
@@ -30,7 +32,15 @@ from cryarr.errors import (
     NonSimplicialError,
     NotClosedError,
 )
-from cryarr.geometry import adjacent_chamber, chamber_graph, is_irreducible, make_root_set
+from cryarr.geometry import (
+    Chamber,
+    RootSet,
+    _walls_for_rays,
+    adjacent_chamber,
+    chamber_graph,
+    is_irreducible,
+    make_root_set,
+)
 from cryarr.groupoid import (
     GroupoidGraph,
     is_object_irreducible,
@@ -39,7 +49,7 @@ from cryarr.groupoid import (
     traverse,
     verify_crystallographic,
 )
-from cryarr.linalg import clear_denominators, direction, sign_normalize, vol
+from cryarr.linalg import clear_denominators, direction, sign_normalize, vec_neg, vol
 from cryarr.localization import localize
 from cryarr.verifier import (
     FAIL,
@@ -439,3 +449,57 @@ def convexity_statements_vol3(G: GroupoidGraph) -> CheckReport:
                 if small == 2:
                     witnesses.append((oi, "c", i))
     return CheckReport("convexity", FAIL if witnesses else PASS, witnesses, {})
+
+
+def rays_for_signs_scan(R: RootSet, signs):
+    rays = []
+    for v, evs in R.ray_signs.items():
+        vals = {s * e for s, e in zip(signs, evs)}
+        if -1 not in vals:
+            rays.append(v)
+        elif 1 not in vals:
+            rays.append(vec_neg(v))
+    return rays
+
+
+def chamber_from_signs_rescan(R: RootSet, signs, frame=None) -> Chamber:
+    rays = rays_for_signs_scan(R, signs)
+    if len(rays) != R.rank:
+        raise NonSimplicialError(signs, len(rays))
+    if frame is None:
+        # canonical frame order: signed wall covectors, lexicographically
+        # descending, so standard-basis covectors come out as e1, e2, ...
+        walls = _walls_for_rays(R, rays)
+
+        def signed(i):
+            cov = R.positives[walls[i]]
+            return cov if signs[walls[i]] > 0 else vec_neg(cov)
+
+        order = sorted(range(R.rank), key=signed, reverse=True)
+        rays = [rays[i] for i in order]
+        walls = tuple(walls[i] for i in order)
+    else:
+        have = set(rays)
+        if set(frame) - have:
+            raise ValueError("frame hint does not match chamber rays")
+        rays = list(frame)
+        walls = _walls_for_rays(R, rays)
+    return Chamber(signs=tuple(signs), rays=tuple(rays), walls=walls)
+
+
+def adjacent_chamber_rescan(R: RootSet, K: Chamber, i: int) -> Chamber:
+    """The chamber across wall i of K, with frame labels propagated."""
+    if not 0 <= i < R.rank:
+        raise IndexError("wall index out of range")
+    signs = list(K.signs)
+    signs[K.walls[i]] *= -1
+    rays = rays_for_signs_scan(R, signs)
+    if len(rays) != R.rank:
+        raise NonSimplicialError(tuple(signs), len(rays))
+    kept = set(K.rays) - {K.rays[i]}
+    new = [v for v in rays if v not in kept]
+    if len(new) != 1:
+        raise ValueError("wall crossing did not produce a unique new ray")
+    frame = list(K.rays)
+    frame[i] = new[0]
+    return chamber_from_signs_rescan(R, tuple(signs), frame=frame)

@@ -148,7 +148,9 @@ def test_enumerate_rank2(capsys):
 
 
 @pytest.mark.parametrize("argv", [("search", "--cap", "5"),
-                                  ("enumerate-rank2", "1")])
+                                  ("enumerate-rank2", "1"),
+                                  ("search", "--cap", "7", "--budget", "0"),
+                                  ("search", "--cap", "7", "--budget", "-3")])
 def test_out_of_range_argument_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

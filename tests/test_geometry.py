@@ -1,33 +1,44 @@
+import re
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cryarr.errors import NonSimplicialError
 from cryarr.geometry import (
+    Chamber,
     adjacent_chamber,
     cartan_of_chamber,
     chamber_graph,
     chamber_root_basis,
-    enumerate_chambers,
+    generic_point,
     initial_chamber,
     is_irreducible,
-    is_simplicial,
     make_root_set,
 )
 from cryarr import catalog as cat
+from cryarr.groupoid import make_root_object, root_object_of_chamber
 from cryarr.linalg import direction, dot, invert
-from oracles import count_chambers, melchior_zaslavsky
+from oracles import (
+    adjacent_chamber_rescan,
+    chamber_from_signs_rescan,
+    count_chambers,
+    melchior_zaslavsky,
+)
 from strategies import arrangements
 
 EX26 = [(1, 0), (0, 1), (1, 2)]
 
 
 def test_make_root_set_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("parallel roots (1, 0) and (2, 0)")):
         make_root_set([(1, 0), (2, 0)])  # parallel, different scaling
+    with pytest.raises(ValueError, match=re.escape("parallel roots (2,) and (3,)")):
+        make_root_set([(2,), (-3,)])
+    with pytest.raises(ValueError, match=re.escape("parallel roots (1/2, 1) and (1, 2)")):
+        make_root_set([("1/2", 1), (1, 2)])
     with pytest.raises(ValueError):
         make_root_set([(0, 0), (1, 0)])
     with pytest.raises(ValueError):
@@ -48,7 +59,7 @@ def test_make_root_set_scales_to_integers():
 
 def test_example26_chambers_and_cartan():
     R = make_root_set(EX26)
-    assert len(enumerate_chambers(R)) == 6
+    assert len(chamber_graph(R)[0]) == 6
     K = initial_chamber(R)
     assert chamber_root_basis(R, K) == ((1, 0), (0, 1))
     c = cartan_of_chamber(R, K)
@@ -69,7 +80,7 @@ def test_chamber_counts_against_sign_oracle():
     for name, dim in (("A2", 2), ("A3", 3)):
         e = cat.get(name)
         R = cat.root_set_of(e)
-        assert len(enumerate_chambers(R)) == count_chambers(e.positive_roots, dim)
+        assert len(chamber_graph(R)[0]) == count_chambers(e.positive_roots, dim)
 
 
 def test_a2_chamber_graph_is_hexagon():
@@ -90,9 +101,68 @@ def test_a2_chamber_graph_is_hexagon():
 
 def test_non_simplicial_detected():
     R = make_root_set([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], rank=3)
-    assert not is_simplicial(R)
     with pytest.raises(NonSimplicialError):
         chamber_graph(R)
+
+
+def _outcome(f, *args):
+    """A chamber, or the signs and ray count of the NonSimplicialError raised."""
+    try:
+        return f(*args)
+    except NonSimplicialError as e:
+        return ("non-simplicial", e.signs, e.ray_count)
+
+
+def _check_crossings_against_rescan(R):
+    """The initial chamber and every wall crossing of every chamber reached,
+    against the two-scan oracle; where the new chamber is not simplicial,
+    both must raise with the same signs and ray count.  Each chamber's
+    root object must equal the validated one.  Returns the outcomes."""
+    p = generic_point(R)
+    signs = tuple(1 if dot(cov, p) > 0 else -1 for cov in R.positives)
+    K0 = _outcome(initial_chamber, R)
+    assert K0 == _outcome(chamber_from_signs_rescan, R, signs)
+    outcomes = [K0]
+    chambers = [K0] if isinstance(K0, Chamber) else []
+    seen = {signs}
+    for K in chambers:
+        obj, _ = root_object_of_chamber(R, K)
+        if obj is not None:
+            assert obj == make_root_object(R.rank, obj.positive_roots)
+        for i in range(R.rank):
+            Kn = _outcome(adjacent_chamber, R, K, i)
+            assert Kn == _outcome(adjacent_chamber_rescan, R, K, i)
+            outcomes.append(Kn)
+            if isinstance(Kn, Chamber) and Kn.signs not in seen:
+                seen.add(Kn.signs)
+                chambers.append(Kn)
+    return outcomes
+
+
+@pytest.mark.parametrize("name", [e.name for e in cat.entries()])
+def test_wall_crossing_matches_rescan_on_catalog(name):
+    entry = cat.get(name)
+    outcomes = _check_crossings_against_rescan(cat.root_set_of(entry))
+    assert all(isinstance(K, Chamber) for K in outcomes)
+    assert len({K.signs for K in outcomes}) == entry.expected_chambers
+
+
+def test_wall_crossing_matches_rescan_when_not_simplicial():
+    R = make_root_set([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], rank=3)
+    outcomes = _check_crossings_against_rescan(R)
+    assert isinstance(outcomes[0], Chamber)
+    assert ("non-simplicial", (-1, 1, 1, 1), 4) in outcomes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(arrangements))
+@example([(0, 1), (1, -1)])  # the sign table lists the rays out of frame order
+def test_wall_crossing_matches_rescan(covectors):
+    try:
+        R = make_root_set(covectors)
+    except ValueError:
+        assume(False)
+    _check_crossings_against_rescan(R)
 
 
 def test_is_irreducible():
@@ -119,7 +189,7 @@ def _check_walls_and_signs(R):
                     for cov in R.positives]
         assert signs == tuple((d > 0) - (d < 0) for d in products)
     index = {direction(cov): k for k, cov in enumerate(R.positives)}
-    for K in enumerate_chambers(R):
+    for K in chamber_graph(R)[0]:
         inverse = invert([[ray[i] for ray in K.rays] for i in range(R.rank)])
         assert K.walls == tuple(index[direction(row)] for row in inverse)
 
@@ -176,7 +246,7 @@ def test_melchior_zaslavsky_on_13_line_box():
     box = [v for v in product((-1, 0, 1), repeat=3) if v > (0, 0, 0)]
     R = make_root_set(box, rank=3)
     assert len(R.positives) == 13
-    assert melchior_zaslavsky(R.positives) == (True, len(enumerate_chambers(R)))
+    assert melchior_zaslavsky(R.positives) == (True, len(chamber_graph(R)[0]))
 
 
 SMALL_INTS = st.integers(-2, 2)

@@ -7,7 +7,7 @@ import pytest
 
 from cryarr import catalog as cat
 from cryarr import search
-from cryarr.geometry import enumerate_chambers, is_irreducible, make_root_set
+from cryarr.geometry import chamber_graph, is_irreducible, make_root_set
 from cryarr.groupoid import (
     canonical_form,
     canonical_form_of_rootset,
@@ -178,7 +178,7 @@ def test_closure_bound_covers_every_chamber_count():
     systems += [make_root_set(roots, rank=3) for roots in search_at(9).arrangements]
     for R in systems:
         n = len(R.positives)
-        assert len(enumerate_chambers(R)) <= n * (n - 1) + 2
+        assert len(chamber_graph(R)[0]) <= n * (n - 1) + 2
 
 
 def test_verify_candidate_agrees_with_geometric_oracle(monkeypatch):

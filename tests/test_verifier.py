@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -111,6 +112,17 @@ def test_check_k0_fails_without_k0_root(flags):
     out = subprocess.run([sys.executable, *flags, "-c", K0_FAILURE], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["fail", "2"]
+
+
+def test_no_assert_statement_in_src():
+    # an assert vanishes under python -O, so no check may rest on one
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "cryarr").glob("*.py"))
+    assert len(paths) > 1
+    found = [f"{path.name}:{node.lineno}"
+             for path in paths
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_lemcon_hypothesis_failure():
