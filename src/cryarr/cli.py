@@ -249,6 +249,9 @@ def cmd_catalog(args):
             return EXIT_INPUT
         _write_out(json.dumps(document_of(entry), indent=2) + "\n", args.out)
         return EXIT_PASS
+    if len(args.words) != 1:
+        print("usage: catalog <name>", file=sys.stderr)
+        return EXIT_INPUT
     try:
         entry = cat.get(args.words[0])
     except KeyError as e:

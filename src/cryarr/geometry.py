@@ -42,10 +42,12 @@ class RootSet:
     denominator: int
 
     @cached_property
-    def ray_signs(self):
+    def ray_table(self):
         """Candidate extreme rays: the primitive, sign-normalized generators
-        of 1-dim intersections of (rank-1)-subsets of hyperplanes, each
-        mapped to the signs (-1, 0, 1) of every positive covector on it."""
+        of 1-dim intersections of (rank-1)-subsets of hyperplanes.  Each ray
+        v maps to (values, plus, minus): the integer value of every positive
+        covector on v, and the bitmasks of the covectors positive and
+        negative on v (bit k for the k-th positive covector)."""
         out = {}
         for subset in combinations(self.positives, self.rank - 1):
             v = kernel_vector(subset, self.rank)
@@ -53,8 +55,14 @@ class RootSet:
                 continue
             v = sign_normalize(v)
             if v not in out:
-                out[v] = tuple((d > 0) - (d < 0)
-                               for d in (dot(cov, v) for cov in self.positives))
+                values = tuple(dot(cov, v) for cov in self.positives)
+                plus = minus = 0
+                for k, x in enumerate(values):
+                    if x > 0:
+                        plus |= 1 << k
+                    elif x < 0:
+                        minus |= 1 << k
+                out[v] = (values, plus, minus)
         return out
 
 
@@ -110,13 +118,20 @@ class Chamber:
 
 def _rays_for_signs(R: RootSet, signs):
     """The extreme rays of the chamber with these signs, by one scan of the
-    sign table; NonSimplicialError unless there are exactly rank of them."""
+    ray table; NonSimplicialError unless there are exactly rank of them.
+    With P the covectors positive on the chamber and N the negative ones,
+    v is a ray when no covector of N is positive on it and none of P is
+    negative, and -v when the same holds with P and N swapped."""
+    P = 0
+    for k, s in enumerate(signs):
+        if s > 0:
+            P |= 1 << k
+    N = ((1 << len(signs)) - 1) ^ P
     rays = []
-    for v, evs in R.ray_signs.items():
-        vals = {s * e for s, e in zip(signs, evs)}
-        if -1 not in vals:
+    for v, (_, plus, minus) in R.ray_table.items():
+        if not (plus & N or minus & P):
             rays.append(v)
-        elif 1 not in vals:
+        elif not (plus & P or minus & N):
             rays.append(vec_neg(v))
     if len(rays) != R.rank:
         raise NonSimplicialError(signs, len(rays))
@@ -124,17 +139,32 @@ def _rays_for_signs(R: RootSet, signs):
 
 
 def _walls_for_rays(R: RootSet, rays):
-    # the wall opposite ray i is the one hyperplane containing all other rays
-    zeros = [{k for k, e in enumerate(R.ray_signs[sign_normalize(v)]) if e == 0}
-             for v in rays]
+    # the wall opposite ray i is the one hyperplane containing all other
+    # rays: the single bit common to their zero masks
+    full = (1 << len(R.positives)) - 1
+    zeros = []
+    for v in rays:
+        _, plus, minus = R.ray_table.get(v) or R.ray_table[vec_neg(v)]
+        zeros.append(full & ~(plus | minus))
     walls = []
     for i in range(R.rank):
-        common = set(range(len(R.positives))).intersection(
-            *(z for j, z in enumerate(zeros) if j != i))
-        if len(common) != 1:
+        common = full
+        for j, z in enumerate(zeros):
+            if j != i:
+                common &= z
+        if not common or common & (common - 1):
             raise ValueError(f"no arrangement hyperplane is opposite ray {rays[i]}")
-        walls.append(common.pop())
+        walls.append(common.bit_length() - 1)
     return tuple(walls)
+
+
+def ray_values(R: RootSet, v):
+    """The values of the positive covectors on v, a ray of the table or the
+    negative of one."""
+    entry = R.ray_table.get(v)
+    if entry is not None:
+        return entry[0]
+    return tuple(-x for x in R.ray_table[vec_neg(v)][0])
 
 
 def generic_point(R: RootSet):
@@ -166,6 +196,13 @@ def initial_chamber(R: RootSet) -> Chamber:
                    walls=tuple(walls[i] for i in order))
 
 
+def _crossed_signs(K: Chamber, i: int):
+    """The signs of the chamber across wall i of K."""
+    signs = list(K.signs)
+    signs[K.walls[i]] *= -1
+    return tuple(signs)
+
+
 def adjacent_chamber(R: RootSet, K: Chamber, i: int) -> Chamber:
     """The chamber across wall i of K, with frame labels propagated: K's
     rays with ray i replaced by the one new ray.  Once the new chamber has
@@ -173,9 +210,7 @@ def adjacent_chamber(R: RootSet, K: Chamber, i: int) -> Chamber:
     wall and so is in the new chamber's closure."""
     if not 0 <= i < R.rank:
         raise IndexError("wall index out of range")
-    signs = list(K.signs)
-    signs[K.walls[i]] *= -1
-    signs = tuple(signs)
+    signs = _crossed_signs(K, i)
     rays = list(K.rays)
     rays[i] = next(v for v in _rays_for_signs(R, signs) if v not in K.rays)
     return Chamber(signs=signs, rays=tuple(rays), walls=_walls_for_rays(R, rays))
@@ -187,6 +222,11 @@ def chamber_graph(R: RootSet):
     Returns (chambers, edges) where edges[(a, i)] = b means crossing wall i
     of chambers[a] lands in chambers[b].  Raises NonSimplicialError as soon
     as a chamber with other than ``rank`` extreme rays is met.
+
+    Each chamber is built once, by the first crossing that reaches it; a
+    later crossing only looks its signs up.  A chamber that is not
+    simplicial is never indexed, so the first crossing into it raises, as
+    it would if every crossing built its chamber.
     """
     k0 = initial_chamber(R)
     chambers = [k0]
@@ -198,9 +238,9 @@ def chamber_graph(R: RootSet):
         head += 1
         K = chambers[ci]
         for i in range(R.rank):
-            Kn = adjacent_chamber(R, K, i)
-            j = index.get(Kn.signs)
+            j = index.get(_crossed_signs(K, i))
             if j is None:
+                Kn = adjacent_chamber(R, K, i)
                 j = len(chambers)
                 index[Kn.signs] = j
                 chambers.append(Kn)

@@ -14,8 +14,8 @@ from functools import cached_property
 from itertools import permutations
 
 from .errors import ClosureOverflowError, NonSimplicialError, NotClosedError
-from .geometry import RootSet, cartan_of_chamber, chamber_graph, chamber_root_basis
-from .linalg import direction, dot
+from .geometry import RootSet, cartan_of_chamber, chamber_graph, ray_values
+from .linalg import direction
 
 
 @dataclass(frozen=True)
@@ -134,19 +134,20 @@ class VerifyResult:
 
 def root_object_of_chamber(R: RootSet, K):
     """Root coordinates of all covectors in the chamber's wall-root basis:
-    x_i = <cov, ray_i> / <b_i, ray_i> for the signed wall roots b_i.  The
-    failure witness is (chamber signs, covector, coordinates) in the
-    document's own scale, as Fractions.
+    x_i = <cov, ray_i> / <b_i, ray_i> for the signed wall roots b_i, with
+    <b_i, ray_i> = K.signs[w_i] * <cov_{w_i}, ray_i> at wall w_i; every
+    value is read from the ray table.  The failure witness is (chamber
+    signs, covector, coordinates) in the document's own scale, as Fractions.
 
     The root object needs no validation: no coordinate vector is zero,
     because the rays form a basis; no two roots are parallel, because the
     coordinates are an injective linear image of pairwise non-parallel
     covectors, and a covector's coordinates share one sign; and the wall
     root b_i has coordinates e_i."""
-    scales = [dot(b, v) for b, v in zip(chamber_root_basis(R, K), K.rays)]
+    columns = [ray_values(R, v) for v in K.rays]
+    scales = [K.signs[w] * col[w] for w, col in zip(K.walls, columns)]
     roots = set()
-    for cov in R.positives:
-        values = [dot(cov, v) for v in K.rays]
+    for cov, values in zip(R.positives, zip(*columns)):
         coords = [divmod(x, s) for x, s in zip(values, scales)]
         if any(rem for _, rem in coords):
             return None, (K.signs, tuple(Fraction(x, R.denominator) for x in cov),

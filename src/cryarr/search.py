@@ -17,11 +17,22 @@ form a valid state: every non-simple positive root is a sum of two
 positive roots, and (b)-(d) hold for all of them.  The search walks every
 valid state once, as a tree.  Roots are ordered by key(v) = (sum(v), v);
 a state is the tuple of its roots in key order, and its last root is its
-top.  The children of a state S are the tuples S + (v,) for each sum v of
-two members with key(v) > key(top) that is parallel to no member and that
-``_close`` accepts: it tests (c)-(e) for the pairs and strings that
-contain v, where (d) reduces to (k-1)*e_i + e_j being in S because S
-already satisfies (d).  Every child is valid, and its top is v.
+top.  A state with ``cap`` members has no children.  The children of any
+other state S are the tuples S + (v,) for each sum v of two members with
+key(v) > key(top) that is parallel to no member and that ``_close``
+accepts: it tests (c) for the pairs that contain v.  Every child is
+valid and its top is v: (a) and (b) hold by the choice of v, (c) by
+``_close``, and (d) and (e) with no test, so ``_close`` makes none:
+
+  - a sum v = k*e_i + e_j (k >= 2) of two members a + b is
+    e_i + ((k-1)*e_i + e_j): a and b are non-negative and their j-th
+    coordinates add up to 1, so one of them is a multiple of e_i, which
+    is e_i by (b), and the other one is (k-1)*e_i + e_j; by (d) for S,
+    every l*e_i + e_j with l < k - 1 is in S as well;
+  - then k <= 7 holds too: k = 8 would need 7*e_i + e_j and so, by (d)
+    for S, e_i + e_j in S, and Vol_2(8*e_i + e_j, e_i + e_j) = 7 breaks
+    (c); k > 8 would need (k-1)*e_i + e_j in S, against (d) for S;
+  - S has fewer than ``cap`` members, so S + (v,) has at most ``cap``.
 
 The walk is a tree: every valid state T other than the simple roots has
 exactly one parent, P = T without its top t.  P is valid, because (b),
@@ -30,10 +41,11 @@ a lower member of a root string: either would be a member w = t + u or
 w = t + m*e_i with sum(w) > sum(t), against t being the top.  T is a
 child of P: t has a sum >= 2, so it is not simple; by (a) it is the sum
 of two roots of smaller sum, which are in P; key(t) exceeds the key of
-P's top; and by (b)-(e) for T, ``_close`` accepts t.  No other state has
-T as a child, since a child's last root is its top.  So the walk reaches
-every valid state exactly once, by induction on its size, with no visited
-set: memory is the stack of at most cap * C(cap, 2) pending states.
+P's top; P has fewer than ``cap`` members; and by (c) for T, ``_close``
+accepts t.  No other state has T as a child, since a child's last root
+is its top.  So the walk reaches every valid state exactly once, by
+induction on its size, with no visited set: memory is the stack of at
+most cap * C(cap, 2) pending states.
 
 Each state S that passes the rank-2 plane tests is decided integer-first,
 in root coordinates: the supports of S must be connected, the reflection
@@ -92,19 +104,10 @@ def _key(v):
     return sum(v), v
 
 
-def _close(S, v, cap):
-    """The state S + (v,) if the new root v keeps the valid state S valid
-    under the cap, k <= 7, root-string and Vol_2 rules; None if it prunes."""
-    if len(S) >= cap:
-        return None
-    support = [t for t, x in enumerate(v) if x != 0]
-    if len(support) == 2:
-        for i, j in (support, support[::-1]):
-            if v[j] == 1 and v[i] > 1:
-                lower = list(v)
-                lower[i] -= 1
-                if v[i] > 7 or tuple(lower) not in S:
-                    return None
+def _close(S, v):
+    """The state S + (v,) if the new root v, a sum of two members of the
+    valid state S, keeps the Vol_2 rule; None if it prunes.  The cap,
+    k <= 7 and root-string rules hold already (see the module docstring)."""
     if any(vol(2, [u, v]) > VOL2_MAX for u in S):
         return None
     return S + (v,)
@@ -191,7 +194,7 @@ def enumerate_rank3(cap, budget=10 ** 7) -> SearchResult:
         sums = {tuple(x + y for x, y in zip(a, b)) for a, b in combinations(S, 2)}
         for v in sorted(sums):
             if _key(v) > top and direction(v) not in dirs:
-                T = _close(S, v, cap)
+                T = _close(S, v)
                 if T is not None:
                     stack.append(T)
     forms = tuple(sorted(found))

@@ -6,7 +6,7 @@ enumeration with Fourier-Motzkin feasibility, determinants from cofactor
 expansion, elementary divisors from gcds of minors, Catalan numbers
 from the binomial closed form, and the simpliciality and chamber count of
 a rank-3 arrangement from its intersection points (Melchior, Zaslavsky).
-Nine references are the exception, each kept as the slow path that a
+Ten references are the exception, each kept as the slow path that a
 faster one replaced: ``verify_candidate_geometric`` (the geometric
 pipeline alone, for the search's integer-first filter),
 ``kernel_vector_gauss_jordan`` (the Fraction elimination, for the integer
@@ -17,12 +17,17 @@ strings, for the search's tree walk), ``no_negative_ray_box`` (every
 point of the coordinate box, for the per-coordinate intervals),
 ``lemcon_sweep_triple_loop`` (every alpha + k*beta, for the sweep over
 root differences), ``convexity_statements_vol3`` (``vol(3, .)`` on
-every triple, for the inline determinants), and
+every triple, for the inline determinants),
 ``chamber_from_signs_rescan`` and ``adjacent_chamber_rescan`` (a second
-scan of the sign table per wall crossing, for the one-scan crossing).
+scan for the rays per wall crossing, for the one-scan crossing), and
+``chamber_graph_every_crossing`` (a chamber built for every crossing, for
+the walk that builds each chamber once).  ``rays_for_signs_scan``, which
+the two rescans use, reads the signs of the rays from exact products of
+its own, not from the package's ray table.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, combinations, product
 from math import comb, gcd
 
@@ -38,6 +43,7 @@ from cryarr.geometry import (
     _walls_for_rays,
     adjacent_chamber,
     chamber_graph,
+    initial_chamber,
     is_irreducible,
     make_root_set,
 )
@@ -451,9 +457,27 @@ def convexity_statements_vol3(G: GroupoidGraph) -> CheckReport:
     return CheckReport("convexity", FAIL if witnesses else PASS, witnesses, {})
 
 
+@lru_cache(maxsize=None)
+def _ray_signs_exact(R: RootSet):
+    """The candidate rays of R in the package's table order (first kernel
+    line of each (rank-1)-subset of hyperplanes, sign-normalized, by
+    Gauss-Jordan), each with the signs of exact products with the
+    positive covectors."""
+    out = {}
+    for subset in combinations(R.positives, R.rank - 1):
+        v = kernel_vector_gauss_jordan(subset, R.rank)
+        if v is not None:
+            v = sign_normalize(v)
+            out.setdefault(v, tuple((d > 0) - (d < 0)
+                                    for d in (_dot(cov, v) for cov in R.positives)))
+    return out
+
+
 def rays_for_signs_scan(R: RootSet, signs):
+    """The rays v or -v on which no covector has the sign opposite to the
+    chamber's, from exact products; all of them, whatever their number."""
     rays = []
-    for v, evs in R.ray_signs.items():
+    for v, evs in _ray_signs_exact(R).items():
         vals = {s * e for s, e in zip(signs, evs)}
         if -1 not in vals:
             rays.append(v)
@@ -503,3 +527,26 @@ def adjacent_chamber_rescan(R: RootSet, K: Chamber, i: int) -> Chamber:
     frame = list(K.rays)
     frame[i] = new[0]
     return chamber_from_signs_rescan(R, tuple(signs), frame=frame)
+
+
+def chamber_graph_every_crossing(R: RootSet):
+    """``chamber_graph`` building the chamber of every crossing, also of
+    those that land in a chamber already reached."""
+    k0 = initial_chamber(R)
+    chambers = [k0]
+    index = {k0.signs: 0}
+    edges = {}
+    head = 0
+    while head < len(chambers):
+        ci = head
+        head += 1
+        K = chambers[ci]
+        for i in range(R.rank):
+            Kn = adjacent_chamber(R, K, i)
+            j = index.get(Kn.signs)
+            if j is None:
+                j = len(chambers)
+                index[Kn.signs] = j
+                chambers.append(Kn)
+            edges[(ci, i)] = j
+    return chambers, edges

@@ -196,6 +196,13 @@ def test_catalog_unknown(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [("A3", "extra"), ("export",), ("export", "A3", "extra")])
+def test_catalog_extra_or_missing_word_exits_2(capsys, argv):
+    code, out, err = run(capsys, "catalog", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: catalog ")
+
+
 def test_threads_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "4", "enumerate-rank2", "4"])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cryarr.errors import NonSimplicialError
 from cryarr.geometry import (
     Chamber,
+    _rays_for_signs,
     adjacent_chamber,
     cartan_of_chamber,
     chamber_graph,
@@ -17,6 +18,7 @@ from cryarr.geometry import (
     initial_chamber,
     is_irreducible,
     make_root_set,
+    ray_values,
 )
 from cryarr import catalog as cat
 from cryarr.groupoid import make_root_object, root_object_of_chamber
@@ -24,12 +26,16 @@ from cryarr.linalg import direction, dot, invert
 from oracles import (
     adjacent_chamber_rescan,
     chamber_from_signs_rescan,
+    chamber_graph_every_crossing,
     count_chambers,
     melchior_zaslavsky,
+    rays_for_signs_scan,
 )
 from strategies import arrangements
+from test_search import _inputs
 
 EX26 = [(1, 0), (0, 1), (1, 2)]
+SMALL_INTS = st.integers(-2, 2)
 
 
 def test_make_root_set_rejects_bad_input():
@@ -165,6 +171,64 @@ def test_wall_crossing_matches_rescan(covectors):
     _check_crossings_against_rescan(R)
 
 
+def _check_walk_against_every_crossing(R):
+    """The walk that builds each chamber once against the one that builds a
+    chamber for every crossing: the same chambers and edges, or the same
+    first NonSimplicialError.  Returns the outcome."""
+    walk = _outcome(chamber_graph, R)
+    assert walk == _outcome(chamber_graph_every_crossing, R)
+    return walk
+
+
+@pytest.mark.parametrize("name", [e.name for e in cat.entries()])
+def test_walk_matches_every_crossing_on_catalog(name):
+    entry = cat.get(name)
+    chambers, _ = _check_walk_against_every_crossing(cat.root_set_of(entry))
+    assert len(chambers) == entry.expected_chambers
+
+
+def test_walk_matches_every_crossing_on_49_line_box():
+    R = make_root_set(_inputs().box_lines(), rank=3)
+    assert len(R.positives) == 49
+    outcome = _check_walk_against_every_crossing(R)
+    assert outcome[0] == "non-simplicial"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(arrangements))
+def test_walk_matches_every_crossing(covectors):
+    try:
+        R = make_root_set(covectors)
+    except ValueError:
+        assume(False)
+    _check_walk_against_every_crossing(R)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(arrangements(2), arrangements(3),
+                 st.lists(st.tuples(SMALL_INTS, SMALL_INTS, SMALL_INTS),
+                          min_size=3, max_size=6)))
+def test_rays_for_signs_matches_exact_scan(covectors):
+    """Every sign vector, infeasible ones included: the mask scan finds the
+    rays that exact products find, in the same order, or raises with their
+    number when it is not the rank."""
+    try:
+        R = make_root_set(covectors)
+    except ValueError:
+        assume(False)
+    n = len(R.positives)
+    assume(n <= 6)
+    for signs in product((1, -1), repeat=n):
+        expected = rays_for_signs_scan(R, signs)
+        try:
+            rays = _rays_for_signs(R, signs)
+        except NonSimplicialError as e:
+            assert (e.signs, e.ray_count) == (signs, len(expected))
+            assert e.ray_count != R.rank
+        else:
+            assert rays == expected
+
+
 def test_is_irreducible():
     assert is_irreducible(cat.root_set_of(cat.get("A3")))
     R = make_root_set([(1, 0), (0, 1)])
@@ -181,17 +245,24 @@ def test_cartan_integral_on_weyl_base():
 
 
 def _check_walls_and_signs(R):
-    """Walls of every chamber against the inverse-matrix rule (the rows of
-    the inverse ray matrix are the dual wall covectors, found among the
-    hyperplanes by direction), and the sign table against exact products."""
-    for v, signs in R.ray_signs.items():
+    """The ray table against exact products: each ray's values are the
+    products with the Fraction covectors cov/d times d, and its masks mark
+    the positive and negative values.  Walls of every chamber against the
+    inverse-matrix rule (the rows of the inverse ray matrix are the dual
+    wall covectors, found among the hyperplanes by direction), and the
+    values read for each chamber ray against exact products."""
+    for v, (values, plus, minus) in R.ray_table.items():
         products = [dot([Fraction(x, R.denominator) for x in cov], v)
                     for cov in R.positives]
-        assert signs == tuple((d > 0) - (d < 0) for d in products)
+        assert values == tuple(R.denominator * d for d in products)
+        assert plus == sum(1 << k for k, x in enumerate(values) if x > 0)
+        assert minus == sum(1 << k for k, x in enumerate(values) if x < 0)
     index = {direction(cov): k for k, cov in enumerate(R.positives)}
     for K in chamber_graph(R)[0]:
         inverse = invert([[ray[i] for ray in K.rays] for i in range(R.rank)])
         assert K.walls == tuple(index[direction(row)] for row in inverse)
+        for v in K.rays:
+            assert ray_values(R, v) == tuple(dot(cov, v) for cov in R.positives)
 
 
 @pytest.mark.parametrize("name", [e.name for e in cat.entries()])
@@ -247,9 +318,6 @@ def test_melchior_zaslavsky_on_13_line_box():
     R = make_root_set(box, rank=3)
     assert len(R.positives) == 13
     assert melchior_zaslavsky(R.positives) == (True, len(chamber_graph(R)[0]))
-
-
-SMALL_INTS = st.integers(-2, 2)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cryarr import catalog as cat
+from cryarr import geometry
 from cryarr.errors import ClosureOverflowError, NotClosedError
 from cryarr.geometry import cartan_of_chamber, chamber_graph, make_root_set
 from cryarr.groupoid import (
@@ -77,6 +78,24 @@ def test_verify_examples():
     res = verify_crystallographic(make_root_set([(1, 0), (0, 1), (1, 2)]))
     assert not res.ok
     assert res.reason == "non-integral root coordinates"
+
+
+@pytest.mark.parametrize("name, scans", [
+    ("A2", 8), ("rank2-7", 16), ("noncrystallographic-2.6", 8), ("A3", 27),
+    ("A4", 124), ("B3", 51), ("C3", 51), ("D4", 196)])
+def test_verify_scans_the_ray_table_once_per_chamber(name, scans, monkeypatch):
+    # one scan per chamber built, plus rank for the base Cartan matrix
+    calls = []
+    scan = geometry._rays_for_signs
+
+    def counting(R, signs):
+        calls.append(signs)
+        return scan(R, signs)
+
+    monkeypatch.setattr(geometry, "_rays_for_signs", counting)
+    R = cat.root_set_of(cat.get(name))
+    res = verify_crystallographic(R)
+    assert len(calls) == scans == res.chamber_count + R.rank
 
 
 def test_geometric_cartan_cross_check():

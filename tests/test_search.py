@@ -29,14 +29,39 @@ def test_cap_too_small():
 
 
 def test_close_rules():
-    # a root string must already be present below the new root; Cartan
-    # entries below -7 (here also Vol_2 with (1,1,0)) and the cap prune
-    assert _close(SIMPLES, (3, 1, 0), cap=10) is None
-    S = _close(_close(SIMPLES, (1, 1, 0), cap=10), (2, 1, 0), cap=10)
-    assert _close(S, (3, 1, 0), cap=10) == S + ((3, 1, 0),)
+    # a root string already present below the new root is accepted; Cartan
+    # entries below -7 are pruned by Vol_2 with (1,1,0)
+    S = _close(_close(SIMPLES, (1, 1, 0)), (2, 1, 0))
+    assert _close(S, (3, 1, 0)) == S + ((3, 1, 0),)
     string = SIMPLES + tuple((k, 1, 0) for k in range(1, 8))
-    assert _close(string, (8, 1, 0), cap=40) is None
-    assert _close(SIMPLES, (1, 1, 0), cap=3) is None
+    assert _close(string, (8, 1, 0)) is None
+
+
+@pytest.mark.parametrize("cap", [6, 7, 8])
+def test_walked_states_meet_the_string_and_cap_rules(cap, monkeypatch):
+    # _close tests only Vol_2: the walk keeps k <= 7, root-string
+    # convexity and the cap without testing them
+    walked = []
+    fast = search._plane_systems_ok
+
+    def recording(roots):
+        walked.append(roots)
+        return fast(roots)
+
+    monkeypatch.setattr(search, "_plane_systems_ok", recording)
+    enumerate_rank3(cap)
+    assert len(walked) == {6: 74, 7: 411, 8: 2715}[cap]
+    for S in walked:
+        assert len(S) <= cap
+        for v in S:
+            support = [t for t, x in enumerate(v) if x != 0]
+            if len(support) != 2:
+                continue
+            for i, j in (support, support[::-1]):
+                if v[j] == 1:
+                    assert v[i] <= 7, S
+                    assert all(tuple(ell if t == i else x for t, x in enumerate(v)) in S
+                               for ell in range(1, v[i])), S
 
 
 def test_plane_systems_filter():
@@ -82,10 +107,10 @@ def test_found_forms_grow_with_the_cap(cap):
 
 def test_close_checks_new_roots_against_known_ones():
     # Vol_2((1,0,0), (1,7,7)) = 7 pairs a simple root with the new one
-    assert _close(SIMPLES, (1, 7, 7), 20) is None
+    assert _close(SIMPLES, (1, 7, 7)) is None
     # Vol_2((1,1,0), (1,1,7)) = 7, while (1,1,7) passes against the simples
-    assert _close(SIMPLES, (1, 1, 7), 20) is not None
-    assert _close(_close(SIMPLES, (1, 1, 0), 20), (1, 1, 7), 20) is None
+    assert _close(SIMPLES, (1, 1, 7)) is not None
+    assert _close(_close(SIMPLES, (1, 1, 0)), (1, 1, 7)) is None
 
 
 def test_close_matches_all_pairs_check(monkeypatch):
@@ -93,16 +118,16 @@ def test_close_matches_all_pairs_check(monkeypatch):
     calls = []
     fast = search._close
 
-    def recording(S, v, cap):
-        out = fast(S, v, cap)
-        calls.append((S, v, cap, out))
+    def recording(S, v):
+        out = fast(S, v)
+        calls.append((S, v, out))
         return out
 
     monkeypatch.setattr(search, "_close", recording)
     enumerate_rank3(8)
     assert len(calls) == 2777
-    for S, v, cap, out in calls:
-        assert (out is not None) == search_state_ok(S + (v,), cap), (S, v)
+    for S, v, out in calls:
+        assert (out is not None) == search_state_ok(S + (v,), 8), (S, v)
         assert out is None or out == S + (v,)
     assert 0 < sum(out is None for *_, out in calls) < len(calls)
 
