@@ -14,15 +14,22 @@ valid when
 
 The positive roots of every crystallographic arrangement within the cap
 form a valid state: every non-simple positive root is a sum of two
-positive roots, and (b)-(d) hold for all of them.  The search walks every
-valid state once, as a tree.  Roots are ordered by key(v) = (sum(v), v);
-a state is the tuple of its roots in key order, and its last root is its
-top.  A state with ``cap`` members has no children.  The children of any
-other state S are the tuples S + (v,) for each sum v of two members with
-key(v) > key(top) that is parallel to no member and that ``_close``
-accepts: it tests (c) for the pairs that contain v.  Every child is
-valid and its top is v: (a) and (b) hold by the choice of v, (c) by
-``_close``, and (d) and (e) with no test, so ``_close`` makes none:
+positive roots, and (b)-(d) hold for all of them.  The height of a root
+is sum(v); roots are ordered by key(v) = (sum(v), v), a state is the
+tuple of its roots in key order, and its top height is the height of its
+last root.  A level is the set of members of one height.
+
+The search walks the valid states as a tree, one level at a time.  A
+state with ``cap`` members has no children.  For any other state S and
+each height H above its top height, let C_H be the set of sums v of two
+members of S with sum(v) = H that are parallel to no member and that
+``_close`` accepts: it tests (c) for the pairs of v with S.  The
+children of S are the states S + L for each nonempty L within C_H with
+|S| + |L| <= cap whose pairs keep (c), which pass the permutation and
+reflection tests below.  Every such S + L is valid: (a) and (b) hold by
+the choice of L (two distinct roots of one height are not parallel), (c)
+by ``_close`` and the pairs within L, and (d) and (e) with no test, so
+``_close`` makes none:
 
   - a sum v = k*e_i + e_j (k >= 2) of two members a + b is
     e_i + ((k-1)*e_i + e_j): a and b are non-negative and their j-th
@@ -32,20 +39,53 @@ valid and its top is v: (a) and (b) hold by the choice of v, (c) by
   - then k <= 7 holds too: k = 8 would need 7*e_i + e_j and so, by (d)
     for S, e_i + e_j in S, and Vol_2(8*e_i + e_j, e_i + e_j) = 7 breaks
     (c); k > 8 would need (k-1)*e_i + e_j in S, against (d) for S;
-  - S has fewer than ``cap`` members, so S + (v,) has at most ``cap``.
+  - |S| + |L| <= cap.
 
-The walk is a tree: every valid state T other than the simple roots has
-exactly one parent, P = T without its top t.  P is valid, because (b),
-(c) and (e) hold for subsets, and t is neither a summand of a member nor
-a lower member of a root string: either would be a member w = t + u or
-w = t + m*e_i with sum(w) > sum(t), against t being the top.  T is a
-child of P: t has a sum >= 2, so it is not simple; by (a) it is the sum
-of two roots of smaller sum, which are in P; key(t) exceeds the key of
-P's top; P has fewer than ``cap`` members; and by (c) for T, ``_close``
-accepts t.  No other state has T as a child, since a child's last root
-is its top.  So the walk reaches every valid state exactly once, by
-induction on its size, with no visited set: memory is the stack of at
-most cap * C(cap, 2) pending states.
+Every valid state T other than the simple roots has exactly one parent:
+P = T without its top level L, of height H.  P is valid, because (b),
+(c) and (e) hold for subsets, and (a) and (d) ask for roots of smaller
+height than the member they are asked for.  T is a child of P: each
+member of L has height H >= 2, so it is not simple, and by (a) it is a
+sum of two members of smaller height, which are in P; it is parallel to
+no member of P by (b), ``_close`` accepts it and the pairs within L keep
+Vol_2 <= 6 by (c); and |T| <= cap.  No other state has T as a child,
+since a child's top level is the L it was made with.  Both tests are
+hereditary (below): a state whose parent fails one fails it too.  So by
+induction on the number of levels the walk reaches every valid state
+that passes the two tests, each exactly once, with no visited set: it
+holds one generator of children per level of the current state.
+
+Permutations.  A state is kept only if it is at most, as a tuple, the
+key-sorted image of itself under each of the six coordinate
+permutations.  Rules (a)-(e), the plane tests, the decision of a state,
+``canonical_form`` and ``_representative`` are all invariant under
+permuting coordinates, so deciding the least state of each permutation
+class loses no form.  The test is hereditary: a permutation keeps
+heights, so the key-sorted image of P = T without its top level is a
+prefix of the key-sorted image of T, of the same length as the prefix P
+of T; if P were greater than its image, T would be greater than its own.
+So the least state of every class has a least parent, the walk reaches
+it, and each class is decided exactly once.
+
+Reflections.  Let c_ij = -max{k : k*e_i + e_j in T} for i != j, and
+let H be T's top height.  Once (k+1)*e_i + e_j is absent from T and its
+height k + 2 is at most H, c_ij is final: every descendant adds only
+roots of height above H, and by (d) none of them is l*e_i + e_j with
+l > k.  The positive roots R+ of an arrangement have the Cartan entries
+c_ij, and the simple reflection sigma_i maps R+ without e_i into R+, so
+the i-th coordinate -beta_i - sum_{j != i} c_ij*beta_j of sigma_i(beta)
+is non-negative for every beta in R+ other than e_i.  So if this fails
+for a member beta != e_i of T whose entries c_ij with beta_j != 0 are all
+final, no descendant of T is the positive roots of an arrangement: each
+has the same members and the same final entries.  Finality needs no test
+of its own: an entry c_ij with beta_j >= 1 that is not final has
+-c_ij = k = H - 1, since k*e_i + e_j has height at most H, and the test
+fails for beta only if beta_i > k*beta_j >= H - 1, so that beta has
+height at least beta_i + beta_j >= H + 1.  So T is kept only if -beta_i - sum_{j != i} c_ij*beta_j
+>= 0 for each i and each member beta != e_i, with T's own entries.  The
+test is hereditary as well: a member that fails in P fails with final
+entries of P, which are final in T with the same values, so it fails in
+T.
 
 Each state S that passes the rank-2 plane tests is decided integer-first,
 in root coordinates: the supports of S must be connected, the reflection
@@ -87,6 +127,7 @@ from .rank2 import is_crystallographic_rank2
 from .verifier import VOL2_MAX, all_ok, run_all
 
 SIMPLES = simple_roots(3)
+MOVES = tuple(permutations(range(3)))[1:]   # the permutations other than the identity
 
 COMPLETE, INCOMPLETE = "Complete", "Incomplete"
 
@@ -164,19 +205,74 @@ def _representative(G):
                for O in G.objects for perm in permutations(range(3)))
 
 
+def _least(T):
+    """T is at most the key-sorted image of itself under every coordinate
+    permutation."""
+    return all(T <= tuple(sorted((tuple(v[p] for p in perm) for v in T), key=_key))
+               for perm in MOVES)
+
+
+def _reflections_ok(T):
+    """Each simple reflection, with the Cartan entries of T, maps every
+    member other than e_i to a vector with a non-negative i-th coordinate
+    (see the module docstring)."""
+    top = [[0] * 3 for _ in range(3)]   # top[i][j] = max{k : k*e_i + e_j in T}
+    for v in T:
+        for i, j in permutations(range(3), 2):
+            if v[j] == 1 and v[3 - i - j] == 0 and v[i] > top[i][j]:
+                top[i][j] = v[i]
+    return all(sum(top[i][j] * beta[j] for j in range(3) if j != i) >= beta[i]
+               for beta in T for i in range(3) if beta[i] != sum(beta))
+
+
+def _levels(level, room):
+    """Each nonempty subset of ``level`` (a key-sorted tuple of roots of
+    one height), in key order, with at most ``room`` members and Vol_2 at
+    most ``VOL2_MAX`` on its pairs."""
+    fits = {(a, b): vol(2, [a, b]) <= VOL2_MAX for a, b in combinations(level, 2)}
+
+    def extend(L, start):
+        for n in range(start, len(level)):
+            v = level[n]
+            if all(fits[u, v] for u in L):
+                yield L + (v,)
+                if len(L) + 1 < room:
+                    yield from extend(L + (v,), n + 1)
+    return extend((), 0)
+
+
+def _children(S, cap):
+    """The children of the state S (see the module docstring)."""
+    top = sum(S[-1])
+    dirs = {direction(u) for u in S}
+    sums = {tuple(x + y for x, y in zip(a, b)) for a, b in combinations(S, 2)}
+    levels = {}
+    for v in sorted(sums, key=_key):
+        if sum(v) > top and direction(v) not in dirs and _close(S, v) is not None:
+            levels.setdefault(sum(v), []).append(v)
+    for height in sorted(levels):
+        for L in _levels(tuple(levels[height]), cap - len(S)):
+            T = S + L
+            if _least(T) and _reflections_ok(T):
+                yield T
+
+
 def enumerate_rank3(cap, budget=10 ** 7) -> SearchResult:
     """All irreducible rank-3 crystallographic arrangements with at most
-    ``cap`` positive roots, reachable within ``budget`` visited states."""
+    ``cap`` positive roots, reachable within ``budget`` decided states."""
     if cap < 6:
         raise ValueError("cap must be at least 6")
     if budget < 1:
         raise ValueError("budget must be at least 1")
     found = {}
-    stack = [tuple(sorted(SIMPLES, key=_key))]
+    stack = [iter([tuple(sorted(SIMPLES, key=_key))])]
     states = 0
     exhausted = False
     while stack:
-        S = stack.pop()
+        S = next(stack[-1], None)
+        if S is None:
+            stack.pop()
+            continue
         if states >= budget:
             exhausted = True
             break
@@ -187,16 +283,8 @@ def enumerate_rank3(cap, budget=10 ** 7) -> SearchResult:
                 form = canonical_form(G)
                 if form not in found:
                     found[form] = _representative(G)
-        if len(S) >= cap:   # a full state has no children
-            continue
-        top = _key(S[-1])
-        dirs = {direction(u) for u in S}
-        sums = {tuple(x + y for x, y in zip(a, b)) for a, b in combinations(S, 2)}
-        for v in sorted(sums):
-            if _key(v) > top and direction(v) not in dirs:
-                T = _close(S, v)
-                if T is not None:
-                    stack.append(T)
+        if len(S) < cap:   # a full state has no children
+            stack.append(_children(S, cap))
     forms = tuple(sorted(found))
     return SearchResult(
         verdict=INCOMPLETE if exhausted else COMPLETE,

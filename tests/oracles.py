@@ -6,14 +6,16 @@ enumeration with Fourier-Motzkin feasibility, determinants from cofactor
 expansion, elementary divisors from gcds of minors, Catalan numbers
 from the binomial closed form, and the simpliciality and chamber count of
 a rank-3 arrangement from its intersection points (Melchior, Zaslavsky).
-Ten references are the exception, each kept as the slow path that a
+Eleven references are the exception, each kept as the slow path that a
 faster one replaced: ``verify_candidate_geometric`` (the geometric
 pipeline alone, for the search's integer-first filter),
 ``kernel_vector_gauss_jordan`` (the Fraction elimination, for the integer
 maximal-minor kernel), ``verify_fraction_coordinates`` (Fraction root
 coordinates against rescaled rays, for the integer covectors),
 ``dfs_states`` (the graph search with a visited set and forced root
-strings, for the search's tree walk), ``no_negative_ray_box`` (every
+strings, for the states of the search's walk), ``tree_walk`` (the walk
+that adds one root at a time, with no permutation or reflection test,
+for the canonical forms of the level walk), ``no_negative_ray_box`` (every
 point of the coordinate box, for the per-coordinate intervals),
 ``lemcon_sweep_triple_loop`` (every alpha + k*beta, for the sweep over
 root differences), ``convexity_statements_vol3`` (``vol(3, .)`` on
@@ -28,9 +30,10 @@ its own, not from the package's ray table.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import chain, combinations, permutations, product
 from math import comb, gcd
 
+from cryarr import search
 from cryarr.errors import (
     ClosureOverflowError,
     HypothesisFailedError,
@@ -49,8 +52,11 @@ from cryarr.geometry import (
 )
 from cryarr.groupoid import (
     GroupoidGraph,
+    RootObject,
+    canonical_form,
     is_object_irreducible,
     make_root_object,
+    reflect_vector,
     simple_roots,
     traverse,
     verify_crystallographic,
@@ -349,6 +355,74 @@ def dfs_states(cap):
             if direction(v) not in dirs:
                 stack.append(close_forcing(S | {v}, cap, S))
     return visited
+
+
+def tree_walk(cap):
+    """The canonical forms the rank-3 search found when it walked one root
+    at a time: a state's children were the state plus each sum of two
+    members above its last root in the order (sum, coordinates) that is
+    parallel to no member and that ``_close`` accepts.  Every valid state
+    is decided, with no permutation or reflection test."""
+    key = search._key
+    forms = set()
+    stack = [tuple(sorted(simple_roots(3), key=key))]
+    while stack:
+        S = stack.pop()
+        if search._plane_systems_ok(S):
+            G = search._verify_candidate(S)
+            if G is not None:
+                forms.add(canonical_form(G))
+        if len(S) >= cap:
+            continue
+        dirs = {direction(u) for u in S}
+        sums = {tuple(x + y for x, y in zip(a, b)) for a, b in combinations(S, 2)}
+        for v in sorted(sums):
+            if key(v) > key(S[-1]) and direction(v) not in dirs:
+                T = search._close(S, v)
+                if T is not None:
+                    stack.append(T)
+    return forms
+
+
+def least_permutation_image(roots):
+    """The key-sorted tuple of ``roots`` is at most that of each image under
+    a permutation of the coordinates, key(v) = (sum(v), v)."""
+    def key(v):
+        return sum(v), v
+    own = tuple(sorted(roots, key=key))
+    return all(own <= tuple(sorted((tuple(v[p] for p in perm) for v in roots), key=key))
+               for perm in permutations(range(3)))
+
+
+def reflection_rule_ok(roots):
+    """No simple reflection sigma_i of the Cartan matrix of ``roots`` maps a
+    member beta != e_i to a vector with a negative i-th coordinate, where
+    every c_ij with beta_j != 0 is already final: (1 - c_ij)*e_i + e_j is
+    not a member and its height 2 - c_ij is at most the largest height."""
+    height = max(sum(v) for v in roots)
+    cartan = RootObject(3, frozenset(roots)).cartan
+    for i in range(3):
+        final = set()
+        for j in set(range(3)) - {i}:
+            nxt = [0, 0, 0]
+            nxt[i], nxt[j] = 1 - cartan[i][j], 1
+            if tuple(nxt) not in roots and sum(nxt) <= height:
+                final.add(j)
+        for beta in roots:
+            if beta == simple_roots(3)[i]:
+                continue
+            if all(j in final for j in range(3) if j != i and beta[j]):
+                if reflect_vector(beta, i, cartan[i])[i] < 0:
+                    return False
+    return True
+
+
+def level_walk_states(cap):
+    """The states the level walk must decide: those of ``dfs_states`` that
+    are the least image under coordinate permutations and pass the
+    reflection rule, both computed from scratch."""
+    return {S for S in dfs_states(cap)
+            if least_permutation_image(S) and reflection_rule_ok(S)}
 
 
 def search_state_ok(roots, cap):

@@ -4,6 +4,8 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryarr import catalog as cat
 from cryarr import search
@@ -14,9 +16,17 @@ from cryarr.groupoid import (
     make_root_object,
     verify_crystallographic,
 )
+from cryarr.linalg import direction
 from cryarr.search import _close, _plane_systems_ok, enumerate_rank3
 from cryarr.verifier import all_ok, run_all
-from oracles import dfs_states, search_state_ok, verify_candidate_geometric
+from oracles import (
+    least_permutation_image,
+    level_walk_states,
+    reflection_rule_ok,
+    search_state_ok,
+    tree_walk,
+    verify_candidate_geometric,
+)
 
 search_at = lru_cache(maxsize=None)(enumerate_rank3)
 SIMPLES = tuple(sorted(search.SIMPLES))
@@ -50,7 +60,7 @@ def test_walked_states_meet_the_string_and_cap_rules(cap, monkeypatch):
 
     monkeypatch.setattr(search, "_plane_systems_ok", recording)
     enumerate_rank3(cap)
-    assert len(walked) == {6: 74, 7: 411, 8: 2715}[cap]
+    assert len(walked) == {6: 12, 7: 41, 8: 195}[cap]
     for S in walked:
         assert len(S) <= cap
         for v in S:
@@ -92,14 +102,14 @@ def test_budget_exhaustion_reports_incomplete():
 
 
 @pytest.mark.parametrize("cap, states, emitted",
-                         [(6, 74, 1), (7, 411, 2), (8, 2715, 3)])
+                         [(6, 12, 1), (7, 41, 2), (8, 195, 3)])
 def test_work_counters_are_pinned(cap, states, emitted):
     result = search_at(cap)
     assert result.verdict == "Complete"
     assert (result.states_visited, result.emitted) == (states, emitted)
 
 
-@pytest.mark.parametrize("cap", [6, 7, 8])
+@pytest.mark.parametrize("cap", [6, 7, 8, 9])
 def test_found_forms_grow_with_the_cap(cap):
     smaller, larger = search_at(cap), search_at(cap + 1)
     assert set(smaller.canonical_forms) <= set(larger.canonical_forms)
@@ -125,7 +135,7 @@ def test_close_matches_all_pairs_check(monkeypatch):
 
     monkeypatch.setattr(search, "_close", recording)
     enumerate_rank3(8)
-    assert len(calls) == 2777
+    assert len(calls) == 231
     for S, v, out in calls:
         assert (out is not None) == search_state_ok(S + (v,), 8), (S, v)
         assert out is None or out == S + (v,)
@@ -144,10 +154,52 @@ def test_tree_walk_decides_the_states_of_the_graph_search(cap, monkeypatch):
     monkeypatch.setattr(search, "_plane_systems_ok", recording)
     enumerate_rank3(cap)
     assert len(set(decided)) == len(decided)
-    assert set(decided) == dfs_states(cap)
+    assert set(decided) == level_walk_states(cap)
     # _verify_candidate builds its root object without make_root_object's checks
     for S in decided:
         assert make_root_object(3, S).positive_roots == S
+
+
+def test_cap9_walk_decides_one_state_per_permutation_class(monkeypatch):
+    decided = []
+    fast = search._plane_systems_ok
+
+    def recording(roots):
+        decided.append(roots)
+        return fast(roots)
+
+    monkeypatch.setattr(search, "_plane_systems_ok", recording)
+    enumerate_rank3(9)
+    assert len(decided) == 1265
+    assert all(least_permutation_image(S) for S in decided)
+
+
+@pytest.mark.parametrize("cap", [6, 7, 8])
+def test_level_walk_finds_the_forms_of_the_root_walk(cap):
+    assert set(search_at(cap).canonical_forms) == tree_walk(cap)
+
+
+@st.composite
+def root_states(draw):
+    """The simple roots plus up to 10 vectors in {0..4}^3, many of them on
+    a coordinate plane, one per direction, as a tuple in key order.  Few
+    are valid states, so the rules meet their edge cases often."""
+    entries = st.tuples(*[st.integers(0, 4)] * 3)
+    plane = st.tuples(entries, st.integers(0, 2)).map(
+        lambda t: tuple(0 if i == t[1] else x for i, x in enumerate(t[0])))
+    extra = draw(st.lists(st.one_of(plane, entries), max_size=10))
+    roots = {}
+    for v in SIMPLES + tuple(extra):
+        if any(v):
+            roots.setdefault(direction(v), v)
+    return tuple(sorted(roots.values(), key=search._key))
+
+
+@settings(max_examples=500, deadline=None)
+@given(T=root_states())
+def test_permutation_and_reflection_tests_match_their_slow_paths(T):
+    assert search._least(T) == least_permutation_image(T)
+    assert search._reflections_ok(T) == reflection_rule_ok(T)
 
 
 def _inputs():
@@ -160,7 +212,7 @@ def _inputs():
 @lru_cache(maxsize=None)
 def weyl_restriction_forms():
     """Canonical form -> line count of every irreducible rank-3 coordinate
-    restriction with at most 9 lines of A_n, B_n, C_n, D_n (n = 4, 5, 6),
+    restriction with at most 10 lines of A_n, B_n, C_n, D_n (n = 4, 5, 6),
     F4 and E6-E8.  Restrictions of crystallographic arrangements are
     crystallographic (Cuntz 2011), so each one must be found by a search
     whose cap covers its line count."""
@@ -177,7 +229,7 @@ def weyl_restriction_forms():
     for cartan in cartans:
         for keep in combinations(range(len(cartan)), 3):
             lines = inputs.restriction(cartan, keep)
-            if len(lines) > 9:
+            if len(lines) > 10:
                 continue
             R = make_root_set(lines, rank=3)
             if not is_irreducible(R):
@@ -188,12 +240,14 @@ def weyl_restriction_forms():
     return forms
 
 
-@pytest.mark.parametrize("cap", [6, 7, 8, 9])
+@pytest.mark.parametrize("cap", [6, 7, 8, 9, 10])
 def test_search_finds_every_weyl_restriction(cap):
     forms = weyl_restriction_forms()
-    assert len(forms) == 5
+    assert sorted(forms.values()) == [6, 7, 8, 9, 9, 10, 10]
     expected = {form for form, n in forms.items() if n <= cap}
     assert expected and expected <= set(search_at(cap).canonical_forms)
+    if cap == 10:
+        assert set(search_at(cap).canonical_forms) == expected
 
 
 def test_closure_bound_covers_every_chamber_count():
@@ -217,7 +271,7 @@ def test_verify_candidate_agrees_with_geometric_oracle(monkeypatch):
 
     monkeypatch.setattr(search, "_verify_candidate", recording)
     result = enumerate_rank3(7)
-    assert len(seen) == 411
+    assert len(seen) == 41
     hits = 0
     for roots, G in seen:
         expected = verify_candidate_geometric(roots)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cryarr import catalog as cat
+from cryarr import verifier
 from cryarr.errors import HypothesisFailedError, PreconditionFailedError
 from cryarr.groupoid import (
     GroupoidGraph,
@@ -137,6 +138,28 @@ def test_lemcon_sweep_catalog():
     for name in ("A3", "B3", "C3"):
         rep = lemcon_sweep(closure(name))
         assert rep.verdict == "pass"
+
+
+def test_lemcon_sweep_hands_lemcon_only_its_hypotheses(monkeypatch):
+    # the sweep itself must keep k >= 2, alpha in R+ and alpha + k*beta in
+    # +-R: _lemcon tests them again and would hide a weaker sweep
+    seen = []
+    fast = verifier._lemcon
+
+    def recording(roots, full, top, alpha, beta, k, min_entry):
+        seen.append((roots, alpha, beta, k))
+        return fast(roots, full, top, alpha, beta, k, min_entry)
+
+    monkeypatch.setattr(verifier, "_lemcon", recording)
+    for e in cat.entries():
+        if e.crystallographic:
+            lemcon_sweep(closure(e.name))
+    assert seen
+    for roots, alpha, beta, k in seen:
+        signed = set(roots) | {tuple(-x for x in v) for v in roots}
+        assert k >= 2, (alpha, beta, k)
+        assert alpha in roots, (alpha, beta, k)
+        assert tuple(a + k * b for a, b in zip(alpha, beta)) in signed, (alpha, beta, k)
 
 
 def test_convexity_statements():
