@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CycleBrokenError, MissingRootError
-from .groupoid import RootObject, reflect_object
+from .groupoid import GroupoidGraph
 from .rank2 import slope_sorted
 
 
@@ -33,23 +33,26 @@ class LocalizationCycles:
     objects: tuple      # the 2n objects K_1, ..., K_2n along the walk
 
 
-def rank2_cycles(O: RootObject, i, j) -> LocalizationCycles:
-    """Walk the 2n chambers adjacent to <alpha_i, alpha_j> in a rank-3 object.
+def rank2_cycles(G: GroupoidGraph, oi, i, j) -> LocalizationCycles:
+    """Walk the 2n chambers adjacent to <alpha_i, alpha_j> around object
+    ``oi`` of a rank-3 closure.
 
-    Labels alternate: the step into K_{l+1} uses i when l+1 is even, j when
-    it is odd.  c_l = -c_{i,j} (l odd) or -c_{j,i} (l even) read at K_l, and
-    d_l likewise with the third index in place of the second."""
-    if O.rank != 3:
+    G must be a closure as ``traverse`` builds it: the walk follows
+    ``G.edges``, and a missing edge is a CycleBrokenError.  Labels
+    alternate: the step into K_{l+1} uses i when l+1 is even, j when it is
+    odd.  c_l = -c_{i,j} (l odd) or -c_{j,i} (l even) read at K_l, and d_l
+    likewise with the third index in place of the second."""
+    if G.rank != 3:
         raise ValueError("rank-2 cycles require a rank-3 object")
     if i == j:
         raise ValueError("indices must differ")
     k = 3 - i - j
-    n = len(localize(O.positive_roots, (i, j)))
+    n = len(localize(G.objects[oi].positive_roots, (i, j)))
     cs, ds, objs = [], [], []
-    cur = O
+    cur = oi
     for ell in range(1, 2 * n + 1):
-        c = cur.cartan
-        objs.append(cur)
+        objs.append(G.objects[cur])
+        c = G.objects[cur].cartan
         if ell % 2 == 1:
             cs.append(-c[i][j])
             ds.append(-c[i][k])
@@ -57,19 +60,16 @@ def rank2_cycles(O: RootObject, i, j) -> LocalizationCycles:
             cs.append(-c[j][i])
             ds.append(-c[j][k])
         label = i if (ell + 1) % 2 == 0 else j
-        cur = reflect_object(cur, label)
-    if cur.positive_roots != O.positive_roots:
+        cur = G.edges.get((cur, label))
+        if cur is None:
+            raise CycleBrokenError(f"the closure has no edge with label {label}")
+    if cur != oi:
         raise CycleBrokenError("walk of length 2n does not return to the start")
     for ell in range(n):
         if cs[ell] != cs[ell + n]:
             raise CycleBrokenError("quiddity cycle is not n-periodic")
     return LocalizationCycles(n=n, quiddity=tuple(cs), auxiliary=tuple(ds),
                               objects=tuple(objs))
-
-
-def _permute_object(O: RootObject, perm):
-    roots = frozenset(tuple(v[p] for p in perm) for v in O.positive_roots)
-    return RootObject(rank=O.rank, positive_roots=roots)
 
 
 @dataclass(frozen=True)
@@ -83,25 +83,26 @@ class PlaneRoots:
     perm: tuple         # coordinate permutation applied: (i, j, third)
 
 
-def plane_roots(O: RootObject, i, j) -> PlaneRoots:
-    """The third-direction roots gamma_l, delta_l over the plane <a_i, a_j>.
+def plane_roots(G: GroupoidGraph, oi, i, j) -> PlaneRoots:
+    """The third-direction roots gamma_l, delta_l over the plane <a_i, a_j>
+    at object ``oi`` of a rank-3 closure built by ``traverse``.
 
     Coordinates are permuted so the pair becomes (0,1); the betas are the
     slope-sorted localization roots from (0,1,0) to (1,0,0), and
-    gamma_l = e_3 + sum_{k<=l} d_k beta_k with the auxiliary cycle read
-    along the walk that starts with the j-side.  Every gamma_l and delta_l
-    must be a positive root with third coordinate 1."""
-    if O.rank != 3:
+    gamma_l = e_3 + sum_{k<=l} d_k beta_k with the auxiliary cycle of
+    ``rank2_cycles(G, oi, j, i)``, which starts with the j-side.  Every
+    gamma_l and delta_l must be a positive root with third coordinate 1."""
+    if G.rank != 3:
         raise ValueError("plane roots require a rank-3 object")
+    roots = G.objects[oi].positive_roots
     k = 3 - i - j
     perm = (i, j, k)
-    P = _permute_object(O, perm)
-    pairs = slope_sorted([(v[0], v[1]) for v in localize(P.positive_roots, (0, 1))])
+    pairs = slope_sorted([(v[i], v[j]) for v in localize(roots, (i, j))])
     betas = tuple((v[0], v[1], 0) for v in pairs)
     n = len(betas)
     if betas[0] != (0, 1, 0) or betas[-1] != (1, 0, 0):
         raise MissingRootError(betas[0])
-    cyc = rank2_cycles(P, 1, 0)
+    cyc = rank2_cycles(G, oi, j, i)
     d = cyc.auxiliary
     e3 = (0, 0, 1)
 
@@ -115,8 +116,9 @@ def plane_roots(O: RootObject, i, j) -> PlaneRoots:
 
     gammas = accumulate([(ell, ell) for ell in range(1, n + 1)])
     deltas = accumulate([(2 * n + 1 - ell, n + 1 - ell) for ell in range(1, n + 1)])
+    back = tuple(perm.index(t) for t in range(3))   # to the object's coordinates
     for v in gammas + deltas:
-        if v[2] != 1 or v not in P.positive_roots:
+        if v[2] != 1 or tuple(v[p] for p in back) not in roots:
             raise MissingRootError(v)
     return PlaneRoots(n=n, betas=betas, gammas=gammas, deltas=deltas,
                       auxiliary=d, quiddity=cyc.quiddity, perm=perm)

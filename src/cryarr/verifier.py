@@ -22,7 +22,7 @@ from .groupoid import (
     simple_roots,
 )
 from .linalg import vol
-from .localization import localize, plane_roots, rank2_cycles
+from .localization import localize, plane_roots
 
 PASS, FAIL, SKIP = "pass", "fail", "skipped"
 
@@ -184,20 +184,22 @@ def check_lemcon(G: GroupoidGraph, object_index, alpha, beta, k) -> CheckReport:
     alpha + l*beta (0 <= l <= k) are roots, and some object in the closure
     has a Cartan entry <= -k."""
     roots = G.objects[object_index].positive_roots
-    return _lemcon(roots, _signed(roots), max(max(v) for v in roots),
-                   tuple(alpha), tuple(beta), k, _min_cartan_entry(G))
-
-
-def _lemcon(roots, full, top, alpha, beta, k, min_entry):
-    """check_lemcon on one object's positive roots, given their signed set
-    ``full``, their largest coordinate ``top`` and the closure's minimum
-    Cartan entry."""
+    full = _signed(roots)
+    alpha, beta = tuple(alpha), tuple(beta)
     if k < 2:
         raise HypothesisFailedError("k >= 2")
     if alpha not in roots:
         raise HypothesisFailedError("alpha is a positive root")
     if tuple(a + k * b for a, b in zip(alpha, beta)) not in full:
         raise HypothesisFailedError("alpha + k*beta is a root")
+    return _lemcon(full, max(max(v) for v in roots), alpha, beta, k,
+                   _min_cartan_entry(G))
+
+
+def _lemcon(full, top, alpha, beta, k, min_entry):
+    """check_lemcon once k >= 2, alpha in R+ and alpha + k*beta in +-R hold,
+    given the object's signed roots ``full``, their largest coordinate
+    ``top`` and the closure's minimum Cartan entry."""
     if vol(2, [alpha, beta]) != 1:
         raise HypothesisFailedError("Vol_2(alpha, beta) = 1")
     if not _no_negative_ray(alpha, beta, top + 1):
@@ -241,7 +243,7 @@ def lemcon_sweep(G: GroupoidGraph) -> CheckReport:
                         found.append((beta, k))
             for beta, k in sorted(found):
                 try:
-                    rep = _lemcon(roots, full, top, alpha, beta, k, min_entry)
+                    rep = _lemcon(full, top, alpha, beta, k, min_entry)
                 except HypothesisFailedError:
                     continue
                 triples += 1
@@ -271,11 +273,13 @@ def check_convexity_statements(G: GroupoidGraph) -> CheckReport:
                 x = a[1] * b[2] - a[2] * b[1]
                 y = a[2] * b[0] - a[0] * b[2]
                 z = a[0] * b[1] - a[1] * b[0]
+                # Vol_2(a, b) = gcd(a x b) divides every det(a, b, c)
+                if gcd(x, y, z) != 1 or tuple(p - q for p, q in zip(a, b)) in full:
+                    continue
                 for c in ordered[u + 1:]:
                     if x * c[0] + y * c[1] + z * c[2] not in (1, -1):
                         continue
                     diffs = (
-                        tuple(p - q for p, q in zip(a, b)),
                         tuple(p - q for p, q in zip(b, c)),
                         tuple(p - q for p, q in zip(a, c)),
                     )
@@ -334,7 +338,7 @@ def check_plane_roots(G: GroupoidGraph) -> CheckReport:
         for i, j in permutations(range(3), 2):
             pairs += 1
             try:
-                pr = plane_roots(O, i, j)
+                pr = plane_roots(G, oi, i, j)
             except (MissingRootError, CycleBrokenError) as e:
                 witnesses.append((oi, (i, j), f"{type(e).__name__}: {e}"))
                 continue
@@ -367,7 +371,8 @@ def check_pigeonhole(G: GroupoidGraph, max_vol2) -> CheckReport:
 
 
 def run_all(G: GroupoidGraph):
-    """The full suite; returns the list of reports."""
+    """The full suite on a closure built by ``traverse`` (``check_plane_roots``
+    walks its edges); returns the list of reports."""
     vol2 = check_vol2_bound(G)
     return [
         check_sum_of_roots(G),

@@ -6,7 +6,7 @@ enumeration with Fourier-Motzkin feasibility, determinants from cofactor
 expansion, elementary divisors from gcds of minors, Catalan numbers
 from the binomial closed form, and the simpliciality and chamber count of
 a rank-3 arrangement from its intersection points (Melchior, Zaslavsky).
-Eleven references are the exception, each kept as the slow path that a
+Fourteen references are the exception, each kept as the slow path that a
 faster one replaced: ``verify_candidate_geometric`` (the geometric
 pipeline alone, for the search's integer-first filter),
 ``kernel_vector_gauss_jordan`` (the Fraction elimination, for the integer
@@ -19,13 +19,17 @@ for the canonical forms of the level walk), ``no_negative_ray_box`` (every
 point of the coordinate box, for the per-coordinate intervals),
 ``lemcon_sweep_triple_loop`` (every alpha + k*beta, for the sweep over
 root differences), ``convexity_statements_vol3`` (``vol(3, .)`` on
-every triple, for the inline determinants),
+every triple, for the inline determinants and the pair prefilter),
 ``chamber_from_signs_rescan`` and ``adjacent_chamber_rescan`` (a second
-scan for the rays per wall crossing, for the one-scan crossing), and
+scan for the rays per wall crossing, for the one-scan crossing),
 ``chamber_graph_every_crossing`` (a chamber built for every crossing, for
-the walk that builds each chamber once).  ``rays_for_signs_scan``, which
-the two rescans use, reads the signs of the rays from exact products of
-its own, not from the package's ray table.
+the walk that builds each chamber once), and ``rank2_cycles_reflecting``,
+``plane_roots_reflecting`` and ``check_plane_roots_reflecting`` (every
+chamber of a localization walk built again by ``reflect_object`` on a
+coordinate-permuted copy, for the walk along the closure's edges).
+``rays_for_signs_scan``, which the two rescans use, reads the signs of
+the rays from exact products of its own, not from the package's ray
+table.
 """
 
 from fractions import Fraction
@@ -36,7 +40,8 @@ from math import comb, gcd
 from cryarr import search
 from cryarr.errors import (
     ClosureOverflowError,
-    HypothesisFailedError,
+    CycleBrokenError,
+    MissingRootError,
     NonSimplicialError,
     NotClosedError,
 )
@@ -56,13 +61,15 @@ from cryarr.groupoid import (
     canonical_form,
     is_object_irreducible,
     make_root_object,
+    reflect_object,
     reflect_vector,
     simple_roots,
     traverse,
     verify_crystallographic,
 )
 from cryarr.linalg import clear_denominators, direction, sign_normalize, vec_neg, vol
-from cryarr.localization import localize
+from cryarr.localization import LocalizationCycles, PlaneRoots, localize
+from cryarr.rank2 import slope_sorted
 from cryarr.verifier import (
     FAIL,
     PASS,
@@ -461,7 +468,12 @@ def no_negative_ray_box(alpha, beta, bound):
 
 
 def lemcon_sweep_triple_loop(G: GroupoidGraph) -> CheckReport:
-    """check_lemcon over every hypothesis-satisfying (object, alpha, beta, k)."""
+    """check_lemcon over every hypothesis-satisfying (object, alpha, beta, k).
+
+    The loop tests all five hypotheses itself (k >= 2, alpha in R+,
+    alpha + k*beta in +-R, Vol_2(alpha, beta) = 1 and the negative ray,
+    the last by ``no_negative_ray_box``) and hands ``_lemcon`` only the
+    triples that meet them."""
     min_entry = _min_cartan_entry(G)
     witnesses = []
     triples = 0
@@ -473,12 +485,11 @@ def lemcon_sweep_triple_loop(G: GroupoidGraph) -> CheckReport:
         for alpha in roots:
             for beta in betas:
                 for k in range(2, 2 * top + 2):
-                    if tuple(a + k * b for a, b in zip(alpha, beta)) not in full:
+                    if (tuple(a + k * b for a, b in zip(alpha, beta)) not in full
+                            or vol(2, [alpha, beta]) != 1
+                            or not no_negative_ray_box(alpha, beta, top + 1)):
                         continue
-                    try:
-                        rep = _lemcon(roots, full, top, alpha, beta, k, min_entry)
-                    except HypothesisFailedError:
-                        continue
+                    rep = _lemcon(full, top, alpha, beta, k, min_entry)
                     triples += 1
                     if not rep.ok:
                         witnesses.append((oi, alpha, beta, k, rep.witnesses))
@@ -529,6 +540,116 @@ def convexity_statements_vol3(G: GroupoidGraph) -> CheckReport:
                 if small == 2:
                     witnesses.append((oi, "c", i))
     return CheckReport("convexity", FAIL if witnesses else PASS, witnesses, {})
+
+
+def rank2_cycles_reflecting(O: RootObject, i, j) -> LocalizationCycles:
+    """The quiddity and auxiliary cycles around <alpha_i, alpha_j> of a
+    rank-3 object, with every chamber of the walk built by
+    ``reflect_object``: the step into K_{l+1} uses i when l+1 is even, j
+    when it is odd; c_l = -c_{i,j} (l odd) or -c_{j,i} (l even) read at
+    K_l, and d_l likewise with the third index in place of the second."""
+    if O.rank != 3:
+        raise ValueError("rank-2 cycles require a rank-3 object")
+    if i == j:
+        raise ValueError("indices must differ")
+    k = 3 - i - j
+    n = len(localize(O.positive_roots, (i, j)))
+    cs, ds, objs = [], [], []
+    cur = O
+    for ell in range(1, 2 * n + 1):
+        c = cur.cartan
+        objs.append(cur)
+        if ell % 2 == 1:
+            cs.append(-c[i][j])
+            ds.append(-c[i][k])
+        else:
+            cs.append(-c[j][i])
+            ds.append(-c[j][k])
+        label = i if (ell + 1) % 2 == 0 else j
+        cur = reflect_object(cur, label)
+    if cur.positive_roots != O.positive_roots:
+        raise CycleBrokenError("walk of length 2n does not return to the start")
+    for ell in range(n):
+        if cs[ell] != cs[ell + n]:
+            raise CycleBrokenError("quiddity cycle is not n-periodic")
+    return LocalizationCycles(n=n, quiddity=tuple(cs), auxiliary=tuple(ds),
+                              objects=tuple(objs))
+
+
+def permute_object(O: RootObject, perm):
+    """O with its coordinates permuted: coordinate t of the image is
+    coordinate perm[t] of O."""
+    roots = frozenset(tuple(v[p] for p in perm) for v in O.positive_roots)
+    return RootObject(rank=O.rank, positive_roots=roots)
+
+
+def plane_roots_reflecting(O: RootObject, i, j) -> PlaneRoots:
+    """The plane roots gamma_l, delta_l over <a_i, a_j>, computed on a
+    copy of O whose coordinates are permuted to (i, j, third), with the
+    auxiliary cycle of ``rank2_cycles_reflecting`` on that copy at (1, 0)."""
+    if O.rank != 3:
+        raise ValueError("plane roots require a rank-3 object")
+    k = 3 - i - j
+    perm = (i, j, k)
+    P = permute_object(O, perm)
+    pairs = slope_sorted([(v[0], v[1]) for v in localize(P.positive_roots, (0, 1))])
+    betas = tuple((v[0], v[1], 0) for v in pairs)
+    n = len(betas)
+    if betas[0] != (0, 1, 0) or betas[-1] != (1, 0, 0):
+        raise MissingRootError(betas[0])
+    cyc = rank2_cycles_reflecting(P, 1, 0)
+    d = cyc.auxiliary
+    e3 = (0, 0, 1)
+
+    def accumulate(indices):
+        out = [e3]
+        cur = e3
+        for d_idx, b_idx in indices:
+            cur = tuple(c + d[d_idx - 1] * b for c, b in zip(cur, betas[b_idx - 1]))
+            out.append(cur)
+        return tuple(out)
+
+    gammas = accumulate([(ell, ell) for ell in range(1, n + 1)])
+    deltas = accumulate([(2 * n + 1 - ell, n + 1 - ell) for ell in range(1, n + 1)])
+    for v in gammas + deltas:
+        if v[2] != 1 or v not in P.positive_roots:
+            raise MissingRootError(v)
+    return PlaneRoots(n=n, betas=betas, gammas=gammas, deltas=deltas,
+                      auxiliary=d, quiddity=cyc.quiddity, perm=perm)
+
+
+def check_plane_roots_reflecting(G: GroupoidGraph) -> CheckReport:
+    """``check_plane_roots`` on ``plane_roots_reflecting``: the cycles are
+    walked by reflecting each object again, not along ``G.edges``."""
+    if G.rank != 3:
+        return CheckReport("plane_roots", SKIP, [], {"reason": "rank 3 only"})
+    witnesses = []
+    pairs = 0
+    for oi, O in enumerate(G.objects):
+        irreducible = is_object_irreducible(O)
+        for i, j in permutations(range(3), 2):
+            pairs += 1
+            try:
+                pr = plane_roots_reflecting(O, i, j)
+            except (MissingRootError, CycleBrokenError) as e:
+                witnesses.append((oi, (i, j), f"{type(e).__name__}: {e}"))
+                continue
+            d = pr.auxiliary
+            if irreducible:
+                m = len(d)
+                for t in range(m):
+                    if d[t] == 0 and d[(t + 1) % m] == 0:
+                        witnesses.append((oi, (i, j), "consecutive zero d", d))
+                        break
+            if pr.n >= 2:
+                c1, d1, d2 = pr.quiddity[0], d[0], d[1]
+                if pr.gammas[2] != (d2, c1 * d2 + d1, 1):
+                    witnesses.append((oi, (i, j), "gamma_2 closed form",
+                                      pr.gammas[2], (d2, c1 * d2 + d1, 1)))
+            if 2 * len(set(pr.gammas)) < pr.n:
+                witnesses.append((oi, (i, j), "too few distinct gammas"))
+    return CheckReport("plane_roots", FAIL if witnesses else PASS, witnesses,
+                       {"pairs": pairs})
 
 
 @lru_cache(maxsize=None)

@@ -3,10 +3,12 @@ from itertools import combinations, permutations
 import pytest
 
 from cryarr import catalog as cat
-from cryarr.groupoid import make_root_object, simple_roots
+from cryarr.groupoid import make_root_object, simple_roots, traverse
 from cryarr.linalg import matrix_rank
 from cryarr.localization import localize, plane_roots, rank2_cycles
 from cryarr.rank2 import is_crystallographic_rank2, quiddity_of
+from oracles import plane_roots_reflecting, rank2_cycles_reflecting
+from test_verifier import closure_corpus
 
 
 def test_localize_a3_plane():
@@ -35,7 +37,7 @@ def test_localize_members_match_bruteforce_span():
 
 def test_rank2_cycles_a3():
     O = cat.root_object_of(cat.get("A3"))
-    cyc = rank2_cycles(O, 0, 1)
+    cyc = rank2_cycles(traverse(O, max_objects=100), 0, 0, 1)
     assert cyc.n == 3
     assert cyc.quiddity == (1, 1, 1, 1, 1, 1)
     assert set(cyc.auxiliary) <= {0, 1}
@@ -47,9 +49,9 @@ def test_rank2_cycles_a3():
 
 def test_cycles_period_and_closure_on_catalog():
     for name in ("A3", "B3", "C3"):
-        O = cat.root_object_of(cat.get(name))
+        G = traverse(cat.root_object_of(cat.get(name)), max_objects=100)
         for i, j in permutations(range(3), 2):
-            cyc = rank2_cycles(O, i, j)
+            cyc = rank2_cycles(G, 0, i, j)
             assert cyc.quiddity[: cyc.n] == cyc.quiddity[cyc.n :]
             assert all(x >= 0 for x in cyc.quiddity + cyc.auxiliary)
 
@@ -64,7 +66,7 @@ def test_cycle_quiddity_matches_slope_sorted_sequence():
         if len(seq) < 3:
             continue
         q = quiddity_of(seq)
-        cyc = rank2_cycles(O, i, j)
+        cyc = rank2_cycles(traverse(O, max_objects=100), 0, i, j)
         doubled = cyc.quiddity + cyc.quiddity
         assert any(
             doubled[t : t + len(q)] == q for t in range(len(cyc.quiddity))
@@ -73,7 +75,7 @@ def test_cycle_quiddity_matches_slope_sorted_sequence():
 
 def test_plane_roots_a3():
     O = cat.root_object_of(cat.get("A3"))
-    pr = plane_roots(O, 0, 1)
+    pr = plane_roots(traverse(O, max_objects=100), 0, 0, 1)
     assert pr.gammas[0] == (0, 0, 1)
     allowed = {(0, 0, 1), (0, 1, 1), (1, 1, 1)}
     assert set(pr.gammas) <= allowed and set(pr.deltas) <= allowed
@@ -81,9 +83,9 @@ def test_plane_roots_a3():
 
 def test_plane_roots_gamma2_closed_form():
     for name in ("A3", "B3", "C3"):
-        O = cat.root_object_of(cat.get(name))
+        G = traverse(cat.root_object_of(cat.get(name)), max_objects=100)
         for i, j in permutations(range(3), 2):
-            pr = plane_roots(O, i, j)
+            pr = plane_roots(G, 0, i, j)
             c1, d1, d2 = pr.quiddity[0], pr.auxiliary[0], pr.auxiliary[1]
             assert pr.gammas[2] == (d2, c1 * d2 + d1, 1)
             assert 2 * len(set(pr.gammas)) >= pr.n
@@ -92,5 +94,20 @@ def test_plane_roots_gamma2_closed_form():
 
 
 def test_rank2_cycles_requires_rank3():
+    G = traverse(make_root_object(2, [(1, 0), (0, 1)]), max_objects=10)
     with pytest.raises(ValueError):
-        rank2_cycles(make_root_object(2, [(1, 0), (0, 1)]), 0, 1)
+        rank2_cycles(G, 0, 0, 1)
+
+
+def test_edge_walk_matches_the_reflecting_walk():
+    # at every object and ordered pair of every closure in the corpus, the
+    # walk along G.edges gives the cycles, the objects and the plane roots
+    # of the walk that reflects every object again
+    for name, G in closure_corpus():
+        if G.rank != 3:
+            continue
+        for oi, O in enumerate(G.objects):
+            for i, j in permutations(range(3), 2):
+                where = (name, oi, i, j)
+                assert rank2_cycles(G, oi, i, j) == rank2_cycles_reflecting(O, i, j), where
+                assert plane_roots(G, oi, i, j) == plane_roots_reflecting(O, i, j), where

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -10,15 +11,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cryarr import catalog as cat
-from cryarr import verifier
-from cryarr.errors import HypothesisFailedError, PreconditionFailedError
+from cryarr import search, verifier
+from cryarr.errors import (
+    ClosureOverflowError,
+    CycleBrokenError,
+    HypothesisFailedError,
+    NotClosedError,
+    PreconditionFailedError,
+)
 from cryarr.groupoid import (
     GroupoidGraph,
+    RootObject,
     make_root_object,
     simple_roots,
+    traverse,
     verify_crystallographic,
 )
 from cryarr.linalg import direction
+from cryarr.localization import plane_roots, rank2_cycles
 from cryarr.verifier import (
     _no_negative_ray,
     all_ok,
@@ -34,11 +44,43 @@ from cryarr.verifier import (
     lemcon_sweep,
     run_all,
 )
-from oracles import convexity_statements_vol3, lemcon_sweep_triple_loop, no_negative_ray_box
+from oracles import (
+    check_plane_roots_reflecting,
+    convexity_statements_vol3,
+    lemcon_sweep_triple_loop,
+    no_negative_ray_box,
+)
+from test_search import _inputs
 
 
 def closure(name):
     return verify_crystallographic(cat.root_set_of(cat.get(name))).graph
+
+
+@lru_cache(maxsize=None)
+def closure_corpus():
+    """(name, closure) for every catalog closure, the five Weyl-restriction
+    closures of the benchmark and every closure that ``traverse`` finishes
+    among the states the cap-9 search walk decides (named by the state)."""
+    out = [(e.name, closure(e.name)) for e in cat.entries() if e.crystallographic]
+    inputs = _inputs()
+    for weyl_type, keep in inputs.RESTRICTIONS:
+        lines = inputs.restriction(inputs.CARTAN[weyl_type], keep)
+        n = len(lines)
+        out.append((f"{weyl_type}-restriction-{''.join(map(str, keep))}",
+                    traverse(make_root_object(3, lines), max_objects=n * (n - 1) + 2)))
+    stack = [tuple(sorted(search.SIMPLES, key=search._key))]
+    while stack:
+        S = stack.pop()
+        if len(S) < 9:
+            stack.extend(search._children(S, 9))
+        n = len(S)
+        try:
+            G = traverse(RootObject(3, frozenset(S)), max_objects=n * (n - 1) + 2)
+        except (NotClosedError, ClosureOverflowError):
+            continue
+        out.append((S, G))
+    return tuple(out)
 
 
 def single_object_graph(rank, roots):
@@ -142,21 +184,21 @@ def test_lemcon_sweep_catalog():
 
 def test_lemcon_sweep_hands_lemcon_only_its_hypotheses(monkeypatch):
     # the sweep itself must keep k >= 2, alpha in R+ and alpha + k*beta in
-    # +-R: _lemcon tests them again and would hide a weaker sweep
+    # +-R: _lemcon does not test them
     seen = []
     fast = verifier._lemcon
 
-    def recording(roots, full, top, alpha, beta, k, min_entry):
-        seen.append((roots, alpha, beta, k))
-        return fast(roots, full, top, alpha, beta, k, min_entry)
+    def recording(full, top, alpha, beta, k, min_entry):
+        seen.append((full, alpha, beta, k))
+        return fast(full, top, alpha, beta, k, min_entry)
 
     monkeypatch.setattr(verifier, "_lemcon", recording)
     for e in cat.entries():
         if e.crystallographic:
             lemcon_sweep(closure(e.name))
     assert seen
-    for roots, alpha, beta, k in seen:
-        signed = set(roots) | {tuple(-x for x in v) for v in roots}
+    for signed, alpha, beta, k in seen:
+        roots = {v for v in signed if min(v) >= 0}
         assert k >= 2, (alpha, beta, k)
         assert alpha in roots, (alpha, beta, k)
         assert tuple(a + k * b for a, b in zip(alpha, beta)) in signed, (alpha, beta, k)
@@ -170,6 +212,33 @@ def test_convexity_statements():
 def test_plane_roots_check():
     for name in ("A3", "B3", "C3"):
         assert check_plane_roots(closure(name)).verdict == "pass"
+
+
+def test_closure_checks_match_their_slow_paths():
+    # the edge walk against the walk that reflects every object again, and
+    # the convexity and sweep kernels against their slow paths, on closures
+    verdicts = set()
+    for name, G in closure_corpus():
+        rep = check_plane_roots(G)
+        assert rep.to_dict() == check_plane_roots_reflecting(G).to_dict(), name
+        verdicts.add(rep.verdict)
+        assert (check_convexity_statements(G).to_dict()
+                == convexity_statements_vol3(G).to_dict()), name
+        assert lemcon_sweep(G).to_dict() == lemcon_sweep_triple_loop(G).to_dict(), name
+    assert {"pass", "fail"} <= verdicts
+
+
+def test_walk_without_its_edges_is_a_broken_cycle():
+    # a graph that is not a closure lacks the walk's edges: a CycleBrokenError
+    # witness, not a KeyError
+    G = single_object_graph(3, cat.get("A3").positive_roots)
+    with pytest.raises(CycleBrokenError):
+        rank2_cycles(G, 0, 0, 1)
+    with pytest.raises(CycleBrokenError):
+        plane_roots(G, 0, 0, 1)
+    rep = check_plane_roots(G)
+    assert rep.verdict == "fail" and len(rep.witnesses) == 6
+    assert all(w[2].startswith("CycleBrokenError") for w in rep.witnesses)
 
 
 def test_run_all_passes_on_catalog():
