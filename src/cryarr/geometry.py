@@ -260,13 +260,15 @@ def chamber_root_basis(R: RootSet, K: Chamber):
     return tuple(out)
 
 
-def cartan_of_chamber(R: RootSet, K: Chamber):
+def cartan_of_chamber(R: RootSet, K: Chamber, neighbours):
     """Cartan matrix of (K, B^K): 2 on the diagonal and, in row i,
-    c_ij = <alpha_j, w> / <alpha_i, w> for the new ray w across wall i."""
+    c_ij = <alpha_j, w> / <alpha_i, w> for the new ray w across wall i,
+    the one ray of ``neighbours[i]``, the chamber across wall i as
+    ``chamber_graph``'s edges name it, that is not a ray of K."""
     basis = chamber_root_basis(R, K)
     rows = []
     for i in range(R.rank):
-        w = adjacent_chamber(R, K, i).rays[i]
+        w = next(v for v in neighbours[i].rays if v not in K.rays)
         coeff = [dot(b, w) for b in basis]
         rows.append(tuple(Fraction(2) if j == i else Fraction(coeff[j]) / coeff[i]
                           for j in range(R.rank)))

@@ -43,6 +43,19 @@ class RootObject:
                     c[i][j] = 0
         return tuple(tuple(row) for row in c)
 
+    @cached_property
+    def planes(self):
+        """The coordinate-plane localizations, built in one pass over the
+        roots: (i, j) -> the sorted roots vanishing off coordinates i and j,
+        for each ordered pair i != j."""
+        table = {pair: [] for pair in permutations(range(self.rank), 2)}
+        for v in sorted(self.positive_roots):
+            support = {t for t, x in enumerate(v) if x}
+            for (i, j), roots in table.items():
+                if support <= {i, j}:
+                    roots.append(v)
+        return {pair: tuple(roots) for pair, roots in table.items()}
+
 
 def simple_roots(rank):
     """The simple roots e_0, ..., e_{rank-1} in root coordinates."""
@@ -161,11 +174,12 @@ def verify_crystallographic(R: RootSet) -> VerifyResult:
     """Simpliciality, integrality of root coordinates at every chamber, and
     termination of the groupoid closure."""
     try:
-        chambers, _ = chamber_graph(R)
+        chambers, edges = chamber_graph(R)
     except NonSimplicialError as e:
         return VerifyResult(False, "non-simplicial", (e.signs, e.ray_count),
                             0, (), None, None)
-    base_cartan = cartan_of_chamber(R, chambers[0])
+    base_cartan = cartan_of_chamber(
+        R, chambers[0], [chambers[edges[0, i]] for i in range(R.rank)])
     base_object = None
     for K in chambers:
         obj, witness = root_object_of_chamber(R, K)

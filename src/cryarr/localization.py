@@ -47,7 +47,7 @@ def rank2_cycles(G: GroupoidGraph, oi, i, j) -> LocalizationCycles:
     if i == j:
         raise ValueError("indices must differ")
     k = 3 - i - j
-    n = len(localize(G.objects[oi].positive_roots, (i, j)))
+    n = len(G.objects[oi].planes[i, j])
     cs, ds, objs = [], [], []
     cur = oi
     for ell in range(1, 2 * n + 1):
@@ -97,7 +97,7 @@ def plane_roots(G: GroupoidGraph, oi, i, j) -> PlaneRoots:
     roots = G.objects[oi].positive_roots
     k = 3 - i - j
     perm = (i, j, k)
-    pairs = slope_sorted([(v[i], v[j]) for v in localize(roots, (i, j))])
+    pairs = slope_sorted([(v[i], v[j]) for v in G.objects[oi].planes[i, j]])
     betas = tuple((v[0], v[1], 0) for v in pairs)
     n = len(betas)
     if betas[0] != (0, 1, 0) or betas[-1] != (1, 0, 0):

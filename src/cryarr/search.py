@@ -65,7 +65,11 @@ heights, so the key-sorted image of P = T without its top level is a
 prefix of the key-sorted image of T, of the same length as the prefix P
 of T; if P were greater than its image, T would be greater than its own.
 So the least state of every class has a least parent, the walk reaches
-it, and each class is decided exactly once.
+it, and each class is decided exactly once.  The same prefix argument
+limits the test of a child T of S to the permutations that fix S: under
+any other one the key-sorted image of S is not S, so, S being least, it
+is greater than S; it is the prefix of T's image of the length of S, so
+T is less than its image.
 
 Reflections.  Let c_ij = -max{k : k*e_i + e_j in T} for i != j, and
 let H be T's top height.  Once (k+1)*e_i + e_j is absent from T and its
@@ -121,7 +125,7 @@ from .groupoid import (
     traverse,
     verify_crystallographic,
 )
-from .linalg import direction, vol
+from .linalg import direction, vol2
 from .localization import localize
 from .rank2 import is_crystallographic_rank2
 from .verifier import VOL2_MAX, all_ok, run_all
@@ -149,7 +153,7 @@ def _close(S, v):
     """The state S + (v,) if the new root v, a sum of two members of the
     valid state S, keeps the Vol_2 rule; None if it prunes.  The cap,
     k <= 7 and root-string rules hold already (see the module docstring)."""
-    if any(vol(2, [u, v]) > VOL2_MAX for u in S):
+    if any(vol2(u, v) > VOL2_MAX for u in S):
         return None
     return S + (v,)
 
@@ -205,11 +209,15 @@ def _representative(G):
                for O in G.objects for perm in permutations(range(3)))
 
 
-def _least(T):
-    """T is at most the key-sorted image of itself under every coordinate
-    permutation."""
-    return all(T <= tuple(sorted((tuple(v[p] for p in perm) for v in T), key=_key))
-               for perm in MOVES)
+def _image(T, perm):
+    """The key-sorted image of T under the coordinate permutation ``perm``."""
+    return tuple(sorted((tuple(v[p] for p in perm) for v in T), key=_key))
+
+
+def _least(T, moves):
+    """T is at most its key-sorted image under each permutation in ``moves``:
+    for a child of a kept state, those that fix the parent suffice."""
+    return all(T <= _image(T, perm) for perm in moves)
 
 
 def _reflections_ok(T):
@@ -229,7 +237,7 @@ def _levels(level, room):
     """Each nonempty subset of ``level`` (a key-sorted tuple of roots of
     one height), in key order, with at most ``room`` members and Vol_2 at
     most ``VOL2_MAX`` on its pairs."""
-    fits = {(a, b): vol(2, [a, b]) <= VOL2_MAX for a, b in combinations(level, 2)}
+    fits = {(a, b): vol2(a, b) <= VOL2_MAX for a, b in combinations(level, 2)}
 
     def extend(L, start):
         for n in range(start, len(level)):
@@ -244,6 +252,7 @@ def _levels(level, room):
 def _children(S, cap):
     """The children of the state S (see the module docstring)."""
     top = sum(S[-1])
+    fixing = [perm for perm in MOVES if _image(S, perm) == S]
     dirs = {direction(u) for u in S}
     sums = {tuple(x + y for x, y in zip(a, b)) for a, b in combinations(S, 2)}
     levels = {}
@@ -253,7 +262,7 @@ def _children(S, cap):
     for height in sorted(levels):
         for L in _levels(tuple(levels[height]), cap - len(S)):
             T = S + L
-            if _least(T) and _reflections_ok(T):
+            if _least(T, fixing) and _reflections_ok(T):
                 yield T
 
 

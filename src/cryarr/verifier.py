@@ -21,8 +21,8 @@ from .groupoid import (
     is_object_irreducible,
     simple_roots,
 )
-from .linalg import vol
-from .localization import localize, plane_roots
+from .linalg import vol2
+from .localization import plane_roots
 
 PASS, FAIL, SKIP = "pass", "fail", "skipped"
 
@@ -97,7 +97,7 @@ def check_b128(G: GroupoidGraph) -> CheckReport:
     witnesses = []
     for oi, O in enumerate(G.objects):
         for i, j in combinations(range(3), 2):
-            n = len(localize(O.positive_roots, (i, j)))
+            n = len(O.planes[i, j])
             hi = max(hi, n)
             if n > 128:
                 witnesses.append((oi, (i, j), n))
@@ -113,7 +113,7 @@ def compute_k0(G: GroupoidGraph, object_index, ordering):
     O = G.objects[object_index]
     i, j, k = ordering
     roots = O.positive_roots
-    if len(localize(roots, (i, j))) < 5:
+    if len(O.planes[i, j]) < 5:
         raise PreconditionFailedError("localization has fewer than 5 positive roots")
     for k0 in range(max(v[i] for v in roots) + 1):
         v = [0, 0, 0]
@@ -200,10 +200,15 @@ def _lemcon(full, top, alpha, beta, k, min_entry):
     """check_lemcon once k >= 2, alpha in R+ and alpha + k*beta in +-R hold,
     given the object's signed roots ``full``, their largest coordinate
     ``top`` and the closure's minimum Cartan entry."""
-    if vol(2, [alpha, beta]) != 1:
+    if vol2(alpha, beta) != 1:
         raise HypothesisFailedError("Vol_2(alpha, beta) = 1")
     if not _no_negative_ray(alpha, beta, top + 1):
         raise HypothesisFailedError("(-N*alpha + Z*beta) misses N_0^r")
+    return _lemcon_conclusion(full, alpha, beta, k, min_entry)
+
+
+def _lemcon_conclusion(full, alpha, beta, k, min_entry):
+    """check_lemcon's conclusion once all five hypotheses hold."""
     witnesses = []
     if beta not in full:
         witnesses.append(("beta not a root", beta))
@@ -224,7 +229,8 @@ def lemcon_sweep(G: GroupoidGraph) -> CheckReport:
     The candidates come from the roots gamma = alpha + k*beta themselves:
     Vol_2(alpha, beta) = 1 makes beta primitive, so k is the gcd of
     d = gamma - alpha and beta = d/k.  Each alpha's candidates are checked
-    in the order (beta, k)."""
+    in the order (beta, k), and only those that meet Vol_2(alpha, beta) = 1
+    and the negative-ray hypothesis reach the conclusion."""
     min_entry = _min_cartan_entry(G)
     witnesses = []
     triples = 0
@@ -242,10 +248,9 @@ def lemcon_sweep(G: GroupoidGraph) -> CheckReport:
                     if beta in full:
                         found.append((beta, k))
             for beta, k in sorted(found):
-                try:
-                    rep = _lemcon(full, top, alpha, beta, k, min_entry)
-                except HypothesisFailedError:
+                if vol2(alpha, beta) != 1 or not _no_negative_ray(alpha, beta, top + 1):
                     continue
+                rep = _lemcon_conclusion(full, alpha, beta, k, min_entry)
                 triples += 1
                 if not rep.ok:
                     witnesses.append((oi, alpha, beta, k, rep.witnesses))
@@ -299,13 +304,7 @@ def check_convexity_statements(G: GroupoidGraph) -> CheckReport:
                     witnesses.append((oi, "b", (g1, g2, a)))
         if is_object_irreducible(O):
             for i in range(3):
-                small = 0
-                for j in range(3):
-                    if j == i:
-                        continue
-                    if len(localize(O.positive_roots, (i, j))) == 2:
-                        small += 1
-                if small == 2:
+                if sum(len(O.planes[i, j]) == 2 for j in range(3) if j != i) == 2:
                     witnesses.append((oi, "c", i))
     return CheckReport("convexity", FAIL if witnesses else PASS, witnesses, {})
 
@@ -316,7 +315,7 @@ def check_vol2_bound(G: GroupoidGraph) -> CheckReport:
     witnesses = []
     for oi, O in enumerate(G.objects):
         for a, b in combinations(sorted(O.positive_roots), 2):
-            v = vol(2, [a, b])
+            v = vol2(a, b)
             hi = max(hi, v)
             if v > VOL2_MAX:
                 witnesses.append((oi, a, b, v))

@@ -65,10 +65,12 @@ def test_make_root_set_scales_to_integers():
 
 def test_example26_chambers_and_cartan():
     R = make_root_set(EX26)
-    assert len(chamber_graph(R)[0]) == 6
+    chambers, edges = chamber_graph(R)
+    assert len(chambers) == 6
     K = initial_chamber(R)
+    assert chambers[0] == K
     assert chamber_root_basis(R, K) == ((1, 0), (0, 1))
-    c = cartan_of_chamber(R, K)
+    c = cartan_of_chamber(R, K, [chambers[edges[0, i]] for i in range(2)])
     assert c == ((2, Fraction(-1, 2)), (-2, 2))
 
 
@@ -237,8 +239,8 @@ def test_is_irreducible():
 
 def test_cartan_integral_on_weyl_base():
     R = cat.root_set_of(cat.get("B3"))
-    K = initial_chamber(R)
-    c = cartan_of_chamber(R, K)
+    chambers, edges = chamber_graph(R)
+    c = cartan_of_chamber(R, chambers[0], [chambers[edges[0, i]] for i in range(3)])
     for row in c:
         for x in row:
             assert x == int(x)

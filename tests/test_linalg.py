@@ -16,6 +16,7 @@ from cryarr.linalg import (
     sign_normalize,
     smith_normal_form,
     vol,
+    vol2,
 )
 from oracles import det_cofactor, kernel_vector_gauss_jordan, snf_divisors_minors
 
@@ -80,6 +81,25 @@ def test_vol_matches_snf_product_and_minor_oracle(case):
     got = vol(m, vectors)
     assert got == prod(smith_normal_form(cols))
     assert got == prod(snf_divisors_minors(cols))
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two integer vectors of one dimension r in 1..5; the second is often
+    zero or a multiple of the first, and the first is sometimes zero."""
+    r = draw(st.integers(1, 5))
+    vectors = st.tuples(*[st.integers(-9, 9)] * r)
+    zero = st.just((0,) * r)
+    a = draw(st.one_of(vectors, zero))
+    multiple = st.integers(-4, 4).map(lambda t: tuple(t * x for x in a))
+    return a, draw(st.one_of(vectors, zero, multiple))
+
+
+@settings(max_examples=500, deadline=None)
+@given(vector_pairs())
+def test_vol2_matches_vol(pair):
+    a, b = pair
+    assert vol2(a, b) == vol(2, [a, b]) == vol2(b, a)
 
 
 @settings(max_examples=300, deadline=None)

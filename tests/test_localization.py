@@ -1,10 +1,12 @@
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryarr import catalog as cat
 from cryarr.groupoid import make_root_object, simple_roots, traverse
-from cryarr.linalg import matrix_rank
+from cryarr.linalg import direction, matrix_rank
 from cryarr.localization import localize, plane_roots, rank2_cycles
 from cryarr.rank2 import is_crystallographic_rank2, quiddity_of
 from oracles import plane_roots_reflecting, rank2_cycles_reflecting
@@ -33,6 +35,37 @@ def test_localize_members_match_bruteforce_span():
             span = [v for v in O.positive_roots
                     if matrix_rank(gens + [v]) == matrix_rank(gens)]
             assert localize(O.positive_roots, (i, j)) == tuple(sorted(span))
+
+
+def test_plane_table_matches_localize_on_the_corpus():
+    for name, G in closure_corpus():
+        for oi, O in enumerate(G.objects):
+            assert len(O.planes) == G.rank * (G.rank - 1), (name, oi)
+            for i, j in permutations(range(G.rank), 2):
+                assert O.planes[i, j] == localize(O.positive_roots, (i, j)), (name, oi, i, j)
+
+
+@st.composite
+def root_objects(draw):
+    """An object of rank 1..4: the simple roots plus up to 12 vectors in
+    {0..3}^r, many of them on a coordinate plane, one per direction."""
+    rank = draw(st.integers(1, 4))
+    entries = st.tuples(*[st.integers(0, 3)] * rank)
+    plane = st.tuples(entries, st.integers(0, rank - 1), st.integers(0, rank - 1)).map(
+        lambda t: tuple(x if k in t[1:] else 0 for k, x in enumerate(t[0])))
+    roots = {}
+    for v in simple_roots(rank) + tuple(draw(st.lists(st.one_of(plane, entries), max_size=12))):
+        if any(v):
+            roots.setdefault(direction(v), v)
+    return make_root_object(rank, roots.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(O=root_objects())
+def test_plane_table_matches_localize(O):
+    assert set(O.planes) == set(permutations(range(O.rank), 2))
+    for (i, j), roots in O.planes.items():
+        assert roots == localize(O.positive_roots, (i, j))
 
 
 def test_rank2_cycles_a3():

@@ -1,6 +1,6 @@
 import importlib.util
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -198,8 +198,16 @@ def root_states(draw):
 @settings(max_examples=500, deadline=None)
 @given(T=root_states())
 def test_permutation_and_reflection_tests_match_their_slow_paths(T):
-    assert search._least(T) == least_permutation_image(T)
+    assert search._least(T, search.MOVES) == least_permutation_image(T)
     assert search._reflections_ok(T) == reflection_rule_ok(T)
+    # T as the child of S, T without its top level: when S is least, the
+    # permutations that fix S decide whether T is
+    top = sum(T[-1])
+    S = tuple(v for v in T if sum(v) < top)
+    if S and least_permutation_image(S):
+        fixing = [perm for perm in list(permutations(range(3)))[1:]
+                  if {tuple(v[p] for p in perm) for v in S} == set(S)]
+        assert search._least(T, fixing) == least_permutation_image(T)
 
 
 def _inputs():

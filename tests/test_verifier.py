@@ -1,9 +1,11 @@
 import ast
 import json
+from collections import Counter
 import os
 import subprocess
 import sys
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cryarr import catalog as cat
-from cryarr import search, verifier
+from cryarr import linalg, localization, search, verifier
 from cryarr.errors import (
     ClosureOverflowError,
     CycleBrokenError,
@@ -19,15 +21,17 @@ from cryarr.errors import (
     NotClosedError,
     PreconditionFailedError,
 )
+from cryarr.geometry import supports_connected
 from cryarr.groupoid import (
     GroupoidGraph,
     RootObject,
+    canonical_form,
     make_root_object,
     simple_roots,
     traverse,
     verify_crystallographic,
 )
-from cryarr.linalg import direction
+from cryarr.linalg import direction, vol
 from cryarr.localization import plane_roots, rank2_cycles
 from cryarr.verifier import (
     _no_negative_ray,
@@ -58,17 +62,41 @@ def closure(name):
 
 
 @lru_cache(maxsize=None)
-def closure_corpus():
-    """(name, closure) for every catalog closure, the five Weyl-restriction
-    closures of the benchmark and every closure that ``traverse`` finishes
-    among the states the cap-9 search walk decides (named by the state)."""
-    out = [(e.name, closure(e.name)) for e in cat.entries() if e.crystallographic]
+def weyl_restriction_closures():
+    """(name, closure) for each canonical form among the irreducible
+    coordinate-triple restrictions of A_n, B_n, C_n, D_n (n = 4..7), F4 and
+    E6-E8, named by the first restriction that gives it.  Restrictions of
+    crystallographic arrangements are crystallographic (Cuntz 2011)."""
     inputs = _inputs()
-    for weyl_type, keep in inputs.RESTRICTIONS:
-        lines = inputs.restriction(inputs.CARTAN[weyl_type], keep)
-        n = len(lines)
-        out.append((f"{weyl_type}-restriction-{''.join(map(str, keep))}",
-                    traverse(make_root_object(3, lines), max_objects=n * (n - 1) + 2)))
+    chain, cartan = inputs._chain, inputs._cartan
+    cartans = []
+    for n in (4, 5, 6, 7):
+        cartans += [(f"A{n}", cartan(n, chain(n))),
+                    (f"B{n}", cartan(n, chain(n), doubles=[(n - 1, n - 2)])),
+                    (f"C{n}", cartan(n, chain(n), doubles=[(n - 2, n - 1)])),
+                    (f"D{n}", cartan(n, chain(n - 1) + [(n - 3, n - 1)]))]
+    cartans += [(name, inputs.CARTAN[name]) for name in ("F4", "E6", "E7", "E8")]
+    out = {}
+    for name, c in cartans:
+        for keep in combinations(range(len(c)), 3):
+            lines = inputs.restriction(c, keep)
+            if not supports_connected(lines, 3):
+                continue
+            n = len(lines)
+            G = traverse(make_root_object(3, lines), max_objects=n * (n - 1) + 2)
+            out.setdefault(canonical_form(G),
+                           (f"{name}-restriction-{''.join(map(str, keep))}", G))
+    return tuple(out.values())
+
+
+@lru_cache(maxsize=None)
+def closure_corpus():
+    """(name, closure) for every catalog closure, the closures of
+    ``weyl_restriction_closures`` and every closure that ``traverse``
+    finishes among the states the cap-9 search walk decides (named by the
+    state)."""
+    out = [(e.name, closure(e.name)) for e in cat.entries() if e.crystallographic]
+    out += weyl_restriction_closures()
     stack = [tuple(sorted(search.SIMPLES, key=search._key))]
     while stack:
         S = stack.pop()
@@ -183,25 +211,29 @@ def test_lemcon_sweep_catalog():
 
 
 def test_lemcon_sweep_hands_lemcon_only_its_hypotheses(monkeypatch):
-    # the sweep itself must keep k >= 2, alpha in R+ and alpha + k*beta in
-    # +-R: _lemcon does not test them
+    # the sweep tests the five hypotheses itself and hands the conclusion
+    # step only the triples that meet them, as many as the triple loop finds
+    closures = [closure(e.name) for e in cat.entries() if e.crystallographic]
+    expected = sum(lemcon_sweep_triple_loop(G).stats["triples_checked"] for G in closures)
     seen = []
-    fast = verifier._lemcon
+    conclusion = verifier._lemcon_conclusion
 
-    def recording(full, top, alpha, beta, k, min_entry):
+    def recording(full, alpha, beta, k, min_entry):
         seen.append((full, alpha, beta, k))
-        return fast(full, top, alpha, beta, k, min_entry)
+        return conclusion(full, alpha, beta, k, min_entry)
 
-    monkeypatch.setattr(verifier, "_lemcon", recording)
-    for e in cat.entries():
-        if e.crystallographic:
-            lemcon_sweep(closure(e.name))
-    assert seen
+    monkeypatch.setattr(verifier, "_lemcon_conclusion", recording)
+    for G in closures:
+        lemcon_sweep(G)
+    assert len(seen) == expected > 0
     for signed, alpha, beta, k in seen:
         roots = {v for v in signed if min(v) >= 0}
+        top = max(max(v) for v in roots)
         assert k >= 2, (alpha, beta, k)
         assert alpha in roots, (alpha, beta, k)
         assert tuple(a + k * b for a, b in zip(alpha, beta)) in signed, (alpha, beta, k)
+        assert vol(2, [alpha, beta]) == 1, (alpha, beta, k)
+        assert no_negative_ray_box(alpha, beta, top + 1), (alpha, beta, k)
 
 
 def test_convexity_statements():
@@ -241,12 +273,58 @@ def test_walk_without_its_edges_is_a_broken_cycle():
     assert all(w[2].startswith("CycleBrokenError") for w in rep.witnesses)
 
 
+def test_run_all_passes_on_every_weyl_restriction():
+    closures = weyl_restriction_closures()
+    sizes = sorted(len(G.objects[0].positive_roots) for _, G in closures)
+    assert sizes == [6, 7, 8, 9, 9, 10, 10, 11, 13, 13, 13, 13, 16, 17, 17, 19, 19]
+    assert sum(len(G.objects) for _, G in closures) == 116
+    for name, G in closures:
+        reports = run_all(G)
+        assert all_ok(reports), (name, [r.check for r in reports if not r.ok])
+
+
 def test_run_all_passes_on_catalog():
     for e in cat.entries():
         if not e.crystallographic:
             continue
         reports = run_all(closure(e.name))
         assert all_ok(reports), [r.check for r in reports if not r.ok]
+
+
+def test_run_all_builds_each_plane_table_once(monkeypatch):
+    # over the catalog and Weyl-restriction closures, built afresh, run_all
+    # computes Vol_2 by vol2 and reads the coordinate planes from each
+    # object's table: no vol or localize call, one table per rank-3 object
+    closures = [closure(e.name) for e in cat.entries() if e.crystallographic]
+    closures += [traverse(RootObject(3, G.objects[0].positive_roots), max_objects=len(G.objects))
+                 for _, G in weyl_restriction_closures()]
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name, fn in (("vol", linalg.vol), ("localize", localization.localize)):
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("cryarr.") and getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
+    builds = Counter()
+    table = RootObject.planes
+
+    def counting_table(O):
+        builds[id(O)] += 1
+        return table.func(O)
+
+    prop = cached_property(counting_table)
+    prop.__set_name__(RootObject, "planes")
+    monkeypatch.setattr(RootObject, "planes", prop)
+    for G in closures:
+        assert all_ok(run_all(G))
+    assert calls == Counter()
+    assert builds == Counter({id(O): 1 for G in closures if G.rank == 3 for O in G.objects})
+    assert len(builds) == 3 + 116
 
 
 def test_reports_are_deterministic_and_serializable():
