@@ -1,9 +1,9 @@
 import ast
 import json
-from collections import Counter
 import os
 import subprocess
 import sys
+from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import combinations
 from pathlib import Path
