@@ -92,19 +92,30 @@ entries of P, which are final in T with the same values, so it fails in
 T.
 
 Each state S that passes the rank-2 plane tests is decided integer-first,
-in root coordinates: the supports of S must be connected, the reflection
-closure of the root object S must finish with at most n(n-1)+2 objects
-(n = |S|), and the statement checks must pass on that closure.  This
-pre-filter drops no arrangement the geometry would accept: a simplicial
-rank-3 arrangement of n planes has at most n(n-1)+2 chambers, so the
-geometric closure of the same base object finishes within that bound too,
-and irreducibility in the base chamber is exactly support connectivity of
-S.  The geometry still decides: each survivor is re-verified from scratch
-by the chamber walk, which must reproduce S as its base object and the
-same closure; neither the pruning nor the pre-filter is trusted for
-soundness.  The root object S is built as it stands, without
-validation: its members are the simple roots and sums of non-negative
-vectors, pairwise non-parallel by (b)."""
+in root coordinates: the supports of S must be connected and the
+reflection closure of the root object S must finish with at most
+n(n-1)+2 objects (n = |S|).  This pre-filter drops no arrangement the
+geometry would accept: a simplicial rank-3 arrangement of n planes has at
+most n(n-1)+2 chambers, so the geometric closure of the same base object
+finishes within that bound too, and irreducibility in the base chamber is
+exactly support connectivity of S.  The geometry then decides: each
+survivor is re-verified from scratch by the chamber walk, which must
+reproduce S as its base object and the same closure; neither the pruning
+nor the pre-filter is trusted for soundness.  The statement checks do not
+filter: the geometry decides without them, and as a filter they could
+only hide a counterexample to the theorems they check.  The root object S
+is built as it stands, without validation: its members are the simple
+roots and sums of non-negative vectors, pairwise non-parallel by (b).
+
+Each closure is verified once.  All objects of one closure belong to one
+arrangement, and the closure of any of its objects has the same objects, so
+a state that is an object of a verified closure, or a coordinate
+permutation of one, has the closure already found up to that permutation
+and adds no form.  The search keeps the key-sorted root tuples of every
+object of every verified closure under the six permutations and does not
+decide a state among them.  A state it does decide that verifies is no
+such object, so its closure is not a permutation of one found before: it
+has a new canonical form, and every form is verified exactly once."""
 
 from __future__ import annotations
 
@@ -128,7 +139,7 @@ from .groupoid import (
 from .linalg import direction, vol2
 from .localization import localize
 from .rank2 import is_crystallographic_rank2
-from .verifier import VOL2_MAX, all_ok, run_all
+from .verifier import VOL2_MAX
 
 SIMPLES = simple_roots(3)
 MOVES = tuple(permutations(range(3)))[1:]   # the permutations other than the identity
@@ -184,8 +195,6 @@ def _verify_candidate(roots):
     try:
         G = traverse(RootObject(3, frozenset(roots)), max_objects=n * (n - 1) + 2)
     except (NotClosedError, ClosureOverflowError):
-        return None
-    if not all_ok(run_all(G)):
         return None
     try:
         R = make_root_set(roots, rank=3)
@@ -274,6 +283,7 @@ def enumerate_rank3(cap, budget=10 ** 7) -> SearchResult:
     if budget < 1:
         raise ValueError("budget must be at least 1")
     found = {}
+    known = set()   # every object of every verified closure, under every permutation
     stack = [iter([tuple(sorted(SIMPLES, key=_key))])]
     states = 0
     exhausted = False
@@ -286,12 +296,12 @@ def enumerate_rank3(cap, budget=10 ** 7) -> SearchResult:
             exhausted = True
             break
         states += 1
-        if _plane_systems_ok(S):
+        if _plane_systems_ok(S) and S not in known:
             G = _verify_candidate(S)
             if G is not None:
-                form = canonical_form(G)
-                if form not in found:
-                    found[form] = _representative(G)
+                found[canonical_form(G)] = _representative(G)
+                known.update(_image(O.positive_roots, perm)
+                             for O in G.objects for perm in permutations(range(3)))
         if len(S) < cap:   # a full state has no children
             stack.append(_children(S, cap))
     forms = tuple(sorted(found))

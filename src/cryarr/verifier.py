@@ -258,6 +258,14 @@ def lemcon_sweep(G: GroupoidGraph) -> CheckReport:
                        {"triples_checked": triples})
 
 
+def _bits(mask):
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def check_convexity_statements(G: GroupoidGraph) -> CheckReport:
     """(a) the only unimodular difference-free positive triple is the simple
     one; (b) a positive root completing two simples to a unimodular triple
@@ -271,26 +279,24 @@ def check_convexity_statements(G: GroupoidGraph) -> CheckReport:
         roots = O.positive_roots
         full = _signed(roots)
         ordered = sorted(roots)
+        # free[t]: bit u set for each later root whose difference with
+        # ordered[t] is not a root
+        free = [sum(1 << u for u in range(t + 1, len(ordered))
+                    if tuple(p - q for p, q in zip(a, ordered[u])) not in full)
+                for t, a in enumerate(ordered)]
         for t, a in enumerate(ordered):
-            for u in range(t + 1, len(ordered)):
+            for u in _bits(free[t]):
                 b = ordered[u]
                 # det(a, b, c) by cofactors along c: c . (a x b)
                 x = a[1] * b[2] - a[2] * b[1]
                 y = a[2] * b[0] - a[0] * b[2]
                 z = a[0] * b[1] - a[1] * b[0]
                 # Vol_2(a, b) = gcd(a x b) divides every det(a, b, c)
-                if gcd(x, y, z) != 1 or tuple(p - q for p, q in zip(a, b)) in full:
+                if gcd(x, y, z) != 1:
                     continue
-                for c in ordered[u + 1:]:
-                    if x * c[0] + y * c[1] + z * c[2] not in (1, -1):
-                        continue
-                    diffs = (
-                        tuple(p - q for p, q in zip(b, c)),
-                        tuple(p - q for p, q in zip(a, c)),
-                    )
-                    if any(d in full for d in diffs):
-                        continue
-                    if {a, b, c} != simples:
+                for w in _bits(free[t] & free[u]):
+                    c = ordered[w]
+                    if x * c[0] + y * c[1] + z * c[2] in (1, -1) and {a, b, c} != simples:
                         witnesses.append((oi, "a", (a, b, c)))
         for g1, g2 in combinations(sorted(simples), 2):
             # Vol_3(g1, g2, a) = |a_k| for the third coordinate k

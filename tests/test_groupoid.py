@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,8 +19,9 @@ from cryarr.groupoid import (
     traverse,
     verify_crystallographic,
 )
-from oracles import verify_fraction_coordinates
+from oracles import permute_object, verify_fraction_coordinates
 from strategies import arrangements
+from test_verifier import closure_corpus
 
 
 def test_make_root_object_validation():
@@ -118,6 +120,22 @@ def test_canonical_form_permutation_invariance():
         perm = rng.sample(range(3), 3)
         permuted = [tuple(v[p] for p in perm) for v in roots]
         assert canonical_form_of_rootset(make_root_set(permuted, rank=3)) == base
+
+
+def test_every_object_and_permutation_closes_to_the_same_form():
+    # the search verifies one state per closure and skips the objects of a
+    # closure it has found, under every coordinate permutation
+    objects = 0
+    for name, G in closure_corpus():
+        form = canonical_form(G)
+        n = len(G.objects)
+        for O in G.objects[1:]:
+            assert canonical_form(traverse(O, max_objects=n)) == form, name
+        for perm in permutations(range(G.rank)):
+            base = permute_object(G.objects[0], perm)
+            assert canonical_form(traverse(base, max_objects=n)) == form, name
+        objects += n
+    assert (len(closure_corpus()), objects) == (66, 370)
 
 
 def test_canonical_form_discriminates():

@@ -11,9 +11,11 @@ from cryarr import catalog as cat
 from cryarr import search
 from cryarr.geometry import chamber_graph, is_irreducible, make_root_set
 from cryarr.groupoid import (
+    RootObject,
     canonical_form,
     canonical_form_of_rootset,
     make_root_object,
+    traverse,
     verify_crystallographic,
 )
 from cryarr.linalg import direction
@@ -88,8 +90,11 @@ def test_cap6_finds_exactly_a3():
     assert result.canonical_forms == (a3,)
 
 
-def test_cap6_output_is_sound():
-    result = enumerate_rank3(6)
+@pytest.mark.parametrize("cap", [6, 7, 8, 9, 10])
+def test_search_output_is_sound(cap):
+    # the statement checks filter no search state: they must pass on every
+    # emitted closure, or a theorem they check has a counterexample
+    result = search_at(cap)
     for roots in result.arrangements:
         res = verify_crystallographic(make_root_set(roots, rank=3))
         assert res.ok and all_ok(run_all(res.graph))
@@ -268,23 +273,67 @@ def test_closure_bound_covers_every_chamber_count():
         assert len(chamber_graph(R)[0]) <= n * (n - 1) + 2
 
 
-def test_verify_candidate_agrees_with_geometric_oracle(monkeypatch):
-    seen = []
-    fast = search._verify_candidate
+def _decisions(cap, monkeypatch):
+    """The search at ``cap``, the states that pass the plane tests and the
+    (state, closure or None) of each ``_verify_candidate`` call."""
+    passed, verified = [], []
+    plane, fast = search._plane_systems_ok, search._verify_candidate
 
-    def recording(roots):
+    def planes(roots):
+        ok = plane(roots)
+        if ok:
+            passed.append(roots)
+        return ok
+
+    def verifying(roots):
         G = fast(roots)
-        seen.append((roots, G))
+        verified.append((roots, G))
         return G
 
-    monkeypatch.setattr(search, "_verify_candidate", recording)
-    result = enumerate_rank3(7)
-    assert len(seen) == 41
+    monkeypatch.setattr(search, "_plane_systems_ok", planes)
+    monkeypatch.setattr(search, "_verify_candidate", verifying)
+    return enumerate_rank3(cap), passed, verified
+
+
+def test_verify_candidate_agrees_with_geometric_oracle(monkeypatch):
+    result, passed, verified = _decisions(7, monkeypatch)
+    # every state of the cap-7 walk passes the plane tests
+    assert (result.states_visited, len(passed), len(verified)) == (41, 41, 40)
+    closures = dict(verified)
     hits = 0
-    for roots, G in seen:
+    for roots in passed:
         expected = verify_candidate_geometric(roots)
-        assert (G is None) == (expected is None), sorted(roots)
-        if G is not None:
-            assert G == expected
-            hits += 1
-    assert result.emitted == 2 and hits >= 2
+        if roots in closures:
+            G = closures[roots]
+            assert (G is None) == (expected is None), sorted(roots)
+            assert G is None or G == expected
+            hits += G is not None
+        else:   # skipped: an object of a closure already found
+            assert expected is not None, sorted(roots)
+            assert canonical_form(expected) in result.canonical_forms
+    assert hits == result.emitted == 2
+
+
+@pytest.mark.parametrize("cap, skipped", [(7, 1), (8, 3), (9, 3), (10, 10)])
+def test_each_closure_is_verified_once(cap, skipped, monkeypatch):
+    result, passed, verified = _decisions(cap, monkeypatch)
+    assert sum(G is not None for _, G in verified) == result.emitted
+    decided = {roots for roots, _ in verified}
+    rest = [roots for roots in passed if roots not in decided]
+    assert len(rest) == skipped
+    for roots in rest:
+        G = verify_candidate_geometric(roots)
+        assert G is not None and canonical_form(G) in result.canonical_forms, roots
+
+
+def test_contiguity_counterexample():
+    # a root of height 7 that exceeds no positive root by a simple root:
+    # the search may not branch only at height top + 1 (ROADMAP item 1)
+    roots = SIMPLES + ((1, 1, 0), (0, 1, 1), (1, 1, 1), (1, 2, 1), (1, 2, 2),
+                       (2, 2, 1), (2, 3, 2))
+    G = traverse(RootObject(3, frozenset(roots)), max_objects=10 * 9 + 2)
+    assert len(G.objects) == 5 and all_ok(run_all(G))
+    res = verify_crystallographic(make_root_set(roots, rank=3))
+    assert res.ok and res.graph == G
+    for e in SIMPLES:
+        assert tuple(x - y for x, y in zip((2, 3, 2), e)) not in roots
