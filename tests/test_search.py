@@ -314,8 +314,9 @@ def test_verify_candidate_agrees_with_geometric_oracle(monkeypatch):
     assert hits == result.emitted == 2
 
 
-@pytest.mark.parametrize("cap, skipped", [(7, 1), (8, 3), (9, 3), (10, 10)])
+@pytest.mark.parametrize("cap, skipped", [(8, 3), (9, 3), (10, 10)])
 def test_each_closure_is_verified_once(cap, skipped, monkeypatch):
+    # cap 7 (one state skipped) is checked state by state above
     result, passed, verified = _decisions(cap, monkeypatch)
     assert sum(G is not None for _, G in verified) == result.emitted
     decided = {roots for roots, _ in verified}
@@ -327,8 +328,9 @@ def test_each_closure_is_verified_once(cap, skipped, monkeypatch):
 
 
 def test_contiguity_counterexample():
-    # a root of height 7 that exceeds no positive root by a simple root:
-    # the search may not branch only at height top + 1 (ROADMAP item 1)
+    # a crystallographic object with a root of height 7 that exceeds no
+    # positive root by a simple root, and no root of height 6: the search
+    # may not branch only at height top + 1
     roots = SIMPLES + ((1, 1, 0), (0, 1, 1), (1, 1, 1), (1, 2, 1), (1, 2, 2),
                        (2, 2, 1), (2, 3, 2))
     G = traverse(RootObject(3, frozenset(roots)), max_objects=10 * 9 + 2)
