@@ -228,9 +228,16 @@ def lemcon_sweep(G: GroupoidGraph) -> CheckReport:
 
     The candidates come from the roots gamma = alpha + k*beta themselves:
     Vol_2(alpha, beta) = 1 makes beta primitive, so k is the gcd of
-    d = gamma - alpha and beta = d/k.  Each alpha's candidates are checked
-    in the order (beta, k), and only those that meet Vol_2(alpha, beta) = 1
-    and the negative-ray hypothesis reach the conclusion."""
+    d = gamma - alpha and beta = d/k.  Only positive gamma can pass: for
+    gamma in -R+, -beta >= alpha/k is >= 1 where alpha > 0, so a = 1,
+    b = -max ceil(alpha_i / -beta_i) >= -top is a point of the
+    ``_no_negative_ray`` box (bound top + 1) in N_0^r.  Each unordered pair
+    {alpha, gamma} of positive roots gives alpha (beta, k) and gamma
+    (-beta, k); Vol_2(gamma, -beta) = Vol_2(alpha, beta), so one test
+    serves both.  Each alpha's candidates are checked in the order
+    (beta, k), and only those meeting the negative ray reach the conclusion.
+    The sweep tries only beta in +-R, so it never tests "beta is a root";
+    testing it means dropping the ``beta in full`` filter of the pair walk."""
     min_entry = _min_cartan_entry(G)
     witnesses = []
     triples = 0
@@ -238,17 +245,18 @@ def lemcon_sweep(G: GroupoidGraph) -> CheckReport:
         roots = O.positive_roots
         full = _signed(roots)
         top = max(max(v) for v in roots)
+        found = {alpha: [] for alpha in roots}
+        for alpha, gamma in combinations(roots, 2):
+            d = [g - a for g, a in zip(gamma, alpha)]
+            k = gcd(*d)
+            if k >= 2:
+                beta = tuple(x // k for x in d)
+                if beta in full and vol2(alpha, beta) == 1:
+                    found[alpha].append((beta, k))
+                    found[gamma].append((tuple(-x for x in beta), k))
         for alpha in roots:
-            found = []
-            for gamma in full:
-                d = [g - a for g, a in zip(gamma, alpha)]
-                k = gcd(*d)
-                if k >= 2:
-                    beta = tuple(x // k for x in d)
-                    if beta in full:
-                        found.append((beta, k))
-            for beta, k in sorted(found):
-                if vol2(alpha, beta) != 1 or not _no_negative_ray(alpha, beta, top + 1):
+            for beta, k in sorted(found[alpha]):
+                if not _no_negative_ray(alpha, beta, top + 1):
                     continue
                 rep = _lemcon_conclusion(full, alpha, beta, k, min_entry)
                 triples += 1

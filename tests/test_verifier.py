@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from cryarr.errors import (
     NotClosedError,
     PreconditionFailedError,
 )
-from cryarr.geometry import supports_connected
+from cryarr.geometry import make_root_set, supports_connected
 from cryarr.groupoid import (
     GroupoidGraph,
     RootObject,
@@ -283,6 +284,15 @@ def test_run_all_passes_on_every_weyl_restriction():
         assert all_ok(reports), (name, [r.check for r in reports if not r.ok])
 
 
+def test_every_weyl_restriction_verifies_to_its_closure():
+    # the geometric path reproduces each restriction's integer closure
+    for name, G in weyl_restriction_closures():
+        res = verify_crystallographic(make_root_set(sorted(G.objects[0].positive_roots), rank=3))
+        assert res.ok, (name, res.reason)
+        assert res.base_object.positive_roots == G.objects[0].positive_roots, name
+        assert canonical_form(res.graph) == canonical_form(G), name
+
+
 def test_run_all_passes_on_catalog():
     for e in cat.entries():
         if not e.crystallographic:
@@ -345,11 +355,11 @@ def test_pigeonhole():
 
 
 @st.composite
-def single_object_graphs(draw):
-    """A rank-2 or rank-3 object: the simple roots plus up to 12 random
-    vectors in {0..4}^r, one per direction.  Most are not root systems, so
-    failing reports with many witnesses are common."""
-    rank = draw(st.sampled_from([2, 3]))
+def single_object_graphs(draw, ranks=(2, 3)):
+    """An object of one of the ``ranks``: the simple roots plus up to 12
+    random vectors in {0..4}^r, one per direction.  Most are not root
+    systems, so failing reports with many witnesses are common."""
+    rank = draw(st.sampled_from(ranks))
     extra = draw(st.lists(st.tuples(*[st.integers(0, 4)] * rank), max_size=12))
     roots = {}
     for v in simple_roots(rank) + tuple(extra):
@@ -364,6 +374,47 @@ def test_sweep_and_convexity_match_their_slow_paths(G):
     assert lemcon_sweep(G).to_dict() == lemcon_sweep_triple_loop(G).to_dict()
     assert (check_convexity_statements(G).to_dict()
             == convexity_statements_vol3(G).to_dict())
+
+
+@settings(max_examples=300, deadline=None)
+@given(G=single_object_graphs(ranks=(1, 2, 3, 4)))
+def test_sweep_matches_the_triple_loop_in_every_rank(G):
+    assert lemcon_sweep(G).to_dict() == lemcon_sweep_triple_loop(G).to_dict()
+
+
+def negative_gamma_candidates(G):
+    """(alpha, beta, top) for every alpha in R+ and gamma in -R+ of an object
+    with k = gcd(gamma - alpha) >= 2 and beta = (gamma - alpha)/k in +-R,
+    where top is the object's largest coordinate."""
+    for O in G.objects:
+        roots = O.positive_roots
+        full = verifier._signed(roots)
+        top = max(max(v) for v in roots)
+        for alpha in roots:
+            for gamma in roots:
+                d = [-g - a for g, a in zip(gamma, alpha)]
+                k = gcd(*d)
+                beta = tuple(x // k for x in d)
+                if k >= 2 and beta in full:
+                    yield alpha, beta, top
+
+
+def test_negative_gamma_candidates_meet_a_negative_ray_on_closures():
+    # the sweep walks only positive gamma: every candidate from a negative
+    # gamma has a point of -N*alpha + Z*beta in N_0^r inside the box
+    count = 0
+    for name, G in closure_corpus():
+        for alpha, beta, top in negative_gamma_candidates(G):
+            assert not _no_negative_ray(alpha, beta, top + 1), (name, alpha, beta)
+            count += 1
+    assert count > 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(G=single_object_graphs())
+def test_negative_gamma_candidates_meet_a_negative_ray(G):
+    for alpha, beta, top in negative_gamma_candidates(G):
+        assert not _no_negative_ray(alpha, beta, top + 1), (alpha, beta)
 
 
 @settings(max_examples=1000, deadline=None)
