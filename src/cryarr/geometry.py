@@ -94,11 +94,11 @@ def make_root_set(covectors, rank=None) -> RootSet:
             raise ValueError(f"parallel roots {_show(seen[key])} and {_show(pos)}")
         seen[key] = pos
     positives = sorted(seen.values())
+    d = lcm(*(x.denominator for cov in positives for x in cov))
+    positives = tuple(tuple(int(x * d) for x in cov) for cov in positives)
     if matrix_rank(positives) != r:
         raise ValueError("roots do not span the dual space")
-    d = lcm(*(x.denominator for cov in positives for x in cov))
-    return RootSet(rank=r, positives=tuple(tuple(int(x * d) for x in cov)
-                                           for cov in positives), denominator=d)
+    return RootSet(rank=r, positives=positives, denominator=d)
 
 
 @dataclass(frozen=True)

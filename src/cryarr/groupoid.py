@@ -147,10 +147,15 @@ class VerifyResult:
 
 def root_object_of_chamber(R: RootSet, K):
     """Root coordinates of all covectors in the chamber's wall-root basis:
-    x_i = <cov, ray_i> / <b_i, ray_i> for the signed wall roots b_i, with
-    <b_i, ray_i> = K.signs[w_i] * <cov_{w_i}, ray_i> at wall w_i; every
-    value is read from the ray table.  The failure witness is (chamber
-    signs, covector, coordinates) in the document's own scale, as Fractions.
+    x_i = <cov, ray_i> / s_i with s_i = <b_i, ray_i> = K.signs[w_i] *
+    <cov_{w_i}, ray_i> for the signed wall root b_i at wall w_i; every value
+    is read from the ray table.  The failure witness is (chamber signs,
+    the first covector with a non-integral coordinate, its coordinates) in
+    the document's own scale, as Fractions.
+
+    ``verify_crystallographic`` calls this once: at the base chamber on
+    success, or at the first chamber whose columns are not all integral,
+    so the witness is that of a walk that built every chamber's object.
 
     The root object needs no validation: no coordinate vector is zero,
     because the rays form a basis; no two roots are parallel, because the
@@ -172,7 +177,16 @@ def root_object_of_chamber(R: RootSet, K):
 
 def verify_crystallographic(R: RootSet) -> VerifyResult:
     """Simpliciality, integrality of root coordinates at every chamber, and
-    termination of the groupoid closure."""
+    termination of the groupoid closure.
+
+    Coordinate i of every root at chamber K is <cov, ray_i> / s_i (see
+    ``root_object_of_chamber``).  The column of values <cov, ray_i> depends
+    on the ray alone, so whether column i is integral depends only on the
+    pair (ray_i, s_i), and a pair that passed at one chamber passes at
+    every other.  The chambers are walked in ``chamber_graph`` order, each
+    new pair tested once; the first chamber with a failing pair is the
+    first chamber with a non-integral coordinate, and its object gives the
+    witness."""
     try:
         chambers, edges = chamber_graph(R)
     except NonSimplicialError as e:
@@ -180,14 +194,18 @@ def verify_crystallographic(R: RootSet) -> VerifyResult:
                             0, (), None, None)
     base_cartan = cartan_of_chamber(
         R, chambers[0], [chambers[edges[0, i]] for i in range(R.rank)])
-    base_object = None
+    passed = set()
     for K in chambers:
-        obj, witness = root_object_of_chamber(R, K)
-        if obj is None:
-            return VerifyResult(False, "non-integral root coordinates", witness,
-                                len(chambers), base_cartan, None, None)
-        if base_object is None:
-            base_object = obj
+        for v, w in zip(K.rays, K.walls):
+            values = ray_values(R, v)
+            column = (v, K.signs[w] * values[w])
+            if column not in passed:
+                if any(x % column[1] for x in values):
+                    return VerifyResult(False, "non-integral root coordinates",
+                                        root_object_of_chamber(R, K)[1], len(chambers),
+                                        base_cartan, None, None)
+                passed.add(column)
+    base_object, _ = root_object_of_chamber(R, chambers[0])
     try:
         graph = traverse(base_object, max_objects=len(chambers))
     except NotClosedError as e:
@@ -206,16 +224,19 @@ def canonical_form(G: GroupoidGraph) -> bytes:
 
     Minimum over all simple-root relabellings of the serialization
     "r;obj;obj;...", objects sorted, roots within an object joined by "|",
-    coordinates by ",".  Equal forms characterize equivalent arrangements."""
+    coordinates by ",".  Equal forms characterize equivalent arrangements.
+    The objects of a closure share most of their roots, so each distinct
+    root is permuted and rendered once per relabelling."""
     r = G.rank
     best = None
     object_sets = [O.positive_roots for O in G.objects]
+    all_roots = frozenset().union(*object_sets)
     for perm in permutations(range(r)):
-        rendered = []
-        for roots in object_sets:
-            items = sorted(tuple(v[p] for p in perm) for v in roots)
-            rendered.append("|".join(",".join(str(x) for x in v) for v in items))
-        s = str(r) + ";" + ";".join(sorted(set(rendered)))
+        image = {v: tuple(v[p] for p in perm) for v in all_roots}
+        text = {v: ",".join(map(str, w)) for v, w in image.items()}
+        rendered = {"|".join(text[v] for v in sorted(roots, key=image.__getitem__))
+                    for roots in object_sets}
+        s = str(r) + ";" + ";".join(sorted(rendered))
         if best is None or s < best:
             best = s
     return best.encode("utf-8")

@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 from .errors import SingularMatrixError
 
@@ -22,7 +23,7 @@ def dot(u, v):
     """Exact scalar product; entries may mix int and Fraction."""
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_neg(u):
@@ -59,26 +60,22 @@ def direction(vec):
 
 
 def matrix_rank(rows) -> int:
-    """Rank over the rationals by Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
+    """Rank of an integer matrix by fraction-free elimination: a row below
+    the pivot row p becomes p[c] * row - row[c] * p, divided by its gcd."""
+    m = [list(row) for row in rows]
     rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][c]
-        m[rank] = [x / pv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        p = m[rank]
+        for i in range(rank + 1, len(m)):
+            if m[i][c]:
+                row = [p[c] * a - m[i][c] * b for a, b in zip(m[i], p)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         rank += 1
-        if rank == len(m):
-            break
     return rank
 
 
@@ -103,17 +100,21 @@ def invert(matrix):
 
 def kernel_vector(rows, dim):
     """Primitive integer generator of the kernel of ``dim - 1`` integer
-    covectors: their signed maximal minors (a generalised cross product)
-    divided by their gcd.  None if there are fewer rows or they are
-    dependent."""
+    covectors: their signed maximal minors (a generalised cross product,
+    in dim 3 the cross product itself) divided by their gcd.  None if there
+    are fewer rows or they are dependent."""
     if len(rows) > dim - 1:
         raise ValueError("kernel_vector takes at most dim - 1 rows")
     if len(rows) < dim - 1:
         return None
     if dim == 1:
         return (1,)
-    cols = list(zip(*rows))
-    vec = [(-1) ** j * _det(cols[:j] + cols[j + 1:]) for j in range(dim)]
+    if dim == 3:
+        (a0, a1, a2), (b0, b1, b2) = rows
+        vec = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    else:
+        cols = list(zip(*rows))
+        vec = [(-1) ** j * _det(cols[:j] + cols[j + 1:]) for j in range(dim)]
     g = gcd(*vec)
     if g == 0:
         return None

@@ -6,7 +6,7 @@ enumeration with Fourier-Motzkin feasibility, determinants from cofactor
 expansion, elementary divisors from gcds of minors, Catalan numbers
 from the binomial closed form, and the simpliciality and chamber count of
 a rank-3 arrangement from its intersection points (Melchior, Zaslavsky).
-Fourteen references are the exception, each kept as the slow path that a
+Eighteen references are the exception, each kept as the slow path that a
 faster one replaced: ``verify_candidate_geometric`` (the geometric
 pipeline alone, for the search's integer-first filter),
 ``kernel_vector_gauss_jordan`` (the Fraction elimination, for the integer
@@ -26,7 +26,14 @@ scan for the rays per wall crossing, for the one-scan crossing),
 the walk that builds each chamber once), and ``rank2_cycles_reflecting``,
 ``plane_roots_reflecting`` and ``check_plane_roots_reflecting`` (every
 chamber of a localization walk built again by ``reflect_object`` on a
-coordinate-permuted copy, for the walk along the closure's edges).
+coordinate-permuted copy, for the walk along the closure's edges),
+``verify_every_chamber`` (a root object built at every chamber, for the
+test of each distinct column once), ``kernel_vector_minors`` (the signed
+maximal minors in every dimension, for the rank-3 cross product),
+``canonical_form_every_object`` (every object rendered in full under each
+relabelling, for the rendering of each distinct root once) and
+``matrix_rank_fractions`` (Gauss-Jordan over the rationals, for the
+fraction-free elimination).
 ``rays_for_signs_scan``, which the two rescans use, reads the signs of
 the rays from exact products of its own, not from the package's ray
 table.
@@ -50,6 +57,7 @@ from cryarr.geometry import (
     RootSet,
     _walls_for_rays,
     adjacent_chamber,
+    cartan_of_chamber,
     chamber_graph,
     initial_chamber,
     is_irreducible,
@@ -58,11 +66,13 @@ from cryarr.geometry import (
 from cryarr.groupoid import (
     GroupoidGraph,
     RootObject,
+    VerifyResult,
     canonical_form,
     is_object_irreducible,
     make_root_object,
     reflect_object,
     reflect_vector,
+    root_object_of_chamber,
     simple_roots,
     traverse,
     verify_crystallographic,
@@ -223,6 +233,85 @@ def kernel_vector_gauss_jordan(rows, dim):
     for row_idx, c in enumerate(pivots):
         vec[c] = -m[row_idx][free[0]]
     return clear_denominators(vec)
+
+
+def kernel_vector_minors(rows, dim):
+    """``linalg.kernel_vector`` by its signed maximal minors in every
+    dimension: entry j is (-1)^j times the determinant of the rows with
+    column j left out, divided by the gcd of the entries."""
+    if len(rows) != dim - 1:
+        return None
+    if dim == 1:
+        return (1,)
+    vec = [(-1) ** j * det_cofactor([row[:j] + row[j + 1:] for row in map(list, rows)])
+           for j in range(dim)]
+    g = gcd(*vec)
+    return tuple(x // g for x in vec) if g else None
+
+
+def matrix_rank_fractions(rows):
+    """Rank over the rationals by Gauss-Jordan elimination in Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        m[rank] = [x / m[rank][c] for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def verify_every_chamber(R: RootSet) -> VerifyResult:
+    """``verify_crystallographic`` building the root object of every
+    chamber, in ``chamber_graph`` order, until one is not integral."""
+    try:
+        chambers, edges = chamber_graph(R)
+    except NonSimplicialError as e:
+        return VerifyResult(False, "non-simplicial", (e.signs, e.ray_count),
+                            0, (), None, None)
+    base_cartan = cartan_of_chamber(
+        R, chambers[0], [chambers[edges[0, i]] for i in range(R.rank)])
+    base_object = None
+    for K in chambers:
+        obj, witness = root_object_of_chamber(R, K)
+        if obj is None:
+            return VerifyResult(False, "non-integral root coordinates", witness,
+                                len(chambers), base_cartan, None, None)
+        if base_object is None:
+            base_object = obj
+    try:
+        graph = traverse(base_object, max_objects=len(chambers))
+    except NotClosedError as e:
+        return VerifyResult(False, "reflection image not sign-coherent",
+                            (e.root, e.image), len(chambers), base_cartan,
+                            base_object, None)
+    except ClosureOverflowError as e:
+        return VerifyResult(False, "closure exceeds chamber count", str(e),
+                            len(chambers), base_cartan, base_object, None)
+    return VerifyResult(True, "", None, len(chambers), base_cartan,
+                        base_object, graph)
+
+
+def canonical_form_every_object(G: GroupoidGraph) -> bytes:
+    """``canonical_form`` rendering every object in full under each
+    relabelling, shared roots again for each object."""
+    r = G.rank
+    best = None
+    for perm in permutations(range(r)):
+        rendered = []
+        for O in G.objects:
+            items = sorted(tuple(v[p] for p in perm) for v in O.positive_roots)
+            rendered.append("|".join(",".join(str(x) for x in v) for v in items))
+        s = str(r) + ";" + ";".join(sorted(set(rendered)))
+        if best is None or s < best:
+            best = s
+    return best.encode("utf-8")
 
 
 def scaled_ray_coordinates(basis, rays, covector):

@@ -31,3 +31,18 @@ def arrangements(draw, rank):
     extra = draw(st.lists(st.tuples(*[st.sampled_from(SMALL)] * rank), max_size=2))
     covectors = [tuple(s * x for x in v) for v, s in zip(roots, scales)] + extra
     return [[written(x) for x in cov] for cov in covectors]
+
+
+@st.composite
+def rescaled_roots(draw, rank):
+    """The positive roots of a catalog arrangement of the given rank, or at
+    least ``rank`` of them, each multiplied by 1, -1, 2 or 3.  A root scaled
+    against the others has non-integral coordinates at some chamber, often
+    not at the first."""
+    entry = draw(st.sampled_from([e for e in cat.entries() if e.rank == rank]))
+    roots = list(entry.positive_roots)
+    if draw(st.booleans()):
+        roots = draw(st.lists(st.sampled_from(roots), min_size=rank, unique=True))
+    scales = draw(st.lists(st.sampled_from((1, 1, -1, 2, 3)), min_size=len(roots),
+                           max_size=len(roots)))
+    return [tuple(k * x for x in v) for v, k in zip(roots, scales)]

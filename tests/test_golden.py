@@ -1,6 +1,7 @@
 """Byte-identity of the CLI answers against files pinned in tests/golden/.
 
-The verify report of every catalog entry, the ``run_all`` reports of the
+The verify report of every catalog entry and of the arrangements of
+``arrangement_documents``, the ``run_all`` reports of the
 Weyl-restriction closures of the benchmark (several objects each) and the
 search output at caps 6 and 9 must not change under refactoring.  The search's ``states_visited``
 is left out: a symmetry reduction may legitimately change how many states
@@ -28,8 +29,28 @@ NAMES = [e.name for e in cat.entries()]
 
 
 def verify_stdout(name, workdir):
-    path = Path(workdir) / f"{name}.json"
-    path.write_text(json.dumps(document_of(cat.get(name))))
+    return document_stdout(document_of(cat.get(name)), workdir)
+
+
+def arrangement_documents():
+    """Verify documents built from Cartan matrices, as the benchmark builds
+    them: A3 with (1,1,1) replaced by (2,2,2), which first fails
+    integrality at chamber 4 of 24, the 49-line box, a non-simplicial
+    reject, and the five Weyl restrictions of the benchmark."""
+    inputs = _inputs()
+    a3 = [(2, 2, 2) if v == (1, 1, 1) else v
+          for v in inputs.positive_roots(inputs.CARTAN["A3"])]
+    docs = {"A3-222": a3, "box-49": inputs.box_lines()}
+    for weyl_type, keep in inputs.RESTRICTIONS:
+        docs[f"{weyl_type}-restriction-{''.join(map(str, keep))}"] = inputs.restriction(
+            inputs.CARTAN[weyl_type], keep)
+    return {name: {"rank": 3, "name": name, "roots": [list(v) for v in roots]}
+            for name, roots in docs.items()}
+
+
+def document_stdout(doc, workdir):
+    path = Path(workdir) / f"{doc['name']}.json"
+    path.write_text(json.dumps(doc))
     buf = io.StringIO()
     with redirect_stdout(buf):
         main(["verify", str(path)])
@@ -68,6 +89,12 @@ def test_verify_report_is_pinned(name, tmp_path):
     assert verify_stdout(name, tmp_path) == expected
 
 
+@pytest.mark.parametrize("name", list(arrangement_documents()))
+def test_arrangement_verify_report_is_pinned(name, tmp_path):
+    expected = (GOLDEN / f"verify_{name}.json").read_text(encoding="utf-8")
+    assert document_stdout(arrangement_documents()[name], tmp_path) == expected
+
+
 def test_run_all_restriction_reports_are_pinned():
     expected = (GOLDEN / "run_all_restrictions.json").read_text(encoding="utf-8")
     assert restriction_reports() == expected
@@ -91,6 +118,9 @@ if __name__ == "__main__":
         for name in NAMES:
             (GOLDEN / f"verify_{name}.json").write_text(
                 verify_stdout(name, tmp), encoding="utf-8")
+        for name, doc in arrangement_documents().items():
+            (GOLDEN / f"verify_{name}.json").write_text(
+                document_stdout(doc, tmp), encoding="utf-8")
         (GOLDEN / "run_all_restrictions.json").write_text(
             restriction_reports(), encoding="utf-8")
         for cap in (6, 9):

@@ -6,10 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cryarr import catalog as cat
-from cryarr import geometry
+from cryarr import geometry, groupoid
 from cryarr.errors import ClosureOverflowError, NotClosedError
-from cryarr.geometry import cartan_of_chamber, chamber_graph, make_root_set
+from cryarr.geometry import cartan_of_chamber, chamber_graph, make_root_set, ray_values
 from cryarr.groupoid import (
+    GroupoidGraph,
+    RootObject,
     canonical_form,
     canonical_form_of_rootset,
     is_object_irreducible,
@@ -19,8 +21,14 @@ from cryarr.groupoid import (
     traverse,
     verify_crystallographic,
 )
-from oracles import permute_object, verify_fraction_coordinates
-from strategies import arrangements
+from cryarr.rank2 import enumerate_esequences
+from oracles import (
+    canonical_form_every_object,
+    permute_object,
+    verify_every_chamber,
+    verify_fraction_coordinates,
+)
+from strategies import arrangements, rescaled_roots
 from test_verifier import closure_corpus
 
 
@@ -201,3 +209,96 @@ def test_verify_matches_fraction_coordinate_oracle(case):
     assert (res.reason, res.chamber_count, res.base_object) == (reason, chambers, base)
     assert repr(res.base_cartan) == repr(cartan)
     assert repr(res.witness) == repr(witness)
+
+
+def assert_same_verify_result(R):
+    res = verify_crystallographic(R)
+    expected = verify_every_chamber(R)
+    assert res == expected
+    assert repr(res.witness) == repr(expected.witness)
+    return res
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from((2, 3, 4)).flatmap(lambda r: st.tuples(st.just(r), rescaled_roots(r))))
+def test_verify_matches_every_chamber_oracle(case):
+    rank, roots = case
+    try:
+        R = make_root_set(roots, rank=rank)
+    except ValueError:
+        assume(False)
+    assert_same_verify_result(R)
+
+
+@pytest.mark.parametrize("name, old, new, first", [
+    ("A3", (1, 1, 1), (2, 2, 2), 4), ("A2", (1, 1), (2, 2), 1)])
+def test_first_non_integral_chamber_after_the_base(name, old, new, first):
+    # a column that passes at the base chamber fails at a later one, and the
+    # witness is that chamber's, as when every chamber's object was built
+    roots = [new if v == old else v for v in cat.get(name).positive_roots]
+    R = make_root_set(roots)
+    res = assert_same_verify_result(R)
+    chambers, _ = chamber_graph(R)
+    assert res.reason == "non-integral root coordinates"
+    assert [K.signs for K in chambers].index(res.witness[0]) == first
+    assert root_object_of_chamber(R, chambers[0])[0] is not None
+
+
+@pytest.mark.parametrize("roots, reason", [
+    (cat.get("A3").positive_roots, ""),
+    (cat.get("D4").positive_roots, ""),
+    ([(2, 2, 2) if v == (1, 1, 1) else v for v in cat.get("A3").positive_roots],
+     "non-integral root coordinates"),
+    (cat.get("noncrystallographic-2.6").positive_roots, "non-integral root coordinates")])
+def test_verify_builds_one_root_object(roots, reason, monkeypatch):
+    # the column test needs no root object; one is built for the base
+    # object on success or for the witness on a non-integral reject
+    calls = []
+    build = groupoid.root_object_of_chamber
+
+    def counting(R, K):
+        calls.append(K)
+        return build(R, K)
+
+    monkeypatch.setattr(groupoid, "root_object_of_chamber", counting)
+    assert verify_crystallographic(make_root_set(roots)).reason == reason
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name, columns", [("A4", 30), ("D4", 48)])
+def test_distinct_columns(name, columns):
+    # the (ray, scale) pairs that verify tests: one per signed ray here,
+    # against rank columns at each of 120 / 192 chambers
+    R = cat.root_set_of(cat.get(name))
+    chambers, _ = chamber_graph(R)
+    pairs = {(v, K.signs[w] * ray_values(R, v)[w])
+             for K in chambers for v, w in zip(K.rays, K.walls)}
+    assert len(pairs) == columns
+
+
+def test_canonical_form_matches_every_object_renderer():
+    for name, G in closure_corpus():
+        assert canonical_form(G) == canonical_form_every_object(G), name
+
+
+def test_canonical_form_matches_every_object_renderer_on_two_digit_coordinates():
+    # string order and integer order differ once a coordinate has two digits
+    closures = 0
+    for s in sorted(enumerate_esequences(9)):
+        if max(map(max, s)) >= 10:
+            G = traverse(make_root_object(2, s), max_objects=2 * len(s))
+            assert canonical_form(G) == canonical_form_every_object(G), s
+            closures += 1
+    assert closures == 152
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(lambda r: st.tuples(
+    st.just(r), st.lists(st.frozensets(st.tuples(*[st.integers(0, 40)] * r),
+                                       min_size=1, max_size=6),
+                         min_size=1, max_size=4))))
+def test_canonical_form_matches_every_object_renderer_on_random_objects(case):
+    rank, object_sets = case
+    G = GroupoidGraph(rank=rank, objects=tuple(RootObject(rank, roots)
+                                               for roots in object_sets), edges={})
+    assert canonical_form(G) == canonical_form_every_object(G)

@@ -18,7 +18,13 @@ from cryarr.linalg import (
     vol,
     vol2,
 )
-from oracles import det_cofactor, kernel_vector_gauss_jordan, snf_divisors_minors
+from oracles import (
+    det_cofactor,
+    kernel_vector_gauss_jordan,
+    kernel_vector_minors,
+    matrix_rank_fractions,
+    snf_divisors_minors,
+)
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -169,8 +175,35 @@ def test_kernel_vector_matches_gauss_jordan_oracle(case):
     else:
         assert got in (expected, tuple(-x for x in expected))
         assert all(type(x) is int for x in got)
+    assert got == kernel_vector_minors(rows, dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-50, 50)] * 3), min_size=2, max_size=2))
+def test_rank3_cross_product_is_the_signed_minors(rows):
+    assert kernel_vector(rows, 3) == kernel_vector_minors(rows, 3)
 
 
 def test_matrix_rank():
     assert matrix_rank([(1, 2), (2, 4)]) == 1
     assert matrix_rank([(1, 0), (0, 1)]) == 2
+
+
+@st.composite
+def rank_cases(draw):
+    """Integer matrices of up to 6 rows and 5 columns; rows that combine
+    earlier rows make rank-deficient matrices common."""
+    cols = draw(st.integers(1, 5))
+    row = st.tuples(*[st.integers(-4, 4)] * cols)
+    rows = draw(st.lists(row, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        if len(rows) >= 2:
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append(tuple(a * x + b * y for x, y in zip(rows[0], rows[1])))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_cases())
+def test_matrix_rank_matches_fraction_oracle(rows):
+    assert matrix_rank(rows) == matrix_rank_fractions(rows)
