@@ -178,12 +178,6 @@ def test_kernel_vector_matches_gauss_jordan_oracle(case):
     assert got == kernel_vector_minors(rows, dim)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(*[st.integers(-50, 50)] * 3), min_size=2, max_size=2))
-def test_rank3_cross_product_is_the_signed_minors(rows):
-    assert kernel_vector(rows, 3) == kernel_vector_minors(rows, 3)
-
-
 def test_matrix_rank():
     assert matrix_rank([(1, 2), (2, 4)]) == 1
     assert matrix_rank([(1, 0), (0, 1)]) == 2
