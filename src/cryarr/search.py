@@ -71,25 +71,57 @@ any other one the key-sorted image of S is not S, so, S being least, it
 is greater than S; it is the prefix of T's image of the length of S, so
 T is less than its image.
 
-Reflections.  Let c_ij = -max{k : k*e_i + e_j in T} for i != j, and
-let H be T's top height.  Once (k+1)*e_i + e_j is absent from T and its
-height k + 2 is at most H, c_ij is final: every descendant adds only
-roots of height above H, and by (d) none of them is l*e_i + e_j with
-l > k.  The positive roots R+ of an arrangement have the Cartan entries
-c_ij, and the simple reflection sigma_i maps R+ without e_i into R+, so
-the i-th coordinate -beta_i - sum_{j != i} c_ij*beta_j of sigma_i(beta)
-is non-negative for every beta in R+ other than e_i.  So if this fails
-for a member beta != e_i of T whose entries c_ij with beta_j != 0 are all
-final, no descendant of T is the positive roots of an arrangement: each
-has the same members and the same final entries.  Finality needs no test
-of its own: an entry c_ij with beta_j >= 1 that is not final has
--c_ij = k = H - 1, since k*e_i + e_j has height at most H, and the test
-fails for beta only if beta_i > k*beta_j >= H - 1, so that beta has
-height at least beta_i + beta_j >= H + 1.  So T is kept only if -beta_i - sum_{j != i} c_ij*beta_j
->= 0 for each i and each member beta != e_i, with T's own entries.  The
-test is hereditary as well: a member that fails in P fails with final
-entries of P, which are final in T with the same values, so it fails in
-T.
+Reflections.  Let T have top height H, and let R^a be the positive roots,
+in the coordinates of the base object a, of an arrangement that is T or
+a descendant of T.  Every descendant adds only roots of height above H,
+so T decides, for some vectors u of Z^3, whether u is in +-R^a: u with
+mixed signs is absent; u >= 0 (or -u >= 0) of height at most H is present
+exactly when it (or -u) is a member of T; any other u is undecided.  A
+decided fact is the same in every descendant of T.
+
+The prune walks the reflection groupoid from a, breadth first, to at most
+``DEPTH`` reflections.  For the object b it reaches it carries the matrix
+M_b whose columns are the images of b's simple roots in a's coordinates,
+so that w is in R^b exactly when M_b w is in +-R^a, and the members of T
+seen from b: the vectors M_b^{-1} t >= 0 with t in +-T.  At b, for each
+label j:
+
+  - Cartan entries.  Root strings are unbroken: m*e_j + e_l is in R^b
+    exactly for 0 <= m <= -c^b_jl (Cuntz-Heckenberger).  So c^b_jl is
+    1 - m for the least m >= 1 whose M_b(m*e_j + e_l) is not present;
+    the entry is decided when that vector is absent, and undecided when
+    it is undecided.
+  - Test.  sigma_j maps R^b without e_j into N_0^3, so the j-th
+    coordinate -beta_j - sum_{l != j} c^b_jl*beta_l of sigma_j(beta) is
+    non-negative for every member beta != e_j of R^b.  T is pruned when
+    this fails for a member beta of T seen from b whose entries c^b_jl
+    with beta_l != 0 are all decided.
+  - Descent.  The walk goes on through sigma_j only when both entries of
+    row j are decided.  Then M is M_b*sigma_j at r_j(b), and the members
+    seen from r_j(b) are the images sigma_j(beta) (e_j for beta = e_j):
+    the test at b has shown each of them to be in N_0^3, so by induction
+    no vector M^{-1} t has mixed signs at an object the walk reaches.
+
+At r_j(b) the row j needs neither test nor descent.  Its string vectors
+are M_b((t - m)*e_j + e_l) with t = -c^b_jl: present for m <= t, and for
+m = t + 1 the image of e_l - e_j, which is not present because e_l - e_j
+has mixed signs and no M_b^{-1} t has.  So each entry of the row is
+c^b_jl again or undecided, the test applies sigma_j with the entries of
+b to sigma_j(beta) and gives beta >= 0 back, and the descent leads back
+to b.  Everything else the walk does at b depends on M_b alone, so each
+object, told by its matrix, is walked once, at the least number of
+reflections that reaches it.  This tests the same objects as walking
+every path of at most ``DEPTH`` reflections through decided rows that
+never takes the label it just took.
+
+The prune is sound: each matrix, Cartan entry and member it uses is a
+decided fact of T, so it is true of R^a and of the objects of R^a's
+groupoid; there every reflection keeps the positive roots other than e_j
+positive, so no test fails.  It is hereditary: in a child of T every
+fact decided in T is decided with the same value, so the child walks
+every object T walks, with the same matrix, at least the same members
+and at least the same decided entries, and a test that fails in T fails
+in the child.  ``DEPTH`` = 0 tests the base object alone.
 
 Each state S that passes the rank-2 plane tests is decided integer-first,
 in root coordinates: the supports of S must be connected and the
@@ -120,7 +152,7 @@ has a new canonical form, and every form is verified exactly once."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations
 
 from .errors import (
     ClosureOverflowError,
@@ -145,6 +177,8 @@ SIMPLES = simple_roots(3)
 MOVES = tuple(permutations(range(3)))[1:]   # the permutations other than the identity
 
 COMPLETE, INCOMPLETE = "Complete", "Incomplete"
+DEPTH = 3   # reflections from the base object that the reflection test walks
+ROWS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))   # a label j and the two others k, l
 
 
 @dataclass(frozen=True)
@@ -229,17 +263,65 @@ def _least(T, moves):
     return all(T <= _image(T, perm) for perm in moves)
 
 
-def _reflections_ok(T):
-    """Each simple reflection, with the Cartan entries of T, maps every
-    member other than e_i to a vector with a non-negative i-th coordinate
-    (see the module docstring)."""
-    top = [[0] * 3 for _ in range(3)]   # top[i][j] = max{k : k*e_i + e_j in T}
-    for v in T:
-        for i, j in permutations(range(3), 2):
-            if v[j] == 1 and v[3 - i - j] == 0 and v[i] > top[i][j]:
-                top[i][j] = v[i]
-    return all(sum(top[i][j] * beta[j] for j in range(3) if j != i) >= beta[i]
-               for beta in T for i in range(3) if beta[i] != sum(beta))
+def _partial_closure_ok(T, depth):
+    """T passes the reflection test at every object at most ``depth``
+    reflections from its base object (see the module docstring)."""
+    top = sum(T[-1])
+    signed = set(T)
+    signed.update((-x, -y, -z) for x, y, z in T)
+
+    def string(a, b):
+        """-c_jl at the object whose matrix has the columns a = M e_j and
+        b = M e_l: the least m >= 1 with m*a + b not in +-T, less one; None
+        when that vector is undecided."""
+        a0, a1, a2 = a
+        u0, u1, u2 = b
+        for m in count(1):
+            u0, u1, u2 = u0 + a0, u1 + a1, u2 + a2
+            if (u0, u1, u2) not in signed:
+                break
+        if -top <= u0 + u1 + u2 <= top or min(u0, u1, u2) < 0 < max(u0, u1, u2):
+            return m - 1
+        return None
+
+    walked = {SIMPLES}
+    level = [(SIMPLES, T, None)]   # (M, the members of T seen from M, last label)
+    for d in range(depth + 1):
+        below = []
+        for M, seen, last in level:
+            for j, k, l in ROWS:
+                if j == last:
+                    continue   # the row of the reflection that led here
+                tk, tl = string(M[j], M[k]), string(M[j], M[l])
+                xk, xl = tk or 0, tl or 0
+                for b in seen:   # members other than e_j with decided entries
+                    if b[j] > xk * b[k] + xl * b[l] and (b[k] or b[l]) \
+                            and (tk is not None or not b[k]) and (tl is not None or not b[l]):
+                        return False
+                if tk is None or tl is None or d == depth:
+                    continue
+                mj, mk, ml = M[j], M[k], M[l]
+                N = [None] * 3
+                N[j] = (-mj[0], -mj[1], -mj[2])
+                N[k] = (mk[0] + tk * mj[0], mk[1] + tk * mj[1], mk[2] + tk * mj[2])
+                N[l] = (ml[0] + tl * mj[0], ml[1] + tl * mj[1], ml[2] + tl * mj[2])
+                N = tuple(N)
+                if N not in walked:
+                    walked.add(N)
+                    below.append((N, _reflect_members(seen, j, tk, tl), j))
+        level = below
+    return True
+
+
+def _reflect_members(seen, j, tk, tl):
+    """sigma_j of each member, with -c_jk = tk and -c_jl = tl for the labels
+    k = j + 1 and l = j + 2 (mod 3); e_j stays e_j.  One comprehension per
+    label: this runs for every edge the reflection test walks."""
+    if j == 0:
+        return [(tk * y + tl * z - x, y, z) if y or z else (x, y, z) for x, y, z in seen]
+    if j == 1:
+        return [(x, tk * z + tl * x - y, z) if x or z else (x, y, z) for x, y, z in seen]
+    return [(x, y, tk * x + tl * y - z) if x or y else (x, y, z) for x, y, z in seen]
 
 
 def _levels(level, room):
@@ -271,7 +353,7 @@ def _children(S, cap):
     for height in sorted(levels):
         for L in _levels(tuple(levels[height]), cap - len(S)):
             T = S + L
-            if _least(T, fixing) and _reflections_ok(T):
+            if _least(T, fixing) and _partial_closure_ok(T, DEPTH):
                 yield T
 
 

@@ -6,7 +6,7 @@ enumeration with Fourier-Motzkin feasibility, determinants from cofactor
 expansion, elementary divisors from gcds of minors, Catalan numbers
 from the binomial closed form, and the simpliciality and chamber count of
 a rank-3 arrangement from its intersection points (Melchior, Zaslavsky).
-Eighteen references are the exception, each kept as the slow path that a
+Nineteen references are the exception, each kept as the slow path that a
 faster one replaced: ``verify_candidate_geometric`` (the geometric
 pipeline alone, for the search's integer-first filter),
 ``kernel_vector_gauss_jordan`` (the Fraction elimination, for the integer
@@ -33,7 +33,10 @@ maximal minors in every dimension, for the rank-3 cross product),
 ``canonical_form_every_object`` (every object rendered in full under each
 relabelling, for the rendering of each distinct root once) and
 ``matrix_rank_fractions`` (Gauss-Jordan over the rationals, for the
-fraction-free elimination).
+fraction-free elimination) and ``partial_closure_ok`` (every path of the
+reflection walk in matrix form, members found through integer inverses
+and every row tested, for the search's walk over reflected members that
+visits each object once).
 ``rays_for_signs_scan``, which the two rescans use, reads the signs of
 the rays from exact products of its own, not from the package's ray
 table.
@@ -513,12 +516,96 @@ def reflection_rule_ok(roots):
     return True
 
 
+def _matrix_times(A, B):
+    return [[sum(A[r][t] * B[t][c] for t in range(3)) for c in range(3)] for r in range(3)]
+
+
+def _apply(A, w):
+    return tuple(sum(A[r][t] * w[t] for t in range(3)) for r in range(3))
+
+
+def _integer_inverse(A):
+    """The inverse of an integer 3x3 matrix of determinant +-1, by cofactors."""
+    def cofactor(r, c):
+        rows = [i for i in range(3) if i != r]
+        cols = [j for j in range(3) if j != c]
+        minor = (A[rows[0]][cols[0]] * A[rows[1]][cols[1]]
+                 - A[rows[0]][cols[1]] * A[rows[1]][cols[0]])
+        return (-1) ** (r + c) * minor
+    det = sum(A[0][c] * cofactor(0, c) for c in range(3))
+    assert det in (1, -1), A
+    return [[cofactor(c, r) * det for c in range(3)] for r in range(3)]
+
+
+def partial_closure_ok(roots, depth):
+    """The search's reflection test from scratch, in matrix form.
+
+    With H the largest height of ``roots``, a vector u of Z^3 is decided
+    present when u or -u is a member, decided absent when it has mixed
+    signs or when u or -u is non-negative of height at most H and not a
+    member, and undecided otherwise.  Every path of at most ``depth``
+    reflections from the base object that never takes the label it just
+    took ends at an object with a matrix M, w being a root there exactly
+    when M w is one at the base.  Its Cartan entry c_jl (l != j) is 1 - m
+    for the least m >= 1 with M(m*e_j + e_l) not decided present, and is
+    decided when that vector is decided absent; its members are the
+    non-negative M^{-1} t for t in +-roots.  Each member beta != e_j whose
+    entries c_jl with beta_l != 0 are all decided must have
+    sigma_j(beta)_j >= 0, at every object and for every j; the path goes on
+    through sigma_j, with the matrix M*sigma_j, when row j is decided."""
+    height = max(sum(v) for v in roots)
+    signed = set(roots) | {tuple(-x for x in v) for v in roots}
+
+    def status(u):
+        if u in signed:
+            return "present"
+        if any(x < 0 for x in u) and any(x > 0 for x in u):
+            return "absent"
+        return "absent" if abs(sum(u)) <= height else "undecided"
+
+    def entry(M, j, l):
+        m = 1
+        while True:
+            w = [0, 0, 0]
+            w[j], w[l] = m, 1
+            seen = status(_apply(M, w))
+            if seen != "present":
+                return 1 - m if seen == "absent" else None
+            m += 1
+
+    def walk(M, last, d):
+        inverse = _integer_inverse(M)
+        members = [b for b in (_apply(inverse, t) for t in signed) if min(b) >= 0]
+        cartan = [[2 if j == l else entry(M, j, l) for l in range(3)] for j in range(3)]
+        for j in range(3):
+            for beta in members:
+                if beta == simple_roots(3)[j]:
+                    continue
+                if any(beta[l] and cartan[j][l] is None for l in range(3)):
+                    continue
+                if beta[j] - sum(cartan[j][l] * beta[l] for l in range(3) if beta[l]) < 0:
+                    return False
+        if d == depth:
+            return True
+        for j in range(3):
+            if j == last or None in cartan[j]:
+                continue
+            sigma = [[int(r == c) - (r == j) * cartan[j][c] for c in range(3)]
+                     for r in range(3)]
+            if not walk(_matrix_times(M, sigma), j, d + 1):
+                return False
+        return True
+
+    return walk([[int(r == c) for c in range(3)] for r in range(3)], None, 0)
+
+
 def level_walk_states(cap):
     """The states the level walk must decide: those of ``dfs_states`` that
     are the least image under coordinate permutations and pass the
-    reflection rule, both computed from scratch."""
+    reflection test at every object up to ``search.DEPTH`` reflections from
+    the base, both computed from scratch."""
     return {S for S in dfs_states(cap)
-            if least_permutation_image(S) and reflection_rule_ok(S)}
+            if least_permutation_image(S) and partial_closure_ok(S, search.DEPTH)}
 
 
 def search_state_ok(roots, cap):

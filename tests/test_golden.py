@@ -3,9 +3,9 @@
 The verify report of every catalog entry and of the arrangements of
 ``arrangement_documents``, the ``run_all`` reports of the
 Weyl-restriction closures of the benchmark (several objects each) and the
-search output at caps 6 and 9 must not change under refactoring.  The search's ``states_visited``
-is left out: a symmetry reduction may legitimately change how many states
-are walked.
+search output at caps 6, 9 and 12 must not change under refactoring.  The
+search's ``states_visited`` is left out: a symmetry reduction or a prune may
+legitimately change how many states are walked.
 
 Regenerate the files (only when an answer is meant to change) with
 ``PYTHONPATH=src python tests/test_golden.py``."""
@@ -110,6 +110,12 @@ def test_search_cap9_is_pinned(tmp_path):
     assert search_answer(tmp_path, 9) == expected
 
 
+def test_search_cap12_is_pinned(tmp_path):
+    # ten forms, two of them 12-line forms that are no Weyl restriction
+    expected = (GOLDEN / "search_cap12.json").read_text(encoding="utf-8")
+    assert search_answer(tmp_path, 12) == expected
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -123,7 +129,7 @@ if __name__ == "__main__":
                 document_stdout(doc, tmp), encoding="utf-8")
         (GOLDEN / "run_all_restrictions.json").write_text(
             restriction_reports(), encoding="utf-8")
-        for cap in (6, 9):
+        for cap in (6, 9, 12):
             (GOLDEN / f"search_cap{cap}.json").write_text(
                 search_answer(tmp, cap), encoding="utf-8")
     sys.exit(0)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cryarr import catalog as cat
 from cryarr import search
-from cryarr.geometry import chamber_graph, is_irreducible, make_root_set
+from cryarr.geometry import chamber_graph, make_root_set, supports_connected
 from cryarr.groupoid import (
     RootObject,
     canonical_form,
@@ -24,6 +24,7 @@ from cryarr.verifier import all_ok, run_all
 from oracles import (
     least_permutation_image,
     level_walk_states,
+    partial_closure_ok,
     reflection_rule_ok,
     search_state_ok,
     tree_walk,
@@ -62,7 +63,7 @@ def test_walked_states_meet_the_string_and_cap_rules(cap, monkeypatch):
 
     monkeypatch.setattr(search, "_plane_systems_ok", recording)
     enumerate_rank3(cap)
-    assert len(walked) == {6: 12, 7: 41, 8: 195}[cap]
+    assert len(walked) == {6: 9, 7: 22, 8: 48}[cap]
     for S in walked:
         assert len(S) <= cap
         for v in S:
@@ -90,7 +91,7 @@ def test_cap6_finds_exactly_a3():
     assert result.canonical_forms == (a3,)
 
 
-@pytest.mark.parametrize("cap", [6, 7, 8, 9, 10])
+@pytest.mark.parametrize("cap", [6, 7, 8, 9, 10, 11, 12])
 def test_search_output_is_sound(cap):
     # the statement checks filter no search state: they must pass on every
     # emitted closure, or a theorem they check has a counterexample
@@ -107,14 +108,15 @@ def test_budget_exhaustion_reports_incomplete():
 
 
 @pytest.mark.parametrize("cap, states, emitted",
-                         [(6, 12, 1), (7, 41, 2), (8, 195, 3)])
+                         [(6, 9, 1), (7, 22, 2), (8, 48, 3), (9, 100, 5), (10, 220, 7),
+                          (11, 586, 8)])
 def test_work_counters_are_pinned(cap, states, emitted):
     result = search_at(cap)
     assert result.verdict == "Complete"
     assert (result.states_visited, result.emitted) == (states, emitted)
 
 
-@pytest.mark.parametrize("cap", [6, 7, 8, 9])
+@pytest.mark.parametrize("cap", [6, 7, 8, 9, 10])
 def test_found_forms_grow_with_the_cap(cap):
     smaller, larger = search_at(cap), search_at(cap + 1)
     assert set(smaller.canonical_forms) <= set(larger.canonical_forms)
@@ -140,7 +142,7 @@ def test_close_matches_all_pairs_check(monkeypatch):
 
     monkeypatch.setattr(search, "_close", recording)
     enumerate_rank3(8)
-    assert len(calls) == 231
+    assert len(calls) == 118
     for S, v, out in calls:
         assert (out is not None) == search_state_ok(S + (v,), 8), (S, v)
         assert out is None or out == S + (v,)
@@ -175,7 +177,7 @@ def test_cap9_walk_decides_one_state_per_permutation_class(monkeypatch):
 
     monkeypatch.setattr(search, "_plane_systems_ok", recording)
     enumerate_rank3(9)
-    assert len(decided) == 1265
+    assert len(decided) == 100
     assert all(least_permutation_image(S) for S in decided)
 
 
@@ -200,11 +202,55 @@ def root_states(draw):
     return tuple(sorted(roots.values(), key=search._key))
 
 
+@st.composite
+def near_states(draw):
+    """A height prefix, from height 2 on, of an object of a Weyl restriction
+    under a coordinate permutation, with up to two of its non-simple members
+    dropped and up to two vectors of {0..3}^3 added, one per direction, in
+    key order: about half pass the reflection test at depth 0 and some of
+    those fail it deeper."""
+    objects = [O for _, G in weyl_restriction_closures() for O in G.objects]
+    T = search._image(draw(st.sampled_from(objects)).positive_roots,
+                      draw(st.permutations(range(3))))
+    top = draw(st.integers(2, sum(T[-1])))
+    kept = [v for v in T[3:] if sum(v) <= top]
+    drop = draw(st.sets(st.sampled_from(kept), max_size=2)) if kept else set()
+    extra = draw(st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=2))
+    roots = {}
+    for v in SIMPLES + tuple(v for v in kept if v not in drop) + tuple(extra):
+        if any(v):
+            roots.setdefault(direction(v), v)
+    return tuple(sorted(roots.values(), key=search._key))
+
+
+@settings(max_examples=500, deadline=None)
+@given(T=near_states())
+def test_reflection_test_matches_its_slow_path_near_real_objects(T):
+    for depth in range(4):
+        assert search._partial_closure_ok(T, depth) == partial_closure_ok(T, depth), depth
+
+
+def _strings_unbroken(T):
+    """Every member k*e_i + e_j (k >= 2) has (k-1)*e_i + e_j below it in T."""
+    members = set(T)
+    for v in T:
+        for i, j in permutations(range(3), 2):
+            if v[j] == 1 and v[3 - i - j] == 0 and v[i] >= 2:
+                if tuple(x - (t == i) for t, x in enumerate(v)) not in members:
+                    return False
+    return True
+
+
 @settings(max_examples=500, deadline=None)
 @given(T=root_states())
 def test_permutation_and_reflection_tests_match_their_slow_paths(T):
     assert search._least(T, search.MOVES) == least_permutation_image(T)
-    assert search._reflections_ok(T) == reflection_rule_ok(T)
+    for depth in range(4):
+        assert search._partial_closure_ok(T, depth) == partial_closure_ok(T, depth), depth
+    # at depth 0 the test is the reflection rule with final Cartan entries,
+    # on states whose root strings are unbroken, as valid states' are
+    if _strings_unbroken(T):
+        assert partial_closure_ok(T, 0) == reflection_rule_ok(T)
     # T as the child of S, T without its top level: when S is least, the
     # permutations that fix S decide whether T is
     top = sum(T[-1])
@@ -223,44 +269,65 @@ def _inputs():
 
 
 @lru_cache(maxsize=None)
-def weyl_restriction_forms():
-    """Canonical form -> line count of every irreducible rank-3 coordinate
-    restriction with at most 10 lines of A_n, B_n, C_n, D_n (n = 4, 5, 6),
-    F4 and E6-E8.  Restrictions of crystallographic arrangements are
-    crystallographic (Cuntz 2011), so each one must be found by a search
-    whose cap covers its line count."""
+def weyl_restriction_closures():
+    """(name, closure) for each canonical form among the irreducible
+    coordinate-triple restrictions of A_n, B_n, C_n, D_n (n = 4..7), F4 and
+    E6-E8, named by the first restriction that gives it.  Restrictions of
+    crystallographic arrangements are crystallographic (Cuntz 2011)."""
     inputs = _inputs()
-    cartans = [inputs.CARTAN[name] for name in ("A4", "D4", "F4", "E6", "E7", "E8")]
-    chain = inputs._chain
-    for n in (4, 5, 6):
-        cartans.append(inputs._cartan(n, chain(n), doubles=[(n - 1, n - 2)]))
-        cartans.append(inputs._cartan(n, chain(n), doubles=[(n - 2, n - 1)]))
-    for n in (5, 6):
-        cartans.append(inputs._cartan(n, chain(n)))
-        cartans.append(inputs._cartan(n, chain(n - 1) + [(n - 3, n - 1)]))
-    forms = {}
-    for cartan in cartans:
-        for keep in combinations(range(len(cartan)), 3):
-            lines = inputs.restriction(cartan, keep)
-            if len(lines) > 10:
+    chain, cartan = inputs._chain, inputs._cartan
+    cartans = []
+    for n in (4, 5, 6, 7):
+        cartans += [(f"A{n}", cartan(n, chain(n))),
+                    (f"B{n}", cartan(n, chain(n), doubles=[(n - 1, n - 2)])),
+                    (f"C{n}", cartan(n, chain(n), doubles=[(n - 2, n - 1)])),
+                    (f"D{n}", cartan(n, chain(n - 1) + [(n - 3, n - 1)]))]
+    cartans += [(name, inputs.CARTAN[name]) for name in ("F4", "E6", "E7", "E8")]
+    out = {}
+    for name, c in cartans:
+        for keep in combinations(range(len(c)), 3):
+            lines = inputs.restriction(c, keep)
+            if not supports_connected(lines, 3):
                 continue
-            R = make_root_set(lines, rank=3)
-            if not is_irreducible(R):
-                continue
-            res = verify_crystallographic(R)
-            assert res.ok, (cartan, keep)
-            forms[canonical_form(res.graph)] = len(lines)
-    return forms
+            n = len(lines)
+            G = traverse(make_root_object(3, lines), max_objects=n * (n - 1) + 2)
+            out.setdefault(canonical_form(G),
+                           (f"{name}-restriction-{''.join(map(str, keep))}", G))
+    return tuple(out.values())
 
 
-@pytest.mark.parametrize("cap", [6, 7, 8, 9, 10])
+@pytest.mark.parametrize("cap", [6, 7, 8, 9, 10, 11, 12])
 def test_search_finds_every_weyl_restriction(cap):
-    forms = weyl_restriction_forms()
-    assert sorted(forms.values()) == [6, 7, 8, 9, 9, 10, 10]
-    expected = {form for form, n in forms.items() if n <= cap}
-    assert expected and expected <= set(search_at(cap).canonical_forms)
-    if cap == 10:
-        assert set(search_at(cap).canonical_forms) == expected
+    lines = {canonical_form(G): len(G.objects[0].positive_roots)
+             for _, G in weyl_restriction_closures()}
+    assert sorted(n for n in lines.values() if n <= 12) == [6, 7, 8, 9, 9, 10, 10, 11]
+    expected = {form for form, n in lines.items() if n <= cap}
+    result = search_at(cap)
+    assert expected <= set(result.canonical_forms)
+    # up to cap 11 the search finds the restrictions alone; cap 12 adds two
+    # 12-line forms that are no restriction
+    others = sorted(len(roots) for form, roots in zip(result.canonical_forms,
+                                                      result.arrangements)
+                    if form not in expected)
+    assert others == ([12, 12] if cap == 12 else [])
+
+
+def test_weyl_restriction_prefixes_pass_the_reflection_test():
+    # every height prefix of an object of a crystallographic arrangement,
+    # from height 2 on, is a child in the walk with that object among its
+    # descendants, so no prune may reject it (the permutation test aside)
+    prefixes = []
+    for _, G in weyl_restriction_closures():
+        for O in G.objects:
+            for perm in permutations(range(3)):
+                T = search._image(O.positive_roots, perm)
+                prefixes += [T[:n] for n in range(4, len(T) + 1)
+                             if n == len(T) or sum(T[n]) > sum(T[n - 1])]
+    assert (sum(len(G.objects) for _, G in weyl_restriction_closures()),
+            len(prefixes)) == (116, 5208)
+    for T in prefixes:
+        for depth in (0, search.DEPTH, 5):
+            assert search._partial_closure_ok(T, depth), (T, depth)
 
 
 def test_closure_bound_covers_every_chamber_count():
@@ -298,7 +365,7 @@ def _decisions(cap, monkeypatch):
 def test_verify_candidate_agrees_with_geometric_oracle(monkeypatch):
     result, passed, verified = _decisions(7, monkeypatch)
     # every state of the cap-7 walk passes the plane tests
-    assert (result.states_visited, len(passed), len(verified)) == (41, 41, 40)
+    assert (result.states_visited, len(passed), len(verified)) == (22, 22, 21)
     closures = dict(verified)
     hits = 0
     for roots in passed:

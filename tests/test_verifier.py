@@ -5,7 +5,6 @@ import subprocess
 import sys
 from collections import Counter
 from functools import cached_property, lru_cache
-from itertools import combinations
 from math import gcd
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from cryarr.errors import (
     NotClosedError,
     PreconditionFailedError,
 )
-from cryarr.geometry import make_root_set, supports_connected
+from cryarr.geometry import make_root_set
 from cryarr.groupoid import (
     GroupoidGraph,
     RootObject,
@@ -55,39 +54,11 @@ from oracles import (
     lemcon_sweep_triple_loop,
     no_negative_ray_box,
 )
-from test_search import _inputs
+from test_search import weyl_restriction_closures
 
 
 def closure(name):
     return verify_crystallographic(cat.root_set_of(cat.get(name))).graph
-
-
-@lru_cache(maxsize=None)
-def weyl_restriction_closures():
-    """(name, closure) for each canonical form among the irreducible
-    coordinate-triple restrictions of A_n, B_n, C_n, D_n (n = 4..7), F4 and
-    E6-E8, named by the first restriction that gives it.  Restrictions of
-    crystallographic arrangements are crystallographic (Cuntz 2011)."""
-    inputs = _inputs()
-    chain, cartan = inputs._chain, inputs._cartan
-    cartans = []
-    for n in (4, 5, 6, 7):
-        cartans += [(f"A{n}", cartan(n, chain(n))),
-                    (f"B{n}", cartan(n, chain(n), doubles=[(n - 1, n - 2)])),
-                    (f"C{n}", cartan(n, chain(n), doubles=[(n - 2, n - 1)])),
-                    (f"D{n}", cartan(n, chain(n - 1) + [(n - 3, n - 1)]))]
-    cartans += [(name, inputs.CARTAN[name]) for name in ("F4", "E6", "E7", "E8")]
-    out = {}
-    for name, c in cartans:
-        for keep in combinations(range(len(c)), 3):
-            lines = inputs.restriction(c, keep)
-            if not supports_connected(lines, 3):
-                continue
-            n = len(lines)
-            G = traverse(make_root_object(3, lines), max_objects=n * (n - 1) + 2)
-            out.setdefault(canonical_form(G),
-                           (f"{name}-restriction-{''.join(map(str, keep))}", G))
-    return tuple(out.values())
 
 
 @lru_cache(maxsize=None)
