@@ -568,9 +568,9 @@ def partial_closure_ok(roots, depth):
         while True:
             w = [0, 0, 0]
             w[j], w[l] = m, 1
-            seen = status(_apply(M, w))
-            if seen != "present":
-                return 1 - m if seen == "absent" else None
+            found = status(_apply(M, w))
+            if found != "present":
+                return 1 - m if found == "absent" else None
             m += 1
 
     def walk(M, last, d):

@@ -230,26 +230,15 @@ def test_reflection_test_matches_its_slow_path_near_real_objects(T):
         assert search._partial_closure_ok(T, depth) == partial_closure_ok(T, depth), depth
 
 
-def _strings_unbroken(T):
-    """Every member k*e_i + e_j (k >= 2) has (k-1)*e_i + e_j below it in T."""
-    members = set(T)
-    for v in T:
-        for i, j in permutations(range(3), 2):
-            if v[j] == 1 and v[3 - i - j] == 0 and v[i] >= 2:
-                if tuple(x - (t == i) for t, x in enumerate(v)) not in members:
-                    return False
-    return True
-
-
 @settings(max_examples=500, deadline=None)
 @given(T=root_states())
 def test_permutation_and_reflection_tests_match_their_slow_paths(T):
     assert search._least(T, search.MOVES) == least_permutation_image(T)
     for depth in range(4):
         assert search._partial_closure_ok(T, depth) == partial_closure_ok(T, depth), depth
-    # at depth 0 the test is the reflection rule with final Cartan entries,
-    # on states whose root strings are unbroken, as valid states' are
-    if _strings_unbroken(T):
+    # at depth 0 the test is the reflection rule with final Cartan entries on
+    # states that meet the search's rules, whose root strings are unbroken
+    if search_state_ok(T, len(T)):
         assert partial_closure_ok(T, 0) == reflection_rule_ok(T)
     # T as the child of S, T without its top level: when S is least, the
     # permutations that fix S decide whether T is
