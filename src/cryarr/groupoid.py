@@ -12,10 +12,47 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
+from math import gcd
+from operator import sub
 
 from .errors import ClosureOverflowError, NonSimplicialError, NotClosedError
 from .geometry import RootSet, cartan_of_chamber, chamber_graph, ray_values
-from .linalg import direction
+from .linalg import direction, vol2
+
+# the bound on Vol_2 of two positive roots; the search prunes by it too
+VOL2_MAX = 6
+
+
+def signed_roots(roots):
+    """+-R: the roots and their negatives."""
+    return roots | {tuple(-x for x in v) for v in roots}
+
+
+@dataclass(frozen=True)
+class PairTable:
+    """What the statement checks read off the unordered pairs a < b of an
+    object's sorted positive roots ``ordered``, with d = b - a.
+
+    ``free[t]`` has bit u set for each u > t with d not in +-R, and
+    ``unimodular[t]`` the bits of ``free[t]`` whose pair has Vol_2 = 1.
+    ``sums`` holds the roots that are a sum of two positive roots: a root b
+    is one exactly when some a < b has d in +-R, because a sum b = a + d
+    exceeds both summands lexicographically, and d > 0 lexicographically
+    is in +-R only as a positive root.  ``above`` lists (a, b, Vol_2) for
+    the pairs with Vol_2 above ``VOL2_MAX``, in pair order, and
+    ``max_vol2`` is the largest Vol_2 (0 with no pair).  ``strings`` maps
+    a root to its sorted root-string candidates (beta, k) of
+    ``verifier.lemcon_sweep``: each pair with k = gcd(d) >= 2,
+    beta = d/k in +-R and Vol_2(a, b) = k, which is Vol_2(a, beta) = 1,
+    gives a the candidate (beta, k) and b the candidate (-beta, k)."""
+    signed: frozenset
+    ordered: tuple
+    free: tuple
+    unimodular: tuple
+    sums: frozenset
+    max_vol2: int
+    above: tuple
+    strings: dict
 
 
 @dataclass(frozen=True)
@@ -55,6 +92,44 @@ class RootObject:
                 if support <= {i, j}:
                     roots.append(v)
         return {pair: tuple(roots) for pair, roots in table.items()}
+
+    @cached_property
+    def pair_table(self):
+        """The ``PairTable``, built in one pass over the pairs a < b of the
+        sorted positive roots: one difference, one lookup in +-R and one
+        ``vol2`` per pair."""
+        ordered = tuple(sorted(self.positive_roots))
+        signed = signed_roots(self.positive_roots)
+        free = []
+        unimodular = []
+        sums = set()
+        strings = {}
+        hi = 0
+        above = []
+        for t, a in enumerate(ordered):
+            f = m = 0
+            for u, b in enumerate(ordered[t + 1:], t + 1):
+                d = tuple(map(sub, b, a))
+                v = vol2(a, b)
+                if d in signed:
+                    sums.add(b)
+                else:
+                    f |= 1 << u
+                    if v == 1:
+                        m |= 1 << u
+                if v > hi:
+                    hi = v
+                if v > VOL2_MAX:
+                    above.append((a, b, v))
+                if v >= 2 and gcd(*d) == v:
+                    beta = tuple(x // v for x in d)
+                    if beta in signed:
+                        strings.setdefault(a, []).append((beta, v))
+                        strings.setdefault(b, []).append((tuple(-x for x in beta), v))
+            free.append(f)
+            unimodular.append(m)
+        return PairTable(signed, ordered, tuple(free), tuple(unimodular), frozenset(sums),
+                         hi, tuple(above), {a: tuple(sorted(c)) for a, c in strings.items()})
 
 
 def simple_roots(rank):

@@ -162,6 +162,7 @@ from .errors import (
 )
 from .geometry import make_root_set, supports_connected
 from .groupoid import (
+    VOL2_MAX,
     RootObject,
     canonical_form,
     simple_roots,
@@ -171,7 +172,6 @@ from .groupoid import (
 from .linalg import direction, vol2
 from .localization import localize
 from .rank2 import is_crystallographic_rank2
-from .verifier import VOL2_MAX
 
 SIMPLES = simple_roots(3)
 MOVES = tuple(permutations(range(3)))[1:]   # the permutations other than the identity

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from math import gcd
 
 from .errors import (
     CycleBrokenError,
@@ -17,17 +16,16 @@ from .errors import (
     PreconditionFailedError,
 )
 from .groupoid import (
+    VOL2_MAX,
     GroupoidGraph,
     is_object_irreducible,
     simple_roots,
 )
+from .groupoid import signed_roots as _signed
 from .linalg import vol2
 from .localization import plane_roots
 
 PASS, FAIL, SKIP = "pass", "fail", "skipped"
-
-# the bound on Vol_2 of two positive roots; the search prunes by it too
-VOL2_MAX = 6
 
 
 @dataclass
@@ -55,12 +53,8 @@ def check_sum_of_roots(G: GroupoidGraph) -> CheckReport:
     simples = set(simple_roots(G.rank))
     witnesses = []
     for oi, O in enumerate(G.objects):
-        roots = O.positive_roots
-        for v in roots:
-            if v in simples:
-                continue
-            if not any(tuple(a - b for a, b in zip(v, u)) in roots for u in roots):
-                witnesses.append((oi, v))
+        sums = O.pair_table.sums
+        witnesses += [(oi, v) for v in O.positive_roots if v not in simples and v not in sums]
     return CheckReport("sum_of_roots", FAIL if witnesses else PASS, witnesses,
                        {"objects": len(G.objects)})
 
@@ -175,10 +169,6 @@ def _min_cartan_entry(G: GroupoidGraph):
     return min(min(min(row) for row in O.cartan) for O in G.objects)
 
 
-def _signed(roots):
-    return roots | {tuple(-x for x in v) for v in roots}
-
-
 def check_lemcon(G: GroupoidGraph, object_index, alpha, beta, k) -> CheckReport:
     """Root-string convexity: under the stated hypotheses, beta and all of
     alpha + l*beta (0 <= l <= k) are roots, and some object in the closure
@@ -204,11 +194,14 @@ def _lemcon(full, top, alpha, beta, k, min_entry):
         raise HypothesisFailedError("Vol_2(alpha, beta) = 1")
     if not _no_negative_ray(alpha, beta, top + 1):
         raise HypothesisFailedError("(-N*alpha + Z*beta) misses N_0^r")
-    return _lemcon_conclusion(full, alpha, beta, k, min_entry)
+    witnesses = _lemcon_conclusion(full, alpha, beta, k, min_entry)
+    return CheckReport("lemcon", FAIL if witnesses else PASS, witnesses,
+                       {"k": k, "min_cartan_entry": min_entry})
 
 
 def _lemcon_conclusion(full, alpha, beta, k, min_entry):
-    """check_lemcon's conclusion once all five hypotheses hold."""
+    """check_lemcon's conclusion once all five hypotheses hold: the list of
+    its failure witnesses, empty when it holds."""
     witnesses = []
     if beta not in full:
         witnesses.append(("beta not a root", beta))
@@ -218,8 +211,7 @@ def _lemcon_conclusion(full, alpha, beta, k, min_entry):
             witnesses.append(("missing intermediate", v))
     if min_entry > -k:
         witnesses.append(("no Cartan entry <= -k", min_entry))
-    return CheckReport("lemcon", FAIL if witnesses else PASS, witnesses,
-                       {"k": k, "min_cartan_entry": min_entry})
+    return witnesses
 
 
 def lemcon_sweep(G: GroupoidGraph) -> CheckReport:
@@ -228,40 +220,36 @@ def lemcon_sweep(G: GroupoidGraph) -> CheckReport:
 
     The candidates come from the roots gamma = alpha + k*beta themselves:
     Vol_2(alpha, beta) = 1 makes beta primitive, so k is the gcd of
-    d = gamma - alpha and beta = d/k.  Only positive gamma can pass: for
-    gamma in -R+, -beta >= alpha/k is >= 1 where alpha > 0, so a = 1,
+    d = gamma - alpha and beta = d/k.  Vol_2 is the gcd of the 2 x 2
+    minors, and a minor is linear in each column and vanishes on
+    (alpha, alpha), so each minor of (alpha, gamma) is k times the minor of
+    (alpha, beta) and Vol_2(alpha, gamma) = k*Vol_2(alpha, beta): the
+    hypothesis Vol_2(alpha, beta) = 1 reads Vol_2(alpha, gamma) = k, a test
+    on the pair alone.  Only positive gamma can pass: for gamma in -R+,
+    -beta >= alpha/k is >= 1 where alpha > 0, so a = 1,
     b = -max ceil(alpha_i / -beta_i) >= -top is a point of the
     ``_no_negative_ray`` box (bound top + 1) in N_0^r.  Each unordered pair
     {alpha, gamma} of positive roots gives alpha (beta, k) and gamma
-    (-beta, k); Vol_2(gamma, -beta) = Vol_2(alpha, beta), so one test
-    serves both.  Each alpha's candidates are checked in the order
+    (-beta, k); the object's ``pair_table`` holds these candidates in its
+    ``strings``.  Each alpha's candidates are checked in the order
     (beta, k), and only those meeting the negative ray reach the conclusion.
     The sweep tries only beta in +-R, so it never tests "beta is a root";
-    testing it means dropping the ``beta in full`` filter of the pair walk."""
+    testing it means dropping the ``beta in +-R`` filter of the pair table."""
     min_entry = _min_cartan_entry(G)
     witnesses = []
     triples = 0
     for oi, O in enumerate(G.objects):
         roots = O.positive_roots
-        full = _signed(roots)
+        table = O.pair_table
         top = max(max(v) for v in roots)
-        found = {alpha: [] for alpha in roots}
-        for alpha, gamma in combinations(roots, 2):
-            d = [g - a for g, a in zip(gamma, alpha)]
-            k = gcd(*d)
-            if k >= 2:
-                beta = tuple(x // k for x in d)
-                if beta in full and vol2(alpha, beta) == 1:
-                    found[alpha].append((beta, k))
-                    found[gamma].append((tuple(-x for x in beta), k))
         for alpha in roots:
-            for beta, k in sorted(found[alpha]):
+            for beta, k in table.strings.get(alpha, ()):
                 if not _no_negative_ray(alpha, beta, top + 1):
                     continue
-                rep = _lemcon_conclusion(full, alpha, beta, k, min_entry)
+                found = _lemcon_conclusion(table.signed, alpha, beta, k, min_entry)
                 triples += 1
-                if not rep.ok:
-                    witnesses.append((oi, alpha, beta, k, rep.witnesses))
+                if found:
+                    witnesses.append((oi, alpha, beta, k, found))
     return CheckReport("lemcon_sweep", FAIL if witnesses else PASS, witnesses,
                        {"triples_checked": triples})
 
@@ -285,23 +273,17 @@ def check_convexity_statements(G: GroupoidGraph) -> CheckReport:
     witnesses = []
     for oi, O in enumerate(G.objects):
         roots = O.positive_roots
-        full = _signed(roots)
-        ordered = sorted(roots)
-        # free[t]: bit u set for each later root whose difference with
-        # ordered[t] is not a root
-        free = [sum(1 << u for u in range(t + 1, len(ordered))
-                    if tuple(p - q for p, q in zip(a, ordered[u])) not in full)
-                for t, a in enumerate(ordered)]
+        table = O.pair_table
+        full, ordered, free = table.signed, table.ordered, table.free
         for t, a in enumerate(ordered):
-            for u in _bits(free[t]):
+            # Vol_2(a, b) divides every det(a, b, c), so only a unimodular
+            # pair (a, b) can start a unimodular triple
+            for u in _bits(table.unimodular[t]):
                 b = ordered[u]
                 # det(a, b, c) by cofactors along c: c . (a x b)
                 x = a[1] * b[2] - a[2] * b[1]
                 y = a[2] * b[0] - a[0] * b[2]
                 z = a[0] * b[1] - a[1] * b[0]
-                # Vol_2(a, b) = gcd(a x b) divides every det(a, b, c)
-                if gcd(x, y, z) != 1:
-                    continue
                 for w in _bits(free[t] & free[u]):
                     c = ordered[w]
                     if x * c[0] + y * c[1] + z * c[2] in (1, -1) and {a, b, c} != simples:
@@ -328,11 +310,9 @@ def check_vol2_bound(G: GroupoidGraph) -> CheckReport:
     hi = 0
     witnesses = []
     for oi, O in enumerate(G.objects):
-        for a, b in combinations(sorted(O.positive_roots), 2):
-            v = vol2(a, b)
-            hi = max(hi, v)
-            if v > VOL2_MAX:
-                witnesses.append((oi, a, b, v))
+        table = O.pair_table
+        hi = max(hi, table.max_vol2)
+        witnesses += [(oi, *w) for w in table.above]
     return CheckReport("vol2_bound", FAIL if witnesses else PASS, witnesses,
                        {"max_vol2": hi, "m": VOL2_MAX})
 

@@ -6,7 +6,7 @@ enumeration with Fourier-Motzkin feasibility, determinants from cofactor
 expansion, elementary divisors from gcds of minors, Catalan numbers
 from the binomial closed form, and the simpliciality and chamber count of
 a rank-3 arrangement from its intersection points (Melchior, Zaslavsky).
-Nineteen references are the exception, each kept as the slow path that a
+Twenty-one references are the exception, each kept as the slow path that a
 faster one replaced: ``verify_candidate_geometric`` (the geometric
 pipeline alone, for the search's integer-first filter),
 ``kernel_vector_gauss_jordan`` (the Fraction elimination, for the integer
@@ -20,6 +20,9 @@ point of the coordinate box, for the per-coordinate intervals),
 ``lemcon_sweep_triple_loop`` (every alpha + k*beta, for the sweep over
 root differences), ``convexity_statements_vol3`` (``vol(3, .)`` on
 every triple, for the inline determinants and the pair prefilter),
+``sum_of_roots_every_pair`` and ``vol2_bound_every_pair`` (every pair
+of positive roots walked by the check itself, for the checks that read
+the object's pair table),
 ``chamber_from_signs_rescan`` and ``adjacent_chamber_rescan`` (a second
 scan for the rays per wall crossing, for the one-scan crossing),
 ``chamber_graph_every_crossing`` (a chamber built for every crossing, for
@@ -87,6 +90,7 @@ from cryarr.verifier import (
     FAIL,
     PASS,
     SKIP,
+    VOL2_MAX,
     CheckReport,
     _lemcon,
     _min_cartan_entry,
@@ -671,6 +675,35 @@ def lemcon_sweep_triple_loop(G: GroupoidGraph) -> CheckReport:
                         witnesses.append((oi, alpha, beta, k, rep.witnesses))
     return CheckReport("lemcon_sweep", FAIL if witnesses else PASS, witnesses,
                        {"triples_checked": triples})
+
+
+def sum_of_roots_every_pair(G: GroupoidGraph) -> CheckReport:
+    """Every non-simple positive root is a sum of two positive roots."""
+    simples = set(simple_roots(G.rank))
+    witnesses = []
+    for oi, O in enumerate(G.objects):
+        roots = O.positive_roots
+        for v in roots:
+            if v in simples:
+                continue
+            if not any(tuple(a - b for a, b in zip(v, u)) in roots for u in roots):
+                witnesses.append((oi, v))
+    return CheckReport("sum_of_roots", FAIL if witnesses else PASS, witnesses,
+                       {"objects": len(G.objects)})
+
+
+def vol2_bound_every_pair(G: GroupoidGraph) -> CheckReport:
+    """Vol_2 over all pairs of positive roots is at most ``VOL2_MAX``."""
+    hi = 0
+    witnesses = []
+    for oi, O in enumerate(G.objects):
+        for a, b in combinations(sorted(O.positive_roots), 2):
+            v = vol(2, [a, b])
+            hi = max(hi, v)
+            if v > VOL2_MAX:
+                witnesses.append((oi, a, b, v))
+    return CheckReport("vol2_bound", FAIL if witnesses else PASS, witnesses,
+                       {"max_vol2": hi, "m": VOL2_MAX})
 
 
 def convexity_statements_vol3(G: GroupoidGraph) -> CheckReport:

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +10,7 @@ from cryarr import geometry, groupoid
 from cryarr.errors import ClosureOverflowError, NotClosedError
 from cryarr.geometry import cartan_of_chamber, chamber_graph, make_root_set, ray_values
 from cryarr.groupoid import (
+    VOL2_MAX,
     GroupoidGraph,
     RootObject,
     canonical_form,
@@ -21,6 +22,7 @@ from cryarr.groupoid import (
     traverse,
     verify_crystallographic,
 )
+from cryarr.linalg import vol
 from cryarr.rank2 import enumerate_esequences
 from oracles import (
     canonical_form_every_object,
@@ -29,7 +31,7 @@ from oracles import (
     verify_fraction_coordinates,
 )
 from strategies import arrangements, rescaled_roots
-from test_verifier import closure_corpus
+from test_verifier import closure_corpus, single_object_graphs
 
 
 def test_make_root_object_validation():
@@ -301,3 +303,38 @@ def test_canonical_form_matches_every_object_renderer_on_random_objects(case):
     G = GroupoidGraph(rank=rank, objects=tuple(RootObject(rank, roots)
                                                for roots in object_sets), edges={})
     assert canonical_form(G) == canonical_form_every_object(G)
+
+
+@settings(max_examples=300, deadline=None)
+@given(G=single_object_graphs(ranks=(1, 2, 3, 4)))
+def test_pair_table_matches_its_definitions(G):
+    # every field of the table, each from its definition on every pair
+    O = G.objects[0]
+    roots = O.positive_roots
+    table = O.pair_table
+    signed = roots | {tuple(-x for x in v) for v in roots}
+    ordered = tuple(sorted(roots))
+    assert table.signed == signed
+    assert table.ordered == ordered
+    n = len(ordered)
+    for t, a in enumerate(ordered):
+        for u, b in enumerate(ordered):
+            free = u > t and tuple(y - x for x, y in zip(a, b)) not in signed
+            assert bool(table.free[t] >> u & 1) == free, (a, b)
+            assert bool(table.unimodular[t] >> u & 1) == (free and vol(2, [a, b]) == 1), (a, b)
+        assert table.free[t] >> n == table.unimodular[t] >> n == 0
+    assert table.sums == {v for v in roots for u in roots
+                          if tuple(x - y for x, y in zip(v, u)) in roots}
+    vols = [(a, b, vol(2, [a, b])) for a, b in combinations(ordered, 2)]
+    assert table.max_vol2 == max((v for _, _, v in vols), default=0)
+    assert table.above == tuple(w for w in vols if w[2] > VOL2_MAX)
+    # (beta, k): k >= 2, beta in +-R, alpha + k*beta in R+, Vol_2(alpha, beta) = 1
+    top = max(max(v) for v in roots)
+    strings = {}
+    for alpha in ordered:
+        for beta in sorted(signed):
+            for k in range(2, 2 * top + 1):
+                if (tuple(a + k * b for a, b in zip(alpha, beta)) in roots
+                        and vol(2, [alpha, beta]) == 1):
+                    strings.setdefault(alpha, []).append((beta, k))
+    assert table.strings == {alpha: tuple(c) for alpha, c in strings.items()}

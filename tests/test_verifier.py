@@ -53,6 +53,8 @@ from oracles import (
     convexity_statements_vol3,
     lemcon_sweep_triple_loop,
     no_negative_ray_box,
+    sum_of_roots_every_pair,
+    vol2_bound_every_pair,
 )
 from test_search import weyl_restriction_closures
 
@@ -232,6 +234,18 @@ def test_closure_checks_match_their_slow_paths():
     assert {"pass", "fail"} <= verdicts
 
 
+def pair_checks_match_their_slow_paths(G):
+    assert check_sum_of_roots(G).to_dict() == sum_of_roots_every_pair(G).to_dict()
+    assert check_vol2_bound(G).to_dict() == vol2_bound_every_pair(G).to_dict()
+
+
+def test_pair_checks_match_their_slow_paths_on_closures():
+    # the sum-of-roots and Vol_2 checks read the pair table; their old pair
+    # loops walk every pair themselves
+    for name, G in closure_corpus():
+        pair_checks_match_their_slow_paths(G)
+
+
 def test_walk_without_its_edges_is_a_broken_cycle():
     # a graph that is not a closure lacks the walk's edges: a CycleBrokenError
     # witness, not a KeyError
@@ -272,6 +286,22 @@ def test_run_all_passes_on_catalog():
         assert all_ok(reports), [r.check for r in reports if not r.ok]
 
 
+def count_table_builds(monkeypatch, name):
+    """Replace the cached table ``RootObject.<name>`` by one that counts its
+    builds per object (by id); returns the counter."""
+    builds = Counter()
+    table = getattr(RootObject, name)
+
+    def counting_table(O):
+        builds[id(O)] += 1
+        return table.func(O)
+
+    prop = cached_property(counting_table)
+    prop.__set_name__(RootObject, name)
+    monkeypatch.setattr(RootObject, name, prop)
+    return builds
+
+
 def test_run_all_builds_each_plane_table_once(monkeypatch):
     # over the catalog and Weyl-restriction closures, built afresh, run_all
     # computes Vol_2 by vol2 and reads the coordinate planes from each
@@ -291,21 +321,28 @@ def test_run_all_builds_each_plane_table_once(monkeypatch):
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("cryarr.") and getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counting(name, fn))
-    builds = Counter()
-    table = RootObject.planes
-
-    def counting_table(O):
-        builds[id(O)] += 1
-        return table.func(O)
-
-    prop = cached_property(counting_table)
-    prop.__set_name__(RootObject, "planes")
-    monkeypatch.setattr(RootObject, "planes", prop)
+    builds = count_table_builds(monkeypatch, "planes")
     for G in closures:
         assert all_ok(run_all(G))
     assert calls == Counter()
     assert builds == Counter({id(O): 1 for G in closures if G.rank == 3 for O in G.objects})
     assert len(builds) == 3 + 116
+
+
+def test_run_all_builds_each_pair_table_once(monkeypatch):
+    # run_all reads the pairs of positive roots from one table per object,
+    # built the first time a check reads it; the search never builds one
+    closures = [traverse(RootObject(G.rank, G.objects[0].positive_roots),
+                         max_objects=len(G.objects))
+                for G in [closure(e.name) for e in cat.entries() if e.crystallographic]
+                + [G for _, G in weyl_restriction_closures()]]
+    builds = count_table_builds(monkeypatch, "pair_table")
+    assert search.enumerate_rank3(9).verdict == search.COMPLETE
+    assert builds == Counter()
+    for G in closures:
+        assert all_ok(run_all(G))
+    assert builds == Counter({id(O): 1 for G in closures for O in G.objects})
+    assert len(builds) == 20 + 116
 
 
 def test_reports_are_deterministic_and_serializable():
@@ -351,6 +388,12 @@ def test_sweep_and_convexity_match_their_slow_paths(G):
 @given(G=single_object_graphs(ranks=(1, 2, 3, 4)))
 def test_sweep_matches_the_triple_loop_in_every_rank(G):
     assert lemcon_sweep(G).to_dict() == lemcon_sweep_triple_loop(G).to_dict()
+
+
+@settings(max_examples=300, deadline=None)
+@given(G=single_object_graphs(ranks=(1, 2, 3, 4)))
+def test_pair_checks_match_their_slow_paths_in_every_rank(G):
+    pair_checks_match_their_slow_paths(G)
 
 
 def negative_gamma_candidates(G):
