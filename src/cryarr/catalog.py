@@ -67,13 +67,6 @@ def _roots_from_cartan(c):
     return tuple(sorted(roots))
 
 
-_CHAMBER_COUNTS = {
-    ("A", 2): 6, ("A", 3): 24, ("A", 4): 120,
-    ("B", 2): 8, ("B", 3): 48, ("C", 3): 48,
-    ("D", 4): 192,
-}
-
-
 def make_series(kind, r) -> CatalogEntry:
     kind = kind.upper()
     c = _series_cartan(kind, r)

@@ -66,36 +66,37 @@ class RootSet:
         return out
 
 
-def _show(v):
-    """A Fraction vector as a tuple of written coordinates: (2,), (1/2, 1)."""
-    return "(" + ", ".join(map(str, v)) + ("," if len(v) == 1 else "") + ")"
+def _show(v, d):
+    """v/d as a tuple of written coordinates: (2,), (1/2, 1)."""
+    shown = ", ".join(str(Fraction(x, d)) for x in v)
+    return "(" + shown + ("," if len(v) == 1 else "") + ")"
 
 
 def make_root_set(covectors, rank=None) -> RootSet:
     """Build a RootSet from covectors (a positive half suffices).
 
-    Exact duplicates and negatives collapse; distinct parallel covectors
-    are rejected because a root set contains each line only as +/- one pair.
-    The accepted covectors are stored scaled to integers (see RootSet).
+    Every covector is scaled to integers by d, the lcm of all denominators,
+    before any check.  Exact duplicates and negatives collapse; distinct
+    parallel covectors are rejected because a root set contains each line
+    only as +/- one pair.
     """
     covectors = [tuple(Fraction(x) for x in cov) for cov in covectors]
     if not covectors:
         raise ValueError("empty root set")
     r = rank if rank is not None else len(covectors[0])
+    d = lcm(*(x.denominator for cov in covectors for x in cov))
     seen = {}
     for cov in covectors:
         if len(cov) != r:
             raise ValueError("covector length does not match rank")
-        if all(x == 0 for x in cov):
+        pos = sign_normalize(tuple(x.numerator * (d // x.denominator) for x in cov))
+        if not any(pos):
             raise ValueError("zero covector")
-        pos = sign_normalize(cov)
         key = direction(pos)
         if key in seen and seen[key] != pos:
-            raise ValueError(f"parallel roots {_show(seen[key])} and {_show(pos)}")
+            raise ValueError(f"parallel roots {_show(seen[key], d)} and {_show(pos, d)}")
         seen[key] = pos
-    positives = sorted(seen.values())
-    d = lcm(*(x.denominator for cov in positives for x in cov))
-    positives = tuple(tuple(int(x * d) for x in cov) for cov in positives)
+    positives = tuple(sorted(seen.values()))
     if matrix_rank(positives) != r:
         raise ValueError("roots do not span the dual space")
     return RootSet(rank=r, positives=positives, denominator=d)

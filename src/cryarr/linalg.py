@@ -1,13 +1,12 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Everything here works with arbitrary-precision ``int`` and
-``fractions.Fraction``; no floating point is used anywhere.
+Every kernel takes ``int`` vectors and returns ints; ``invert`` is the one
+routine with rational output.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 from math import gcd
 from operator import mul
@@ -15,12 +14,8 @@ from operator import mul
 from .errors import SingularMatrixError
 
 
-def gcd_all(values) -> int:
-    return reduce(gcd, (abs(int(v)) for v in values), 0)
-
-
 def dot(u, v):
-    """Exact scalar product; entries may mix int and Fraction."""
+    """Exact scalar product of two vectors of one length."""
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
     return sum(map(mul, u, v))
@@ -28,19 +23,6 @@ def dot(u, v):
 
 def vec_neg(u):
     return tuple(-a for a in u)
-
-
-def clear_denominators(vec):
-    """Primitive integer vector spanning the same ray; orientation preserved."""
-    lcm = 1
-    for x in vec:
-        d = Fraction(x).denominator
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(Fraction(x) * lcm) for x in vec]
-    g = gcd_all(ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
 
 
 def sign_normalize(vec):
@@ -52,11 +34,10 @@ def sign_normalize(vec):
 
 
 def direction(vec):
-    """Canonical key for the line spanned by ``vec``: primitive, first nonzero positive."""
-    if all(type(x) is int for x in vec):
-        g = gcd(*vec)
-        return sign_normalize(tuple(x // g for x in vec) if g > 1 else vec)
-    return sign_normalize(clear_denominators(vec))
+    """Canonical key for the line spanned by the integer vector ``vec``:
+    primitive, first nonzero entry positive."""
+    g = gcd(*vec)
+    return sign_normalize(tuple(x // g for x in vec) if g > 1 else vec)
 
 
 def matrix_rank(rows) -> int:
@@ -126,9 +107,11 @@ def smith_normal_form(matrix):
 
     Returns min(rows, cols) non-negative integers forming a divisibility
     chain (zeros at the end).  Uses elementary row/column reduction with
-    the minimal nonzero absolute value as pivot.
+    the minimal nonzero absolute value as pivot.  An entry that is not an
+    ``int`` raises ValueError.
     """
-    a = [list(map(int, row)) for row in matrix]
+    a = [list(row) for row in matrix]
+    _require_ints(a)
     rows = len(a)
     cols = len(a[0]) if rows else 0
     n = min(rows, cols)
@@ -180,6 +163,11 @@ def smith_normal_form(matrix):
     return tuple(divisors)
 
 
+def _require_ints(rows):
+    if not all(isinstance(x, int) for row in rows for x in row):
+        raise ValueError("entries must be integers")
+
+
 def _min_nonzero(a, t, rows, cols):
     best = None
     pos = None
@@ -227,13 +215,13 @@ def vol2(a, b):
 
 
 def vol(m, vectors):
-    """Product of the elementary divisors of the matrix whose columns are
-    the first ``m`` vectors.
+    """Product of the elementary divisors of the r x m integer matrix whose
+    columns are the first ``m`` vectors: the gcd of its k x k minors, with
+    k = min(m, r).
 
     For m = 1 this is the gcd of the coordinates, for m = r the absolute
-    value of the determinant.  A zero column makes the result 0.  For
-    integer vectors and m <= r the product is the gcd of the m x m minors;
-    otherwise it is read off ``smith_normal_form``.
+    value of the determinant.  A zero column makes the result 0.  An entry
+    that is not an ``int`` raises ValueError.
     """
     if m < 1 or m > len(vectors):
         raise ValueError("need 1 <= m <= number of vectors")
@@ -241,15 +229,10 @@ def vol(m, vectors):
     r = len(vs[0])
     if any(len(v) != r for v in vs):
         raise ValueError("dimension mismatch")
-    if m <= r and all(type(x) is int for v in vs for x in v):
-        g = 0
-        for minor in combinations(zip(*vs), m):
-            g = gcd(g, _det(minor))
-            if g == 1:
-                break
-        return g
-    cols_matrix = [[vs[j][i] for j in range(m)] for i in range(r)]
-    result = 1
-    for d in smith_normal_form(cols_matrix):
-        result *= d
-    return result
+    _require_ints(vs)
+    g = 0
+    for minor in combinations(zip(*vs) if m <= r else vs, min(m, r)):
+        g = gcd(g, _det(minor))
+        if g == 1:
+            break
+    return g

@@ -182,18 +182,11 @@ def check_lemcon(G: GroupoidGraph, object_index, alpha, beta, k) -> CheckReport:
         raise HypothesisFailedError("alpha is a positive root")
     if tuple(a + k * b for a, b in zip(alpha, beta)) not in full:
         raise HypothesisFailedError("alpha + k*beta is a root")
-    return _lemcon(full, max(max(v) for v in roots), alpha, beta, k,
-                   _min_cartan_entry(G))
-
-
-def _lemcon(full, top, alpha, beta, k, min_entry):
-    """check_lemcon once k >= 2, alpha in R+ and alpha + k*beta in +-R hold,
-    given the object's signed roots ``full``, their largest coordinate
-    ``top`` and the closure's minimum Cartan entry."""
     if vol2(alpha, beta) != 1:
         raise HypothesisFailedError("Vol_2(alpha, beta) = 1")
-    if not _no_negative_ray(alpha, beta, top + 1):
+    if not _no_negative_ray(alpha, beta, max(max(v) for v in roots) + 1):
         raise HypothesisFailedError("(-N*alpha + Z*beta) misses N_0^r")
+    min_entry = _min_cartan_entry(G)
     witnesses = _lemcon_conclusion(full, alpha, beta, k, min_entry)
     return CheckReport("lemcon", FAIL if witnesses else PASS, witnesses,
                        {"k": k, "min_cartan_entry": min_entry})

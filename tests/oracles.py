@@ -6,8 +6,11 @@ enumeration with Fourier-Motzkin feasibility, determinants from cofactor
 expansion, elementary divisors from gcds of minors, Catalan numbers
 from the binomial closed form, and the simpliciality and chamber count of
 a rank-3 arrangement from its intersection points (Melchior, Zaslavsky).
-Twenty-one references are the exception, each kept as the slow path that a
-faster one replaced: ``verify_candidate_geometric`` (the geometric
+Twenty-three references are the exception, each kept as the slow path that
+a faster one replaced: ``clear_denominators`` (lines of Fraction vectors,
+for the integer-only ``direction``), ``make_root_set_fractions`` (every
+input check on Fractions, for the checks on covectors scaled to integers
+first), ``verify_candidate_geometric`` (the geometric
 pipeline alone, for the search's integer-first filter),
 ``kernel_vector_gauss_jordan`` (the Fraction elimination, for the integer
 maximal-minor kernel), ``verify_fraction_coordinates`` (Fraction root
@@ -48,7 +51,7 @@ table.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from cryarr import search
 from cryarr.errors import (
@@ -83,7 +86,7 @@ from cryarr.groupoid import (
     traverse,
     verify_crystallographic,
 )
-from cryarr.linalg import clear_denominators, direction, sign_normalize, vec_neg, vol
+from cryarr.linalg import direction, sign_normalize, vec_neg, vol
 from cryarr.localization import LocalizationCycles, PlaneRoots, localize
 from cryarr.rank2 import slope_sorted
 from cryarr.verifier import (
@@ -92,12 +95,52 @@ from cryarr.verifier import (
     SKIP,
     VOL2_MAX,
     CheckReport,
-    _lemcon,
+    _lemcon_conclusion,
     _min_cartan_entry,
     _signed,
     all_ok,
     run_all,
 )
+
+
+def clear_denominators(vec):
+    """Primitive integer vector spanning the same ray; orientation preserved."""
+    d = lcm(*(Fraction(x).denominator for x in vec))
+    ints = [int(Fraction(x) * d) for x in vec]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+
+def make_root_set_fractions(covectors, rank=None) -> RootSet:
+    """``geometry.make_root_set`` with every check on Fractions: the
+    duplicate, zero and parallel tests and the sort run on the given
+    covectors, keyed by ``clear_denominators``, and the accepted ones are
+    scaled to integers only at the end."""
+    covectors = [tuple(Fraction(x) for x in cov) for cov in covectors]
+    if not covectors:
+        raise ValueError("empty root set")
+    r = rank if rank is not None else len(covectors[0])
+
+    def show(v):
+        return "(" + ", ".join(map(str, v)) + ("," if len(v) == 1 else "") + ")"
+
+    seen = {}
+    for cov in covectors:
+        if len(cov) != r:
+            raise ValueError("covector length does not match rank")
+        if all(x == 0 for x in cov):
+            raise ValueError("zero covector")
+        pos = sign_normalize(cov)
+        key = sign_normalize(clear_denominators(pos))
+        if key in seen and seen[key] != pos:
+            raise ValueError(f"parallel roots {show(seen[key])} and {show(pos)}")
+        seen[key] = pos
+    positives = sorted(seen.values())
+    d = lcm(*(x.denominator for cov in positives for x in cov))
+    positives = tuple(tuple(int(x * d) for x in cov) for cov in positives)
+    if matrix_rank_fractions(positives) != r:
+        raise ValueError("roots do not span the dual space")
+    return RootSet(rank=r, positives=positives, denominator=d)
 
 
 def _primitive(v):
@@ -652,8 +695,8 @@ def lemcon_sweep_triple_loop(G: GroupoidGraph) -> CheckReport:
 
     The loop tests all five hypotheses itself (k >= 2, alpha in R+,
     alpha + k*beta in +-R, Vol_2(alpha, beta) = 1 and the negative ray,
-    the last by ``no_negative_ray_box``) and hands ``_lemcon`` only the
-    triples that meet them."""
+    the last by ``no_negative_ray_box``) and hands ``_lemcon_conclusion``
+    only the triples that meet them."""
     min_entry = _min_cartan_entry(G)
     witnesses = []
     triples = 0
@@ -669,10 +712,10 @@ def lemcon_sweep_triple_loop(G: GroupoidGraph) -> CheckReport:
                             or vol(2, [alpha, beta]) != 1
                             or not no_negative_ray_box(alpha, beta, top + 1)):
                         continue
-                    rep = _lemcon(full, top, alpha, beta, k, min_entry)
+                    found = _lemcon_conclusion(full, alpha, beta, k, min_entry)
                     triples += 1
-                    if not rep.ok:
-                        witnesses.append((oi, alpha, beta, k, rep.witnesses))
+                    if found:
+                        witnesses.append((oi, alpha, beta, k, found))
     return CheckReport("lemcon_sweep", FAIL if witnesses else PASS, witnesses,
                        {"triples_checked": triples})
 

@@ -22,16 +22,18 @@ from cryarr.geometry import (
 )
 from cryarr import catalog as cat
 from cryarr.groupoid import make_root_object, root_object_of_chamber
-from cryarr.linalg import direction, dot, invert
+from cryarr.linalg import direction, dot, invert, sign_normalize
 from oracles import (
     adjacent_chamber_rescan,
     chamber_from_signs_rescan,
     chamber_graph_every_crossing,
+    clear_denominators,
     count_chambers,
+    make_root_set_fractions,
     melchior_zaslavsky,
     rays_for_signs_scan,
 )
-from strategies import arrangements
+from strategies import arrangements, written
 from test_search import _inputs
 
 EX26 = [(1, 0), (0, 1), (1, 2)]
@@ -52,6 +54,53 @@ def test_make_root_set_rejects_bad_input():
     # negatives collapse onto their positive representative
     R = make_root_set([(1, 0), (-1, 0), (0, 1)])
     assert len(R.positives) == 2
+
+
+KINDS = ("none",) * 6 + ("duplicate", "negative", "parallel", "zero")
+
+
+@st.composite
+def root_set_inputs(draw):
+    """Covectors of rank 1..4 with int, "p/q" and Fraction coordinates:
+    random nonzero rational ones together with exact duplicates, negatives,
+    distinct parallel multiples and zero vectors, in a shuffled order."""
+    rank = draw(st.integers(1, 4))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    nonzero = st.tuples(*[coord] * rank).filter(any)
+    covectors = draw(st.lists(nonzero, min_size=1, max_size=5))
+    for cov in list(covectors):
+        kind = draw(st.sampled_from(KINDS))
+        if kind == "duplicate":
+            covectors.append(cov)
+        elif kind == "negative":
+            covectors.append(tuple(-x for x in cov))
+        elif kind == "parallel":
+            s = draw(st.sampled_from((2, -2, Fraction(1, 2), Fraction(-3, 2), 3)))
+            covectors.append(tuple(s * x for x in cov))
+        elif kind == "zero":
+            covectors.append((0,) * rank)
+    covectors = draw(st.permutations(covectors))
+    form = st.sampled_from((written, str, Fraction))
+    return [tuple(draw(form)(x) for x in cov) for cov in covectors]
+
+
+def _root_set_or_message(build, covectors):
+    try:
+        R = build(covectors)
+    except ValueError as e:
+        return str(e)
+    return R.rank, R.positives, R.denominator
+
+
+@settings(max_examples=300, deadline=None)
+@given(root_set_inputs())
+@example([("1/2", 1), (1, 2)])
+@example([(0, 0), ("1/3", 0)])
+def test_make_root_set_matches_fraction_checks(covectors):
+    # scaling to integers before the checks gives the positives, the
+    # denominator and every error message of the checks on Fractions
+    assert (_root_set_or_message(make_root_set, covectors)
+            == _root_set_or_message(make_root_set_fractions, covectors))
 
 
 def test_make_root_set_scales_to_integers():
@@ -262,7 +311,8 @@ def _check_walls_and_signs(R):
     index = {direction(cov): k for k, cov in enumerate(R.positives)}
     for K in chamber_graph(R)[0]:
         inverse = invert([[ray[i] for ray in K.rays] for i in range(R.rank)])
-        assert K.walls == tuple(index[direction(row)] for row in inverse)
+        assert K.walls == tuple(index[sign_normalize(clear_denominators(row))]
+                                for row in inverse)
         for v in K.rays:
             assert ray_values(R, v) == tuple(dot(cov, v) for cov in R.positives)
 
