@@ -17,6 +17,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import catalog as cat
 from .errors import CryarrError, NonSimplicialError
@@ -267,7 +268,10 @@ def cmd_catalog(args):
     return EXIT_PASS
 
 
+@cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every
+    later ``main`` call of the process."""
     ap = argparse.ArgumentParser(
         prog="cryarr",
         description="exact tools for crystallographic hyperplane arrangements",

@@ -4,6 +4,66 @@ An arrangement is given by a finite set of covectors (one per hyperplane,
 up to sign).  Chambers are identified by their sign vector over the
 positive covector representatives; every computation is exact, on integer
 covectors, and only Cartan entries are rational.
+
+Rays of a sign vector.  ``_chamber_rays`` finds the extreme rays of the
+closed cone C(s) = {x : s_k * c_k(x) >= 0 for every k} by double
+description (Motzkin et al. 1953; Fukuda-Prodon 1996).  It starts from
+the simplicial cone of r independent signed covectors, whose rays are the
+kernel lines of r - 1 of them, and clips it by each other signed covector
+g in turn: the rays with g >= 0 stay, and each pair p, n of adjacent rays
+with g(p) > 0 > g(n) adds the ray g(p)*n - g(n)*p, on g = 0.  The zero
+mask of a ray is the set of covectors clipped so far that vanish on it.
+Two rays are adjacent when no third ray's zero mask contains their common
+zero mask: the smallest face of the cone that holds both is cut out by
+that common mask, its extreme rays are the rays whose masks contain it,
+and it is 2-dimensional exactly when it has no third one.  (It also needs
+r - 2 independent covectors, so a common mask of fewer bits is never
+adjacent.)  Every cone of the sequence lies in the pointed starting cone,
+so it is pointed and the step applies.  Because the covectors span the
+dual space, C(s) is pointed as well; its extreme rays are the primitive
+generators of the intersections of r - 1 hyperplanes that lie in C(s), so
+the clipping finds the ray set that a scan of all those intersections
+finds, for every sign vector, feasible or not.
+
+Local wall crossing.  Let K be a simplicial chamber with rays u_1..u_r
+and walls w_1..w_r (w_j vanishes on every u_k but u_j), H = w_i, and K'
+the chamber across H: K's signs with the sign of H flipped.
+
+  - K' is not empty and meets K's facet F = cone{u_k : k != i}: every
+    covector other than H has K's sign on the relative interior of F (it
+    is >= 0 there and is not 0 on all of F, which spans H), so points
+    just across H from it lie in K'.  The closed facet of K' on H is
+    {x in H : every other covector has its sign or 0 on x}, the same set
+    as K's, which is F.  So if K' is simplicial its rays are the u_k
+    (k != i) and one new ray u'.
+  - The walls.  Fix j != i and let L_j be the span of {u_k : k != i, j}.
+    Modulo L_j, the hyperplanes through L_j are lines through the origin
+    of a plane, one line each (two hyperplanes through L_j and one more
+    common vector are equal).  K maps onto the sector between u_i and
+    u_j, and H onto the line of u_j.  If K' is simplicial its wall W'_j
+    opposite u_j holds L_j and u', and K' maps onto the sector between
+    u_j and u' on the side of H away from u_i, which no line cuts.  The
+    path u_j - t*u_i, t > 0, sweeps that side from u_j to -u_i, and the
+    old wall w_j, which holds L_j and u_i, is met only as t grows without
+    bound.  So W'_j is the hyperplane W through L_j, other than H, with
+    the least t = W(u_j)/W(u_i) > 0, or w_j if there is none: this W_j
+    is found from the kept rays alone.  W_j(u_j) != 0, since a
+    hyperplane through L_j and u_j is H.
+  - The new ray.  w = sum_{j != i} (W_j(u_i)/W_j(u_j))*u_j - u_i vanishes
+    on every W_k (k != i), since W_k vanishes on u_j for j != i, k, which
+    leaves W_k(u_i) - W_k(u_i); and H(w) = -H(u_i) has K''s sign.  If K'
+    is simplicial, u' spans the line where its r - 1 walls W_j meet and
+    has K''s sign on H, so u' is a positive multiple of w, and every
+    covector has K''s sign or 0 on w.  Conversely, if every covector
+    does, the simplicial cone C = cone{u_k (k != i), w} (w has the
+    coefficient -1 on u_i) lies in the closure of K', so its interior
+    lies in K'; C's facets lie on H and on the W_j, which do not cut K',
+    so K' lies in C, and K' is the simplicial chamber C with rays u_k
+    (k != i) and w, wall W_j opposite u_j and H opposite w.
+
+So a crossing reads the rows of K's rays and computes at most one new row,
+that of w, and the new chamber is simplicial exactly when every covector has
+the new chamber's sign or 0 on w.
 """
 
 from __future__ import annotations
@@ -11,8 +71,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from .errors import NonSimplicialError
 from .linalg import (
@@ -42,28 +102,12 @@ class RootSet:
     denominator: int
 
     @cached_property
-    def ray_table(self):
-        """Candidate extreme rays: the primitive, sign-normalized generators
-        of 1-dim intersections of (rank-1)-subsets of hyperplanes.  Each ray
-        v maps to (values, plus, minus): the integer value of every positive
-        covector on v, and the bitmasks of the covectors positive and
-        negative on v (bit k for the k-th positive covector)."""
-        out = {}
-        for subset in combinations(self.positives, self.rank - 1):
-            v = kernel_vector(subset, self.rank)
-            if v is None:
-                continue
-            v = sign_normalize(v)
-            if v not in out:
-                values = tuple(dot(cov, v) for cov in self.positives)
-                plus = minus = 0
-                for k, x in enumerate(values):
-                    if x > 0:
-                        plus |= 1 << k
-                    elif x < 0:
-                        minus |= 1 << k
-                out[v] = (values, plus, minus)
-        return out
+    def rows(self):
+        """Memo of the rays that a walk has reached: each ray v maps to
+        (values, plus, minus), the integer value of every positive covector
+        on v and the bitmasks of the covectors positive and negative on v
+        (bit k for the k-th positive covector)."""
+        return {}
 
 
 def _show(v, d):
@@ -117,55 +161,75 @@ class Chamber:
     walls: tuple
 
 
-def _rays_for_signs(R: RootSet, signs):
-    """The extreme rays of the chamber with these signs, by one scan of the
-    ray table; NonSimplicialError unless there are exactly rank of them.
-    With P the covectors positive on the chamber and N the negative ones,
-    v is a ray when no covector of N is positive on it and none of P is
-    negative, and -v when the same holds with P and N swapped."""
-    P = 0
-    for k, s in enumerate(signs):
-        if s > 0:
-            P |= 1 << k
-    N = ((1 << len(signs)) - 1) ^ P
-    rays = []
-    for v, (_, plus, minus) in R.ray_table.items():
-        if not (plus & N or minus & P):
-            rays.append(v)
-        elif not (plus & P or minus & N):
-            rays.append(vec_neg(v))
-    if len(rays) != R.rank:
-        raise NonSimplicialError(signs, len(rays))
-    return rays
+def _row_of(R: RootSet, v):
+    """(values, plus, minus) of the ray v: see ``RootSet.rows``."""
+    values = tuple([sum(map(mul, cov, v)) for cov in R.positives])
+    plus = minus = 0
+    for k, x in enumerate(values):
+        if x > 0:
+            plus |= 1 << k
+        elif x < 0:
+            minus |= 1 << k
+    return values, plus, minus
 
 
-def _walls_for_rays(R: RootSet, rays):
-    # the wall opposite ray i is the one hyperplane containing all other
-    # rays: the single bit common to their zero masks
-    full = (1 << len(R.positives)) - 1
-    zeros = []
-    for v in rays:
-        _, plus, minus = R.ray_table.get(v) or R.ray_table[vec_neg(v)]
-        zeros.append(full & ~(plus | minus))
-    walls = []
-    for i in range(R.rank):
-        common = full
-        for j, z in enumerate(zeros):
-            if j != i:
-                common &= z
-        if not common or common & (common - 1):
-            raise ValueError(f"no arrangement hyperplane is opposite ray {rays[i]}")
-        walls.append(common.bit_length() - 1)
-    return tuple(walls)
+def _row(R: RootSet, v):
+    """The memoized row of the ray v, filled on first use."""
+    row = R.rows.get(v)
+    if row is None:
+        row = R.rows[v] = _row_of(R, v)
+    return row
 
 
 def ray_values(R: RootSet, v):
-    """The values of the positive covectors on v, a ray of the table or the
-    negative of one."""
-    entry = R.ray_table.get(v)
-    if entry is not None:
-        return entry[0]
-    return tuple(-x for x in R.ray_table[vec_neg(v)][0])
+    """The values of the positive covectors on the ray v."""
+    return _row(R, v)[0]
+
+
+def _chamber_rays(R: RootSet, signs):
+    """The extreme rays of the closed cone on which every positive covector
+    has its sign or 0, as primitive integer vectors, each mapped to its
+    zero mask (bit k when the k-th positive covector vanishes on it); by
+    double description, as the module docstring describes."""
+    r = R.rank
+    halves = [cov if s > 0 else vec_neg(cov) for cov, s in zip(R.positives, signs)]
+    basis = []
+    for k, g in enumerate(halves):
+        if matrix_rank([halves[b] for b in basis] + [g]) > len(basis):
+            basis.append(k)
+            if len(basis) == r:
+                break
+    rays = {}
+    for m in basis:
+        v = kernel_vector([halves[b] for b in basis if b != m], r)
+        rays[v if dot(halves[m], v) > 0 else vec_neg(v)] = sum(
+            1 << b for b in basis if b != m)
+    for k, g in enumerate(halves):
+        if k in basis:
+            continue
+        bit = 1 << k
+        kept, pos, neg = {}, [], []
+        for v, zeros in rays.items():
+            x = dot(g, v)
+            if x > 0:
+                pos.append((v, zeros, x))
+                kept[v] = zeros
+            elif x < 0:
+                neg.append((v, zeros, x))
+            else:
+                kept[v] = zeros | bit
+        for p, zp, xp in pos:
+            for n, zn, xn in neg:
+                common = zp & zn
+                if common.bit_count() < r - 2 or any(
+                        (zeros & common) == common and q != p and q != n
+                        for q, zeros in rays.items()):
+                    continue
+                w = [xp * b - xn * a for a, b in zip(p, n)]
+                d = gcd(*w)
+                kept[tuple(x // d for x in w)] = common | bit
+        rays = kept
+    return rays
 
 
 def generic_point(R: RootSet):
@@ -182,19 +246,25 @@ def generic_point(R: RootSet):
 def initial_chamber(R: RootSet) -> Chamber:
     """The chamber of ``generic_point`` in the canonical frame order: signed
     wall covectors, lexicographically descending, so standard-basis
-    covectors come out as e1, e2, ..."""
+    covectors come out as e1, e2, ...  The wall opposite a ray is the one
+    hyperplane in the zero masks of all the other rays."""
     p = generic_point(R)
     signs = tuple(1 if dot(cov, p) > 0 else -1 for cov in R.positives)
-    rays = _rays_for_signs(R, signs)
-    walls = _walls_for_rays(R, rays)
-
-    def signed(i):
-        cov = R.positives[walls[i]]
-        return cov if signs[walls[i]] > 0 else vec_neg(cov)
-
-    order = sorted(range(R.rank), key=signed, reverse=True)
-    return Chamber(signs=signs, rays=tuple(rays[i] for i in order),
-                   walls=tuple(walls[i] for i in order))
+    rays = _chamber_rays(R, signs)
+    if len(rays) != R.rank:
+        raise NonSimplicialError(signs, len(rays))
+    frame = []
+    for v in rays:
+        common = (1 << len(R.positives)) - 1
+        for u, zeros in rays.items():
+            if u != v:
+                common &= zeros
+        wall = common.bit_length() - 1
+        cov = R.positives[wall]
+        frame.append((cov if signs[wall] > 0 else vec_neg(cov), v, wall))
+    frame.sort(reverse=True)
+    return Chamber(signs=signs, rays=tuple(v for _, v, _ in frame),
+                   walls=tuple(wall for _, _, wall in frame))
 
 
 def _crossed_signs(K: Chamber, i: int):
@@ -206,15 +276,61 @@ def _crossed_signs(K: Chamber, i: int):
 
 def adjacent_chamber(R: RootSet, K: Chamber, i: int) -> Chamber:
     """The chamber across wall i of K, with frame labels propagated: K's
-    rays with ray i replaced by the one new ray.  Once the new chamber has
-    rank rays that ray is unique, since each kept ray lies on the crossed
-    wall and so is in the new chamber's closure."""
+    rays with ray i replaced by the new ray w, and the new walls W_j, both
+    found from the rows of K's rays as the module docstring proves.  Raises
+    NonSimplicialError, with the ray count of ``_chamber_rays``, when some
+    covector has the sign opposite to the new chamber's on w."""
     if not 0 <= i < R.rank:
         raise IndexError("wall index out of range")
     signs = _crossed_signs(K, i)
+    rows = [_row(R, v) for v in K.rays]
+    h = K.walls[i]
+    full = (1 << len(R.positives)) - 1
+    zeros = [full ^ (plus | minus) for _, plus, minus in rows]
+    ui = rows[i][0]
+    walls = list(K.walls)
+    # (j, W_j(u_i), W_j(u_j)) for each j != i whose W_j is not K's wall w_j
+    picks = []
+    for j, (uj, _, _) in enumerate(rows):
+        if j == i:
+            continue
+        through = full ^ (1 << h)
+        for k, z in enumerate(zeros):
+            if k != i and k != j:
+                through &= z
+        a0 = b0 = 0
+        while through:
+            low = through & -through
+            through ^= low
+            wall = low.bit_length() - 1
+            a, b = ui[wall], uj[wall]
+            # t = b / a > 0, the least one wins
+            if a and (a > 0) == (b > 0) and (not a0 or abs(b * a0) < abs(b0 * a)):
+                a0, b0 = a, b
+                walls[j] = wall
+        if a0:
+            picks.append((j, a0, b0))
+    scale = lcm(*(abs(b) for _, _, b in picks))
+    coeffs = [0] * R.rank
+    coeffs[i] = -scale
+    for j, a, b in picks:
+        coeffs[j] = a * scale // b
+    w = [sum(map(mul, coeffs, column)) for column in zip(*K.rays)]
+    d = gcd(*w)
+    w = tuple(x // d for x in w)
+    row = R.rows.get(w) or _row_of(R, w)
+    # a covector is positive on K exactly when it is positive on one of
+    # K's rays, since the rays span and none has the opposite sign
+    positive = 0
+    for _, plus, _ in rows:
+        positive |= plus
+    positive ^= 1 << h
+    if row[1] & ~positive or row[2] & positive:
+        raise NonSimplicialError(signs, len(_chamber_rays(R, signs)))
+    R.rows[w] = row
     rays = list(K.rays)
-    rays[i] = next(v for v in _rays_for_signs(R, signs) if v not in K.rays)
-    return Chamber(signs=signs, rays=tuple(rays), walls=_walls_for_rays(R, rays))
+    rays[i] = w
+    return Chamber(signs=signs, rays=tuple(rays), walls=tuple(walls))
 
 
 def chamber_graph(R: RootSet):

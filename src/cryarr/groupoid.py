@@ -224,9 +224,9 @@ def root_object_of_chamber(R: RootSet, K):
     """Root coordinates of all covectors in the chamber's wall-root basis:
     x_i = <cov, ray_i> / s_i with s_i = <b_i, ray_i> = K.signs[w_i] *
     <cov_{w_i}, ray_i> for the signed wall root b_i at wall w_i; every value
-    is read from the ray table.  The failure witness is (chamber signs,
-    the first covector with a non-integral coordinate, its coordinates) in
-    the document's own scale, as Fractions.
+    is read from the rows that the walk memoized.  The failure witness is
+    (chamber signs, the first covector with a non-integral coordinate, its
+    coordinates) in the document's own scale, as Fractions.
 
     ``verify_crystallographic`` calls this once: at the base chamber on
     success, or at the first chamber whose columns are not all integral,

@@ -6,7 +6,7 @@ enumeration with Fourier-Motzkin feasibility, determinants from cofactor
 expansion, elementary divisors from gcds of minors, Catalan numbers
 from the binomial closed form, and the simpliciality and chamber count of
 a rank-3 arrangement from its intersection points (Melchior, Zaslavsky).
-Twenty-three references are the exception, each kept as the slow path that
+Twenty-four references are the exception, each kept as the slow path that
 a faster one replaced: ``clear_denominators`` (lines of Fraction vectors,
 for the integer-only ``direction``), ``make_root_set_fractions`` (every
 input check on Fractions, for the checks on covectors scaled to integers
@@ -26,8 +26,8 @@ every triple, for the inline determinants and the pair prefilter),
 ``sum_of_roots_every_pair`` and ``vol2_bound_every_pair`` (every pair
 of positive roots walked by the check itself, for the checks that read
 the object's pair table),
-``chamber_from_signs_rescan`` and ``adjacent_chamber_rescan`` (a second
-scan for the rays per wall crossing, for the one-scan crossing),
+``chamber_from_signs_rescan`` and ``adjacent_chamber_rescan`` (a scan
+of every candidate ray per wall crossing, for the local crossing),
 ``chamber_graph_every_crossing`` (a chamber built for every crossing, for
 the walk that builds each chamber once), and ``rank2_cycles_reflecting``,
 ``plane_roots_reflecting`` and ``check_plane_roots_reflecting`` (every
@@ -43,9 +43,10 @@ fraction-free elimination) and ``partial_closure_ok`` (every path of the
 reflection walk in matrix form, members found through integer inverses
 and every row tested, for the search's walk over reflected members that
 visits each object once).
-``rays_for_signs_scan``, which the two rescans use, reads the signs of
-the rays from exact products of its own, not from the package's ray
-table.
+``rays_for_signs_scan`` (every candidate ray, for the clipping of
+``_chamber_rays``), which the two rescans use with ``walls_exact``,
+reads the signs of the rays from exact products of its own, not from the
+package's row memo.
 """
 
 from fractions import Fraction
@@ -64,7 +65,6 @@ from cryarr.errors import (
 from cryarr.geometry import (
     Chamber,
     RootSet,
-    _walls_for_rays,
     adjacent_chamber,
     cartan_of_chamber,
     chamber_graph,
@@ -419,6 +419,20 @@ def verify_fraction_coordinates(covectors, rank):
 
 def _cross(u, v):
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def rank3_rays_scan(covectors, signs):
+    """The rays of the closed cone on which every rank-3 integer covector
+    has its sign in ``signs`` or 0: each primitive cross product of two
+    covectors, or its negative, on which no covector has the opposite
+    sign."""
+    rays = set()
+    for a, b in combinations(covectors, 2):
+        v = _primitive(_cross(a, b))
+        for u in (v, vec_neg(v)):
+            if all(s * _dot(cov, u) >= 0 for cov, s in zip(covectors, signs)):
+                rays.add(u)
+    return rays
 
 
 def melchior_zaslavsky(covectors):
@@ -933,6 +947,20 @@ def rays_for_signs_scan(R: RootSet, signs):
     return rays
 
 
+def walls_exact(R: RootSet, rays):
+    """For each ray, the index of the one positive covector whose exact
+    products vanish on all the other rays."""
+    walls = []
+    for i in range(len(rays)):
+        others = [v for j, v in enumerate(rays) if j != i]
+        zero = [k for k, cov in enumerate(R.positives)
+                if all(_dot(cov, v) == 0 for v in others)]
+        if len(zero) != 1:
+            raise ValueError(f"no arrangement hyperplane is opposite ray {rays[i]}")
+        walls.append(zero[0])
+    return tuple(walls)
+
+
 def chamber_from_signs_rescan(R: RootSet, signs, frame=None) -> Chamber:
     rays = rays_for_signs_scan(R, signs)
     if len(rays) != R.rank:
@@ -940,7 +968,7 @@ def chamber_from_signs_rescan(R: RootSet, signs, frame=None) -> Chamber:
     if frame is None:
         # canonical frame order: signed wall covectors, lexicographically
         # descending, so standard-basis covectors come out as e1, e2, ...
-        walls = _walls_for_rays(R, rays)
+        walls = walls_exact(R, rays)
 
         def signed(i):
             cov = R.positives[walls[i]]
@@ -954,7 +982,7 @@ def chamber_from_signs_rescan(R: RootSet, signs, frame=None) -> Chamber:
         if set(frame) - have:
             raise ValueError("frame hint does not match chamber rays")
         rays = list(frame)
-        walls = _walls_for_rays(R, rays)
+        walls = walls_exact(R, rays)
     return Chamber(signs=tuple(signs), rays=tuple(rays), walls=walls)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cryarr import catalog as cat
-from cryarr.cli import main
+from cryarr.cli import build_parser, main
 from strategies import written
 
 
@@ -207,6 +207,19 @@ def test_threads_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "4", "enumerate-rank2", "4"])
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(tmp_path, capsys):
+    build_parser.cache_clear()
+    path = write_doc(tmp_path, "a3", 3, A3)
+    assert run(capsys, "verify", path)[0] == 0
+    assert run(capsys, "catalog", "A2")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"])
+    assert exc.value.code == 2
+    code, out, _ = run(capsys, "verify", path)
+    assert code == 0 and json.loads(out)["chambers"] == 24
+    assert build_parser.cache_info().misses == 1
 
 
 MALFORMED = {

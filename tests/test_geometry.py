@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 from itertools import product
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from cryarr.errors import NonSimplicialError
 from cryarr.geometry import (
     Chamber,
-    _rays_for_signs,
+    _chamber_rays,
     adjacent_chamber,
     cartan_of_chamber,
     chamber_graph,
@@ -31,6 +32,7 @@ from oracles import (
     count_chambers,
     make_root_set_fractions,
     melchior_zaslavsky,
+    rank3_rays_scan,
     rays_for_signs_scan,
 )
 from strategies import arrangements, written
@@ -212,7 +214,7 @@ def test_wall_crossing_matches_rescan_when_not_simplicial():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from((2, 3)).flatmap(arrangements))
+@given(st.sampled_from((2, 3, 4)).flatmap(arrangements))
 @example([(0, 1), (1, -1)])  # the sign table lists the rays out of frame order
 def test_wall_crossing_matches_rescan(covectors):
     try:
@@ -245,8 +247,37 @@ def test_walk_matches_every_crossing_on_49_line_box():
     assert outcome[0] == "non-simplicial"
 
 
+def _random_lines(count, seed):
+    """``count`` pairwise non-parallel rank-3 covectors with coordinates in
+    [-20, 20], drawn with a seeded generator."""
+    rng = random.Random(seed)
+    lines = {}
+    while len(lines) < count:
+        v = tuple(rng.randint(-20, 20) for _ in range(3))
+        if any(v):
+            lines.setdefault(direction(v), v)
+    return list(lines.values())
+
+
+@pytest.mark.parametrize("name, lines, ray_count, rows", [
+    ("box-49", _inputs().box_lines(), 4, 9),
+    ("random-200", _random_lines(200, seed=19), 5, 0)])
+def test_large_non_simplicial_input_fills_rows_only_for_rays_reached(
+        name, lines, ray_count, rows):
+    """The rejection carries the ray count of the exact scan, and only the
+    rays of the simplicial chambers built before it get a row: box-49
+    builds 7 chambers (9 distinct rays) first, and the 200 random lines
+    fail at the generic point's chamber."""
+    R = make_root_set(lines, rank=3)
+    assert len(R.positives) == len(lines)
+    with pytest.raises(NonSimplicialError) as e:
+        chamber_graph(R)
+    assert e.value.ray_count == len(rank3_rays_scan(R.positives, e.value.signs))
+    assert (e.value.ray_count, len(R.rows)) == (ray_count, rows)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from((2, 3)).flatmap(arrangements))
+@given(st.sampled_from((2, 3, 4)).flatmap(arrangements))
 def test_walk_matches_every_crossing(covectors):
     try:
         R = make_root_set(covectors)
@@ -256,28 +287,39 @@ def test_walk_matches_every_crossing(covectors):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(arrangements(2), arrangements(3),
+@given(st.one_of(arrangements(2), arrangements(3), arrangements(4),
                  st.lists(st.tuples(SMALL_INTS, SMALL_INTS, SMALL_INTS),
                           min_size=3, max_size=6)))
-def test_rays_for_signs_matches_exact_scan(covectors):
-    """Every sign vector, infeasible ones included: the mask scan finds the
-    rays that exact products find, in the same order, or raises with their
-    number when it is not the rank."""
+def test_chamber_rays_matches_exact_scan(covectors):
     try:
         R = make_root_set(covectors)
     except ValueError:
         assume(False)
-    n = len(R.positives)
-    assume(n <= 6)
-    for signs in product((1, -1), repeat=n):
-        expected = rays_for_signs_scan(R, signs)
-        try:
-            rays = _rays_for_signs(R, signs)
-        except NonSimplicialError as e:
-            assert (e.signs, e.ray_count) == (signs, len(expected))
-            assert e.ray_count != R.rank
-        else:
-            assert rays == expected
+    assume(len(R.positives) <= 6)
+    _check_chamber_rays(R)
+
+
+def _check_chamber_rays(R):
+    """Every sign vector, infeasible ones included: the clipping finds the
+    rays that exact products find, in any order, each with the mask of
+    the covectors that vanish on it."""
+    for signs in product((1, -1), repeat=len(R.positives)):
+        rays = _chamber_rays(R, signs)
+        assert sorted(rays) == sorted(rays_for_signs_scan(R, signs))
+        for v, zeros in rays.items():
+            assert zeros == sum(1 << k for k, cov in enumerate(R.positives)
+                                if dot(cov, v) == 0)
+
+
+def test_chamber_rays_matches_exact_scan_on_degenerate_rank5_cones():
+    # many hyperplanes meet at some rays, so two rays can share r - 2 zero
+    # bits without being adjacent: only the test against a third ray's
+    # mask keeps their combination out (sign vectors (1, 1, 1, -1, 1, 1,
+    # 1, 1, 1) and (-1, 1, -1, 1, -1, -1, -1, -1, 1))
+    R = make_root_set([(0, 0, 2, 0, 0), (0, 1, -2, -2, 2), (0, 1, 1, 2, -1),
+                       (1, 0, 0, -1, 0), (1, 0, 1, 1, 2), (1, 1, 2, -1, 2),
+                       (2, 0, 0, 1, 0), (2, 1, -2, -1, 2), (2, 1, -1, -2, -1)])
+    _check_chamber_rays(R)
 
 
 def test_is_irreducible():
@@ -296,25 +338,31 @@ def test_cartan_integral_on_weyl_base():
 
 
 def _check_walls_and_signs(R):
-    """The ray table against exact products: each ray's values are the
+    """The row memo against exact products: each ray's values are the
     products with the Fraction covectors cov/d times d, and its masks mark
     the positive and negative values.  Walls of every chamber against the
     inverse-matrix rule (the rows of the inverse ray matrix are the dual
     wall covectors, found among the hyperplanes by direction), and the
-    values read for each chamber ray against exact products."""
-    for v, (values, plus, minus) in R.ray_table.items():
+    values read for each chamber ray against exact products.  A walk that
+    meets a non-simplicial chamber checks the rows it filled."""
+    try:
+        chambers, _ = chamber_graph(R)
+    except NonSimplicialError:
+        chambers = []
+    for v, (values, plus, minus) in R.rows.items():
         products = [dot([Fraction(x, R.denominator) for x in cov], v)
                     for cov in R.positives]
         assert values == tuple(R.denominator * d for d in products)
         assert plus == sum(1 << k for k, x in enumerate(values) if x > 0)
         assert minus == sum(1 << k for k, x in enumerate(values) if x < 0)
     index = {direction(cov): k for k, cov in enumerate(R.positives)}
-    for K in chamber_graph(R)[0]:
+    for K in chambers:
         inverse = invert([[ray[i] for ray in K.rays] for i in range(R.rank)])
         assert K.walls == tuple(index[sign_normalize(clear_denominators(row))]
                                 for row in inverse)
         for v in K.rays:
             assert ray_values(R, v) == tuple(dot(cov, v) for cov in R.positives)
+    return chambers
 
 
 @pytest.mark.parametrize("name", [e.name for e in cat.entries()])
@@ -342,10 +390,7 @@ def test_walls_and_ray_signs_match_exact_rule_rank3(covectors):
         R = make_root_set(covectors, rank=3)
     except ValueError:
         assume(False)
-    try:
-        _check_walls_and_signs(R)
-    except NonSimplicialError:
-        pass  # the sign table was checked before the walk
+    _check_walls_and_signs(R)
 
 
 def _check_melchior_zaslavsky(R):

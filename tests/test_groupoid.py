@@ -92,23 +92,34 @@ def test_verify_examples():
     assert res.reason == "non-integral root coordinates"
 
 
+ROWS = {"A2": 6, "rank2-7": 14, "noncrystallographic-2.6": 6, "A3": 14,
+        "A4": 30, "B3": 26, "C3": 26, "D4": 48}
+
+
 @pytest.mark.parametrize("name, scans", [
     ("A2", 6), ("rank2-7", 14), ("noncrystallographic-2.6", 6), ("A3", 24),
     ("A4", 120), ("B3", 48), ("C3", 48), ("D4", 192)])
 def test_verify_scans_the_ray_table_once_per_chamber(name, scans, monkeypatch):
-    # one scan per chamber built; the base Cartan matrix reads the chambers
-    # across its walls from the chamber graph's edges
+    """Each chamber is built once: the base chamber by one clipping, every
+    other one by one local crossing; and the row memo holds one row per
+    distinct ray of the walk."""
     calls = []
-    scan = geometry._rays_for_signs
 
-    def counting(R, signs):
-        calls.append(signs)
-        return scan(R, signs)
+    def counting(f):
+        def wrapped(R, *args):
+            calls.append(f.__name__)
+            return f(R, *args)
+        return wrapped
 
-    monkeypatch.setattr(geometry, "_rays_for_signs", counting)
+    for f in (geometry._chamber_rays, geometry.adjacent_chamber):
+        monkeypatch.setattr(geometry, f.__name__, counting(f))
     R = cat.root_set_of(cat.get(name))
     res = verify_crystallographic(R)
+    assert calls.count("_chamber_rays") == 1
     assert len(calls) == scans == res.chamber_count
+    assert len(R.rows) == ROWS[name]
+    walked, _ = chamber_graph(R)
+    assert len(R.rows) == len({v for K in walked for v in K.rays})
 
 
 def test_geometric_cartan_cross_check():
