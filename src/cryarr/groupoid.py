@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
+from itertools import combinations, permutations
 from math import gcd
 from operator import sub
 
@@ -84,14 +84,16 @@ class RootObject:
     def planes(self):
         """The coordinate-plane localizations, built in one pass over the
         roots: (i, j) -> the sorted roots vanishing off coordinates i and j,
-        for each ordered pair i != j."""
-        table = {pair: [] for pair in permutations(range(self.rank), 2)}
+        for each ordered pair i != j.  (i, j) and (j, i) share one tuple."""
+        table = {pair: [] for pair in combinations(range(self.rank), 2)}
         for v in sorted(self.positive_roots):
             support = {t for t, x in enumerate(v) if x}
-            for (i, j), roots in table.items():
-                if support <= {i, j}:
+            for pair, roots in table.items():
+                if support.issubset(pair):
                     roots.append(v)
-        return {pair: tuple(roots) for pair, roots in table.items()}
+        shared = {pair: tuple(roots) for pair, roots in table.items()}
+        return {(i, j): shared[min(i, j), max(i, j)]
+                for i, j in permutations(range(self.rank), 2)}
 
     @cached_property
     def pair_table(self):
@@ -186,26 +188,53 @@ class GroupoidGraph:
 
 
 def traverse(base: RootObject, max_objects) -> GroupoidGraph:
-    """BFS closure of an object under all reflections, deduplicated by value."""
+    """BFS closure of an object under all reflections, deduplicated by value.
+
+    Each edge between two objects is reflected once.  Let the edge
+    (a, i) -> b be found with b not yet expanded, and row i of b's Cartan
+    matrix equal to row i of a's.  Then ``reflect_object(b, i)`` is a and
+    cannot raise, so the walk records (b, i) -> a and skips that
+    reflection when it expands b.  Proof: the rows define the same
+    sigma_i(v) = v - <row, v> e_i, an involution because the row's entry i
+    is 2.  Every root v of a lies in N_0^r (a ``RootObject``'s roots do,
+    and ``reflect_object`` keeps them there) and went to w = sigma_i(v)
+    when w_i >= 0, else to -w, a positive multiple of e_i with v one too.
+    In the first case sigma_i(w) = v with v_i >= 0; in the second,
+    sigma_i(-w) = -v, a negative multiple of e_i, which re-positivizes to
+    v.  So reflecting b sends each of its roots back to the root of a it
+    came from and raises on none: the result is a.
+
+    The row test is needed: b is reflected by its own row, which need not
+    be a's when a is not a root system.  a = {(1,0,0), (0,0,1), (2,1,0)}
+    lacks e_1 and has row 0 = (2, -2, 0); its image at label 0 is the
+    simple system, whose row 0 is (2, 0, 0) and whose image is itself,
+    not a.
+
+    Skipped reflections never find a new object and never raise, so the
+    objects, their order, the edge order and the first exception are
+    those of reflecting every edge."""
     objects = [base]
     index = {base.positive_roots: 0}
     edges = {}
-    head = 0
-    while head < len(objects):
-        oi = head
-        head += 1
+    back = {}
+    # the loop reaches the objects appended while it runs
+    for oi, O in enumerate(objects):
         for i in range(base.rank):
-            img = reflect_object(objects[oi], i)
-            j = index.get(img.positive_roots)
+            j = back.pop((oi, i), None)
             if j is None:
-                if len(objects) >= max_objects:
-                    raise ClosureOverflowError(
-                        f"more than {max_objects} objects in the closure"
-                    )
-                j = len(objects)
-                index[img.positive_roots] = j
-                objects.append(img)
-            edges[(oi, i)] = j
+                img = reflect_object(O, i)
+                j = index.get(img.positive_roots)
+                if j is None:
+                    if len(objects) >= max_objects:
+                        raise ClosureOverflowError(
+                            f"more than {max_objects} objects in the closure"
+                        )
+                    j = len(objects)
+                    index[img.positive_roots] = j
+                    objects.append(img)
+                if j > oi and objects[j].cartan[i] == O.cartan[i]:
+                    back[j, i] = oi
+            edges[oi, i] = j
     return GroupoidGraph(rank=base.rank, objects=tuple(objects), edges=edges)
 
 

@@ -47,27 +47,24 @@ def rank2_cycles(G: GroupoidGraph, oi, i, j) -> LocalizationCycles:
     if i == j:
         raise ValueError("indices must differ")
     k = 3 - i - j
-    n = len(G.objects[oi].planes[i, j])
+    objects, edges = G.objects, G.edges
+    n = len(objects[oi].planes[i, j])
     cs, ds, objs = [], [], []
     cur = oi
-    for ell in range(1, 2 * n + 1):
-        objs.append(G.objects[cur])
-        c = G.objects[cur].cartan
-        if ell % 2 == 1:
-            cs.append(-c[i][j])
-            ds.append(-c[i][k])
-        else:
-            cs.append(-c[j][i])
-            ds.append(-c[j][k])
-        label = i if (ell + 1) % 2 == 0 else j
-        cur = G.edges.get((cur, label))
+    # K_l for odd l reads row i and leaves by label i, for even l row j
+    for row, other in ((i, j), (j, i)) * n:
+        O = objects[cur]
+        objs.append(O)
+        c = O.cartan[row]
+        cs.append(-c[other])
+        ds.append(-c[k])
+        cur = edges.get((cur, row))
         if cur is None:
-            raise CycleBrokenError(f"the closure has no edge with label {label}")
+            raise CycleBrokenError(f"the closure has no edge with label {row}")
     if cur != oi:
         raise CycleBrokenError("walk of length 2n does not return to the start")
-    for ell in range(n):
-        if cs[ell] != cs[ell + n]:
-            raise CycleBrokenError("quiddity cycle is not n-periodic")
+    if cs[:n] != cs[n:]:
+        raise CycleBrokenError("quiddity cycle is not n-periodic")
     return LocalizationCycles(n=n, quiddity=tuple(cs), auxiliary=tuple(ds),
                               objects=tuple(objs))
 
@@ -89,36 +86,38 @@ def plane_roots(G: GroupoidGraph, oi, i, j) -> PlaneRoots:
 
     Coordinates are permuted so the pair becomes (0,1); the betas are the
     slope-sorted localization roots from (0,1,0) to (1,0,0), and
-    gamma_l = e_3 + sum_{k<=l} d_k beta_k with the auxiliary cycle of
-    ``rank2_cycles(G, oi, j, i)``, which starts with the j-side.  Every
-    gamma_l and delta_l must be a positive root with third coordinate 1."""
+    gamma_l = e_3 + sum_{m<=l} d_m beta_m and
+    delta_l = e_3 + sum_{m<=l} d_{2n+1-m} beta_{n+1-m} with the auxiliary
+    cycle of ``rank2_cycles(G, oi, j, i)``, which starts with the j-side.
+    Every gamma_l and delta_l must be a positive root; its third
+    coordinate is 1 because the betas' is 0."""
     if G.rank != 3:
         raise ValueError("plane roots require a rank-3 object")
     roots = G.objects[oi].positive_roots
     k = 3 - i - j
-    perm = (i, j, k)
     pairs = slope_sorted([(v[i], v[j]) for v in G.objects[oi].planes[i, j]])
-    betas = tuple((v[0], v[1], 0) for v in pairs)
-    n = len(betas)
-    if betas[0] != (0, 1, 0) or betas[-1] != (1, 0, 0):
-        raise MissingRootError(betas[0])
+    if pairs[0] != (0, 1) or pairs[-1] != (1, 0):
+        raise MissingRootError((*pairs[0], 0))
     cyc = rank2_cycles(G, oi, j, i)
     d = cyc.auxiliary
-    e3 = (0, 0, 1)
-
-    def accumulate(indices):
-        out = [e3]
-        cur = e3
-        for d_idx, b_idx in indices:
-            cur = tuple(c + d[d_idx - 1] * b for c, b in zip(cur, betas[b_idx - 1]))
-            out.append(cur)
-        return tuple(out)
-
-    gammas = accumulate([(ell, ell) for ell in range(1, n + 1)])
-    deltas = accumulate([(2 * n + 1 - ell, n + 1 - ell) for ell in range(1, n + 1)])
-    back = tuple(perm.index(t) for t in range(3))   # to the object's coordinates
+    # running sums over the pairs, forwards for the gammas and backwards
+    # for the deltas, each (x, y, 1) in the permuted coordinates
+    sums = []
+    for steps in (zip(d, pairs), zip(reversed(d), reversed(pairs))):
+        x = y = 0
+        out = [(0, 0, 1)]
+        for dl, (bx, by) in steps:
+            x += dl * bx
+            y += dl * by
+            out.append((x, y, 1))
+        sums.append(tuple(out))
+    gammas, deltas = sums
+    w = [0, 0, 0]
+    w[k] = 1
     for v in gammas + deltas:
-        if v[2] != 1 or tuple(v[p] for p in back) not in roots:
+        w[i], w[j] = v[0], v[1]
+        if tuple(w) not in roots:
             raise MissingRootError(v)
-    return PlaneRoots(n=n, betas=betas, gammas=gammas, deltas=deltas,
-                      auxiliary=d, quiddity=cyc.quiddity, perm=perm)
+    return PlaneRoots(n=len(pairs), betas=tuple((x, y, 0) for x, y in pairs),
+                      gammas=gammas, deltas=deltas, auxiliary=d,
+                      quiddity=cyc.quiddity, perm=(i, j, k))

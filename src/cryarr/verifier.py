@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
+from operator import add
 
 from .errors import (
     CycleBrokenError,
@@ -194,12 +195,19 @@ def check_lemcon(G: GroupoidGraph, object_index, alpha, beta, k) -> CheckReport:
 
 def _lemcon_conclusion(full, alpha, beta, k, min_entry):
     """check_lemcon's conclusion once all five hypotheses hold: the list of
-    its failure witnesses, empty when it holds."""
+    its failure witnesses, empty when it holds.
+
+    The hypotheses put alpha in R and alpha + k*beta in +-R, so of the
+    string alpha + l*beta (0 <= l <= k) only the inner terms 1 <= l <= k-1
+    are tested.  Both callers have established them: ``check_lemcon``
+    tests them first, and ``lemcon_sweep`` takes alpha and alpha + k*beta
+    from a pair of positive roots."""
     witnesses = []
     if beta not in full:
         witnesses.append(("beta not a root", beta))
-    for ell in range(k + 1):
-        v = tuple(a + ell * b for a, b in zip(alpha, beta))
+    v = alpha
+    for _ in range(k - 1):
+        v = tuple(map(add, v, beta))
         if v not in full:
             witnesses.append(("missing intermediate", v))
     if min_entry > -k:

@@ -6,7 +6,7 @@ enumeration with Fourier-Motzkin feasibility, determinants from cofactor
 expansion, elementary divisors from gcds of minors, Catalan numbers
 from the binomial closed form, and the simpliciality and chamber count of
 a rank-3 arrangement from its intersection points (Melchior, Zaslavsky).
-Twenty-four references are the exception, each kept as the slow path that
+Twenty-six references are the exception, each kept as the slow path that
 a faster one replaced: ``clear_denominators`` (lines of Fraction vectors,
 for the integer-only ``direction``), ``make_root_set_fractions`` (every
 input check on Fractions, for the checks on covectors scaled to integers
@@ -21,7 +21,11 @@ that adds one root at a time, with no permutation or reflection test,
 for the canonical forms of the level walk), ``no_negative_ray_box`` (every
 point of the coordinate box, for the per-coordinate intervals),
 ``lemcon_sweep_triple_loop`` (every alpha + k*beta, for the sweep over
-root differences), ``convexity_statements_vol3`` (``vol(3, .)`` on
+root differences), ``lemcon_conclusion_every_term`` (every term
+alpha + l*beta of the string, 0 <= l <= k, for the conclusion that tests
+the inner terms), ``traverse_every_edge`` (every edge of the closure
+reflected, for the walk that reflects each edge between two objects
+once), ``convexity_statements_vol3`` (``vol(3, .)`` on
 every triple, for the inline determinants and the pair prefilter),
 ``sum_of_roots_every_pair`` and ``vol2_bound_every_pair`` (every pair
 of positive roots walked by the check itself, for the checks that read
@@ -95,7 +99,6 @@ from cryarr.verifier import (
     SKIP,
     VOL2_MAX,
     CheckReport,
-    _lemcon_conclusion,
     _min_cartan_entry,
     _signed,
     all_ok,
@@ -704,13 +707,28 @@ def no_negative_ray_box(alpha, beta, bound):
     return True
 
 
+def lemcon_conclusion_every_term(full, alpha, beta, k, min_entry):
+    """check_lemcon's conclusion with every term alpha + l*beta of the
+    string tested, 0 <= l <= k, each built from alpha and beta afresh."""
+    witnesses = []
+    if beta not in full:
+        witnesses.append(("beta not a root", beta))
+    for ell in range(k + 1):
+        v = tuple(a + ell * b for a, b in zip(alpha, beta))
+        if v not in full:
+            witnesses.append(("missing intermediate", v))
+    if min_entry > -k:
+        witnesses.append(("no Cartan entry <= -k", min_entry))
+    return witnesses
+
+
 def lemcon_sweep_triple_loop(G: GroupoidGraph) -> CheckReport:
     """check_lemcon over every hypothesis-satisfying (object, alpha, beta, k).
 
     The loop tests all five hypotheses itself (k >= 2, alpha in R+,
     alpha + k*beta in +-R, Vol_2(alpha, beta) = 1 and the negative ray,
-    the last by ``no_negative_ray_box``) and hands ``_lemcon_conclusion``
-    only the triples that meet them."""
+    the last by ``no_negative_ray_box``) and tests the conclusion on the
+    triples that meet them with ``lemcon_conclusion_every_term``."""
     min_entry = _min_cartan_entry(G)
     witnesses = []
     triples = 0
@@ -726,7 +744,7 @@ def lemcon_sweep_triple_loop(G: GroupoidGraph) -> CheckReport:
                             or vol(2, [alpha, beta]) != 1
                             or not no_negative_ray_box(alpha, beta, top + 1)):
                         continue
-                    found = _lemcon_conclusion(full, alpha, beta, k, min_entry)
+                    found = lemcon_conclusion_every_term(full, alpha, beta, k, min_entry)
                     triples += 1
                     if found:
                         witnesses.append((oi, alpha, beta, k, found))
@@ -840,6 +858,31 @@ def rank2_cycles_reflecting(O: RootObject, i, j) -> LocalizationCycles:
             raise CycleBrokenError("quiddity cycle is not n-periodic")
     return LocalizationCycles(n=n, quiddity=tuple(cs), auxiliary=tuple(ds),
                               objects=tuple(objs))
+
+
+def traverse_every_edge(base: RootObject, max_objects) -> GroupoidGraph:
+    """BFS closure of an object under all reflections, deduplicated by
+    value, with every edge reflected, its reverse included."""
+    objects = [base]
+    index = {base.positive_roots: 0}
+    edges = {}
+    head = 0
+    while head < len(objects):
+        oi = head
+        head += 1
+        for i in range(base.rank):
+            img = reflect_object(objects[oi], i)
+            j = index.get(img.positive_roots)
+            if j is None:
+                if len(objects) >= max_objects:
+                    raise ClosureOverflowError(
+                        f"more than {max_objects} objects in the closure"
+                    )
+                j = len(objects)
+                index[img.positive_roots] = j
+                objects.append(img)
+            edges[(oi, i)] = j
+    return GroupoidGraph(rank=base.rank, objects=tuple(objects), edges=edges)
 
 
 def permute_object(O: RootObject, perm):

@@ -5,6 +5,8 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from cryarr import catalog as cat
+from cryarr.groupoid import RootObject, simple_roots
+from cryarr.linalg import direction
 
 SCALES = (1, 2, -1, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3))
 SMALL = (-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-1, 3))
@@ -46,3 +48,20 @@ def rescaled_roots(draw, rank):
     scales = draw(st.lists(st.sampled_from((1, 1, -1, 2, 3)), min_size=len(roots),
                            max_size=len(roots)))
     return [tuple(k * x for x in v) for v, k in zip(roots, scales)]
+
+
+@st.composite
+def small_objects(draw, ranks=(2, 3, 4)):
+    """A root object of one of the ``ranks``: the simple roots, at most one
+    of them left out, plus up to 6 random vectors in {0, 1, 2}^r, one per
+    direction.  Most are not root systems: about a tenth of the rank-3 ones
+    drawn close within 30 objects, and the plane-root check fails on about
+    two thirds of those."""
+    rank = draw(st.sampled_from(ranks))
+    missing = draw(st.sets(st.integers(0, rank - 1), max_size=1))
+    extra = draw(st.lists(st.tuples(*[st.integers(0, 2)] * rank), max_size=6))
+    roots = {}
+    for v in [e for i, e in enumerate(simple_roots(rank)) if i not in missing] + extra:
+        if any(v):
+            roots.setdefault(direction(v), v)
+    return RootObject(rank, frozenset(roots.values()))

@@ -19,6 +19,7 @@ from cryarr.groupoid import (
     make_root_object,
     reflect_object,
     root_object_of_chamber,
+    simple_roots,
     traverse,
     verify_crystallographic,
 )
@@ -27,10 +28,12 @@ from cryarr.rank2 import enumerate_esequences
 from oracles import (
     canonical_form_every_object,
     permute_object,
+    traverse_every_edge,
     verify_every_chamber,
     verify_fraction_coordinates,
 )
-from strategies import arrangements, rescaled_roots
+from strategies import arrangements, rescaled_roots, small_objects
+from test_search import _inputs
 from test_verifier import closure_corpus, single_object_graphs
 
 
@@ -82,6 +85,85 @@ def test_a2_closure_is_single_object():
     O = cat.root_object_of(cat.get("A2"))
     G = traverse(O, max_objects=10)
     assert len(G.objects) == 1
+
+
+def traverse_outcome(walk, base, max_objects):
+    """The objects and the edge list, in order, of a closure walk, or the
+    type and message of the exception it raised."""
+    try:
+        G = walk(base, max_objects)
+    except (NotClosedError, ClosureOverflowError) as e:
+        return type(e).__name__, str(e)
+    return G.objects, list(G.edges.items())
+
+
+def test_traverse_matches_the_every_edge_walk_on_the_corpus():
+    # every object cap up to the closure's size, so each overflow point too
+    for name, G in closure_corpus():
+        for max_objects in range(1, len(G.objects) + 1):
+            assert (traverse_outcome(traverse, G.objects[0], max_objects)
+                    == traverse_outcome(traverse_every_edge, G.objects[0], max_objects)), name
+
+
+@settings(max_examples=400, deadline=None)
+@given(base=small_objects(), max_objects=st.integers(1, 40))
+def test_traverse_matches_the_every_edge_walk_on_random_objects(base, max_objects):
+    assert (traverse_outcome(traverse, base, max_objects)
+            == traverse_outcome(traverse_every_edge, base, max_objects))
+
+
+@settings(max_examples=400, deadline=None)
+@given(O=small_objects())
+def test_reflecting_back_by_an_equal_row_gives_the_object(O):
+    # the lemma that lets traverse record the reverse of an edge
+    for i in range(O.rank):
+        try:
+            image = reflect_object(O, i)
+        except NotClosedError:
+            continue
+        if image.cartan[i] == O.cartan[i]:
+            assert reflect_object(image, i) == O
+
+
+def test_reflecting_back_by_a_different_row_need_not_give_the_object():
+    a = RootObject(3, frozenset({(1, 0, 0), (0, 0, 1), (2, 1, 0)}))
+    b = reflect_object(a, 0)
+    assert b.positive_roots == frozenset(simple_roots(3))
+    assert (a.cartan[0], b.cartan[0]) == ((2, -2, 0), (2, 0, 0))
+    assert reflect_object(b, 0) == b != a
+    # a closure that meets such an edge: {(0,1), (1,1)} lacks e_0, and its
+    # image at label 1 is the simple system, with a different row 1
+    a = RootObject(2, frozenset({(0, 1), (1, 1)}))
+    G = traverse(a, max_objects=10)
+    assert G.objects == (a, RootObject(2, frozenset(simple_roots(2))))
+    assert list(G.edges.items()) == [((0, 0), 0), ((0, 1), 1), ((1, 0), 1), ((1, 1), 1)]
+
+
+# reflect_object calls of one closure of the benchmark's objects: the 7
+# crystallographic catalog entries and 5 restrictions of Weyl arrangements
+REFLECTIONS = {"A2": 2, "rank2-7": 14, "A3": 3, "A4": 4, "B3": 3, "C3": 3, "D4": 4,
+               "F4-restriction-012": 5, "E6-restriction-013": 20,
+               "E7-restriction-013": 17, "E8-restriction-013": 44,
+               "E8-restriction-014": 19}
+
+
+def test_traverse_reflects_each_edge_between_two_objects_once(monkeypatch):
+    calls = []
+    reflect = groupoid.reflect_object
+
+    def counting(O, i):
+        calls.append(i)
+        return reflect(O, i)
+
+    monkeypatch.setattr(groupoid, "reflect_object", counting)
+    names = []
+    for obj in _inputs().objects():
+        calls.clear()
+        G = traverse(make_root_object(obj["rank"], obj["roots"]), max_objects=1000)
+        loops = sum(oi == j for (oi, _), j in G.edges.items())
+        assert len(calls) == REFLECTIONS[obj["name"]] == loops + (len(G.edges) - loops) // 2
+        names.append(obj["name"])
+    assert names == list(REFLECTIONS) and sum(REFLECTIONS.values()) == 138
 
 
 def test_verify_examples():

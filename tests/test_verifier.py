@@ -51,11 +51,13 @@ from cryarr.verifier import (
 from oracles import (
     check_plane_roots_reflecting,
     convexity_statements_vol3,
+    lemcon_conclusion_every_term,
     lemcon_sweep_triple_loop,
     no_negative_ray_box,
     sum_of_roots_every_pair,
     vol2_bound_every_pair,
 )
+from strategies import small_objects
 from test_search import weyl_restriction_closures
 
 
@@ -234,6 +236,18 @@ def test_closure_checks_match_their_slow_paths():
     assert {"pass", "fail"} <= verdicts
 
 
+@settings(max_examples=500, deadline=None)
+@given(base=small_objects(ranks=(3,)))
+def test_plane_roots_check_matches_the_reflecting_walk_on_random_closures(base):
+    # objects that are not root systems: witnesses of every kind but
+    # "gamma_2 closed form" and "consecutive zero d" occur
+    try:
+        G = traverse(base, max_objects=30)
+    except (NotClosedError, ClosureOverflowError):
+        return
+    assert check_plane_roots(G).to_dict() == check_plane_roots_reflecting(G).to_dict()
+
+
 def pair_checks_match_their_slow_paths(G):
     assert check_sum_of_roots(G).to_dict() == sum_of_roots_every_pair(G).to_dict()
     assert check_vol2_bound(G).to_dict() == vol2_bound_every_pair(G).to_dict()
@@ -394,6 +408,40 @@ def test_sweep_matches_the_triple_loop_in_every_rank(G):
 @given(G=single_object_graphs(ranks=(1, 2, 3, 4)))
 def test_pair_checks_match_their_slow_paths_in_every_rank(G):
     pair_checks_match_their_slow_paths(G)
+
+
+def lemcon_instances(G):
+    """(alpha, beta, k) for every alpha in R+ and gamma in +-R of G's first
+    object that meet the five hypotheses of ``check_lemcon``, with
+    k = gcd(gamma - alpha) and beta = (gamma - alpha)/k, a root or not."""
+    roots = G.objects[0].positive_roots
+    top = max(max(v) for v in roots)
+    for alpha in sorted(roots):
+        for gamma in sorted(verifier._signed(roots)):
+            d = [g - a for g, a in zip(gamma, alpha)]
+            k = gcd(*d)
+            if k < 2:
+                continue
+            beta = tuple(x // k for x in d)
+            if vol(2, [alpha, beta]) == 1 and no_negative_ray_box(alpha, beta, top + 1):
+                yield alpha, beta, k
+
+
+@settings(max_examples=400, deadline=None)
+@given(G=single_object_graphs(ranks=(2, 3, 4)))
+def test_lemcon_matches_the_every_term_conclusion(G):
+    # check_lemcon tests only the inner terms of the string
+    full = verifier._signed(G.objects[0].positive_roots)
+    min_entry = min(min(row) for row in G.objects[0].cartan)
+    for alpha, beta, k in lemcon_instances(G):
+        assert (check_lemcon(G, 0, alpha, beta, k).witnesses
+                == lemcon_conclusion_every_term(full, alpha, beta, k, min_entry))
+
+
+def test_lemcon_reports_the_missing_inner_terms():
+    G = single_object_graph(2, [(1, 0), (0, 1), (1, 3)])
+    rep = check_lemcon(G, 0, (1, 0), (0, 1), 3)
+    assert rep.witnesses == [("missing intermediate", (1, 1)), ("missing intermediate", (1, 2))]
 
 
 def negative_gamma_candidates(G):
