@@ -70,11 +70,19 @@ def document_of(entry: cat.CatalogEntry):
 
 
 def _write_out(text, out):
-    if out:
+    """Write ``text`` to the file ``out``, or to stdout when there is none.
+    Returns the exit code: 2, with a message, when ``out`` cannot be
+    written."""
+    if not out:
+        sys.stdout.write(text)
+        return EXIT_PASS
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        print(f"output error: {e}", file=sys.stderr)
+        return EXIT_INPUT
+    return EXIT_PASS
 
 
 def cmd_verify(args):
@@ -174,8 +182,7 @@ def cmd_render_svg(args):
         + "\n".join(lines)
         + "\n</svg>\n"
     )
-    _write_out(svg, args.out)
-    return EXIT_PASS
+    return _write_out(svg, args.out)
 
 
 def cmd_export_dot(args):
@@ -198,8 +205,7 @@ def cmd_export_dot(args):
         seen.add(key)
         out.append(f'  c{a} -- c{b} [label="{i + 1}"];')
     out.append("}")
-    _write_out("\n".join(out) + "\n", args.out)
-    return EXIT_PASS
+    return _write_out("\n".join(out) + "\n", args.out)
 
 
 def cmd_enumerate_rank2(args):
@@ -209,9 +215,8 @@ def cmd_enumerate_rank2(args):
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     if args.json:
-        _write_out(json.dumps([[list(v) for v in s] for s in seqs]) + "\n", args.out)
-    else:
-        print(len(seqs))
+        return _write_out(json.dumps([[list(v) for v in s] for s in seqs]) + "\n", args.out)
+    print(len(seqs))
     return EXIT_PASS
 
 
@@ -230,7 +235,9 @@ def cmd_search(args):
             for form, roots in zip(result.canonical_forms, result.arrangements)
         ],
     }
-    _write_out(json.dumps(doc, indent=2) + "\n", args.out)
+    code = _write_out(json.dumps(doc, indent=2) + "\n", args.out)
+    if code != EXIT_PASS:
+        return code
     return EXIT_PASS if result.verdict == "Complete" else EXIT_FAIL
 
 
@@ -248,8 +255,7 @@ def cmd_catalog(args):
         except KeyError as e:
             print(str(e), file=sys.stderr)
             return EXIT_INPUT
-        _write_out(json.dumps(document_of(entry), indent=2) + "\n", args.out)
-        return EXIT_PASS
+        return _write_out(json.dumps(document_of(entry), indent=2) + "\n", args.out)
     if len(args.words) != 1:
         print("usage: catalog <name>", file=sys.stderr)
         return EXIT_INPUT

@@ -25,8 +25,8 @@ each height H above its top height, let C_H be the set of sums v of two
 members of S with sum(v) = H that are parallel to no member and that
 ``_close`` accepts: it tests (c) for the pairs of v with S.  The
 children of S are the states S + L for each nonempty L within C_H with
-|S| + |L| <= cap whose pairs keep (c), which pass the permutation and
-reflection tests below.  Every such S + L is valid: (a) and (b) hold by
+|S| + |L| <= cap whose pairs keep (c), which pass the permutation,
+reflection and (1,1,1) tests below.  Every such S + L is valid: (a) and (b) hold by
 the choice of L (two distinct roots of one height are not parallel), (c)
 by ``_close`` and the pairs within L, and (d) and (e) with no test, so
 ``_close`` makes none:
@@ -49,10 +49,10 @@ member of L has height H >= 2, so it is not simple, and by (a) it is a
 sum of two members of smaller height, which are in P; it is parallel to
 no member of P by (b), ``_close`` accepts it and the pairs within L keep
 Vol_2 <= 6 by (c); and |T| <= cap.  No other state has T as a child,
-since a child's top level is the L it was made with.  Both tests are
+since a child's top level is the L it was made with.  The tests are
 hereditary (below): a state whose parent fails one fails it too.  So by
 induction on the number of levels the walk reaches every valid state
-that passes the two tests, each exactly once, with no visited set: it
+that passes the tests, each exactly once, with no visited set: it
 holds one generator of children per level of the current state.
 
 Permutations.  A state is kept only if it is at most, as a tuple, the
@@ -123,14 +123,62 @@ every object T walks, with the same matrix, at least the same members
 and at least the same decided entries, and a test that fails in T fails
 in the child.  ``DEPTH`` = 0 tests the base object alone.
 
+The sum of the simple roots.  At every object b it walks, the prune also
+tests the vector M_b (1,1,1), the sum of M_b's columns, and prunes T when
+it is decided absent: it has mixed signs, or it or its negative has height
+at most H and is not a member.  This rests on a theorem: in an irreducible
+rank-3 Weyl groupoid with a finite root system, alpha_1 + alpha_2 +
+alpha_3 is a root at every object (M. Cuntz and I. Heckenberger, Finite
+Weyl groupoids of rank three, Trans. Amer. Math. Soc. 364 (2012)).  The
+test is sound: the search emits only arrangements with connected
+supports, that is irreducible ones, so let R^a be one that is T or a
+descendant of T.  M_b is a decided fact of T, so b is an object of R^a's
+Weyl groupoid, (1,1,1) is in R^b by the theorem, and M_b (1,1,1) is in
++-R^a, which a decided absence denies.  A reducible descendant is lost, but the
+search would not emit it.  The test is hereditary by the argument above:
+a child of T walks b with the same matrix, and a vector decided absent in
+T is decided absent in the child.
+
+Closed mode.  ``_partial_closure_ok(S, None)`` runs the same walk on a
+state S that is decided as a whole, as if S were all of R^a: every vector
+is decided, present exactly when it is in +-S (H is infinite), there is no
+depth limit, and the walk fails once it has found more than n(n-1)+2
+distinct matrices (n = |S|).  ``_verify_candidate`` runs it after the
+support test and before ``traverse``, and every state it rejects is one
+that ``_verify_candidate`` would reject without it, in ``traverse`` or in
+the geometry.  For suppose the geometry accepts S, with connected
+supports.  Then S is the set of positive roots, at its base chamber, of an
+irreducible crystallographic arrangement of n planes, so every fact the
+walk uses is true of R^a = S: each matrix, Cartan entry and member, by the
+soundness argument, and each absence of M_b (1,1,1), by the theorem.  So
+neither test fails.  The columns of each matrix M_b are the roots of
++-R^a on the walls of one chamber K that are positive on K, in the order
+of their labels.  The labels do not depend on the path that reached K.
+Crossing wall j keeps label j on that wall and gives label i (i != j) to
+the root sigma_j(alpha_i) = alpha_i - c_ji alpha_j, whose plane contains
+the line X = H_i meet H_j; so walking once around X, through the 2m
+chambers that contain X, alternates the labels j and i on the walls
+through X and returns with the labels it started with.  The chamber
+graph is the 1-skeleton of the arrangement's zonotope, a 3-polytope whose
+2-faces are these walks around the lines X, and the boundary of a
+3-polytope is a sphere, so these walks and the steps across a wall and
+straight back, which undo each other, generate every closed walk of the
+graph, and no closed walk changes the labels.  So
+distinct matrices are distinct chambers, and a simplicial rank-3
+arrangement of n planes has at most n(n-1)+2 chambers.  The closed walk
+builds no ``RootObject``, so the closures that fail are rejected without
+one; ``traverse`` and the geometry run on the survivors alone and still
+check each other.
+
 Each state S that passes the rank-2 plane tests is decided integer-first,
-in root coordinates: the supports of S must be connected and the
-reflection closure of the root object S must finish with at most
-n(n-1)+2 objects (n = |S|).  This pre-filter drops no arrangement the
-geometry would accept: a simplicial rank-3 arrangement of n planes has at
-most n(n-1)+2 chambers, so the geometric closure of the same base object
-finishes within that bound too, and irreducibility in the base chamber is
-exactly support connectivity of S.  The geometry then decides: each
+in root coordinates: the supports of S must be connected, the closed walk
+must pass, and the reflection closure of the root object S must finish
+with at most n(n-1)+2 objects (n = |S|).  This pre-filter drops no
+arrangement the geometry would accept: irreducibility in the base chamber
+is exactly support connectivity of S, the closed walk rejects none by the
+proof above, and a simplicial rank-3 arrangement of n planes has at most
+n(n-1)+2 chambers, so the geometric closure of the same base object
+finishes within that bound too.  The geometry then decides: each
 survivor is re-verified from scratch by the chamber walk, which must
 reproduce S as its base object and the same closure; neither the pruning
 nor the pre-filter is trusted for soundness.  The statement checks do not
@@ -153,6 +201,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, count, permutations
+from math import inf
 
 from .errors import (
     ClosureOverflowError,
@@ -221,10 +270,10 @@ def _verify_candidate(roots):
     """Decide a state; returns its groupoid closure or None.
 
     The integer tests in root coordinates run first and reject almost every
-    state; the geometric re-verification from scratch then decides the
-    survivors."""
+    state, most of them in the closed walk; the geometric re-verification
+    from scratch then decides the survivors."""
     n = len(roots)
-    if not supports_connected(roots, 3):
+    if not supports_connected(roots, 3) or not _partial_closure_ok(roots, None):
         return None
     try:
         G = traverse(RootObject(3, frozenset(roots)), max_objects=n * (n - 1) + 2)
@@ -264,11 +313,21 @@ def _least(T, moves):
 
 
 def _partial_closure_ok(T, depth):
-    """T passes the reflection test at every object at most ``depth``
-    reflections from its base object (see the module docstring)."""
-    top = sum(T[-1])
+    """T passes the reflection and (1,1,1) tests at every object at most
+    ``depth`` reflections from its base object; with ``depth`` None, in
+    closed mode, at every object of its closure (see the module
+    docstring)."""
+    if depth is None:
+        top, most = inf, len(T) * (len(T) - 1) + 2
+    else:
+        top, most = sum(T[-1]), inf
     signed = set(T)
     signed.update((-x, -y, -z) for x, y, z in T)
+
+    def absent(u0, u1, u2):
+        """Whether a vector that is not in +-T is decided absent: it has
+        mixed signs, or it or its negative has height at most ``top``."""
+        return -top <= u0 + u1 + u2 <= top or min(u0, u1, u2) < 0 < max(u0, u1, u2)
 
     def string(a, b):
         """-c_jl at the object whose matrix has the columns a = M e_j and
@@ -280,15 +339,18 @@ def _partial_closure_ok(T, depth):
             u0, u1, u2 = u0 + a0, u1 + a1, u2 + a2
             if (u0, u1, u2) not in signed:
                 break
-        if -top <= u0 + u1 + u2 <= top or min(u0, u1, u2) < 0 < max(u0, u1, u2):
-            return m - 1
-        return None
+        return m - 1 if absent(u0, u1, u2) else None
 
     walked = {SIMPLES}
     level = [(SIMPLES, T, None)]   # (M, the members of T seen from M, last label)
-    for d in range(depth + 1):
+    d = 0
+    while level:
         below = []
         for M, seen, last in level:
+            (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = M
+            u = a0 + b0 + c0, a1 + b1 + c1, a2 + b2 + c2   # M (1,1,1)
+            if u not in signed and absent(*u):
+                return False
             for j, k, l in ROWS:
                 if j == last:
                     continue   # the row of the reflection that led here
@@ -308,8 +370,11 @@ def _partial_closure_ok(T, depth):
                 N = tuple(N)
                 if N not in walked:
                     walked.add(N)
+                    if len(walked) > most:
+                        return False
                     below.append((N, _reflect_members(seen, j, tk, tl), j))
         level = below
+        d += 1
     return True
 
 

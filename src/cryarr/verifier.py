@@ -146,24 +146,29 @@ def check_k0(G: GroupoidGraph) -> CheckReport:
                        {"values": sorted(set(values))})
 
 
-def _no_negative_ray(alpha, beta, bound):
-    """(-N*alpha + Z*beta) fails to meet N_0^r within the coordinate box
-    1 <= a <= bound, |b| <= bound.  For each a, the b with
-    -a*alpha + b*beta >= 0 form an interval, the intersection of one
-    interval per coordinate: b >= ceil(a*x/y) where y > 0, b <= floor(a*x/y)
-    where y < 0, and none at all where y = 0 < x."""
-    for a in range(1, bound + 1):
-        lo, hi = -bound, bound
-        for x, y in zip(alpha, beta):
-            if y > 0:
-                lo = max(lo, -(-a * x // y))
-            elif y < 0:
-                hi = min(hi, a * x // y)
-            elif x > 0:
-                return True
-        if lo <= hi:
-            return False
-    return True
+def _no_negative_ray(alpha, beta):
+    """(-N*alpha + Z*beta) misses N_0^r: no a >= 1 and integer b give
+    -a*alpha + b*beta >= 0.  Coordinate by coordinate that asks b*y >= a*x:
+    x <= 0 where y = 0, b/a >= x/y where y > 0 and b/a <= x/y where y < 0.
+    So the ray misses exactly when some y = 0 < x, or when L = max x/y over
+    y > 0 exceeds U = min x/y over y < 0.  Otherwise it meets: b/a = L
+    (a = y > 0 of the maximizing coordinate, b = x) or b/a = U (a = -y,
+    b = -x) is a point, and with no y != 0 every x <= 0, so a = 1, b = 0
+    is one.  Each such point has a and |b| at most the largest |entry|, so
+    the coordinate box 1 <= a, |b| <= that entry holds a point whenever the
+    ray meets N_0^r.  Each fraction is kept with a positive denominator and
+    compared by integer cross-multiplication."""
+    lo = hi = None   # L and U as (numerator, positive denominator)
+    for x, y in zip(alpha, beta):
+        if y > 0:
+            if lo is None or x * lo[1] > lo[0] * y:
+                lo = x, y
+        elif y < 0:
+            if hi is None or x * hi[1] > hi[0] * y:   # x/y < hi: y < 0 flips the sign
+                hi = -x, -y
+        elif x > 0:
+            return True
+    return lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]
 
 
 def _min_cartan_entry(G: GroupoidGraph):
@@ -185,7 +190,7 @@ def check_lemcon(G: GroupoidGraph, object_index, alpha, beta, k) -> CheckReport:
         raise HypothesisFailedError("alpha + k*beta is a root")
     if vol2(alpha, beta) != 1:
         raise HypothesisFailedError("Vol_2(alpha, beta) = 1")
-    if not _no_negative_ray(alpha, beta, max(max(v) for v in roots) + 1):
+    if not _no_negative_ray(alpha, beta):
         raise HypothesisFailedError("(-N*alpha + Z*beta) misses N_0^r")
     min_entry = _min_cartan_entry(G)
     witnesses = _lemcon_conclusion(full, alpha, beta, k, min_entry)
@@ -227,9 +232,9 @@ def lemcon_sweep(G: GroupoidGraph) -> CheckReport:
     (alpha, beta) and Vol_2(alpha, gamma) = k*Vol_2(alpha, beta): the
     hypothesis Vol_2(alpha, beta) = 1 reads Vol_2(alpha, gamma) = k, a test
     on the pair alone.  Only positive gamma can pass: for gamma in -R+,
-    -beta >= alpha/k is >= 1 where alpha > 0, so a = 1,
-    b = -max ceil(alpha_i / -beta_i) >= -top is a point of the
-    ``_no_negative_ray`` box (bound top + 1) in N_0^r.  Each unordered pair
+    -beta >= alpha/k is >= 1 where alpha > 0 and beta <= 0, so a = 1,
+    b = -max ceil(alpha_i / -beta_i) gives a point of -N*alpha + Z*beta in
+    N_0^r, and ``_no_negative_ray`` fails.  Each unordered pair
     {alpha, gamma} of positive roots gives alpha (beta, k) and gamma
     (-beta, k); the object's ``pair_table`` holds these candidates in its
     ``strings``.  Each alpha's candidates are checked in the order
@@ -242,10 +247,9 @@ def lemcon_sweep(G: GroupoidGraph) -> CheckReport:
     for oi, O in enumerate(G.objects):
         roots = O.positive_roots
         table = O.pair_table
-        top = max(max(v) for v in roots)
         for alpha in roots:
             for beta, k in table.strings.get(alpha, ()):
-                if not _no_negative_ray(alpha, beta, top + 1):
+                if not _no_negative_ray(alpha, beta):
                     continue
                 found = _lemcon_conclusion(table.signed, alpha, beta, k, min_entry)
                 triples += 1

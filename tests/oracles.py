@@ -6,12 +6,15 @@ enumeration with Fourier-Motzkin feasibility, determinants from cofactor
 expansion, elementary divisors from gcds of minors, Catalan numbers
 from the binomial closed form, and the simpliciality and chamber count of
 a rank-3 arrangement from its intersection points (Melchior, Zaslavsky).
-Twenty-six references are the exception, each kept as the slow path that
+Twenty-seven references are the exception, each kept as the slow path that
 a faster one replaced: ``clear_denominators`` (lines of Fraction vectors,
 for the integer-only ``direction``), ``make_root_set_fractions`` (every
 input check on Fractions, for the checks on covectors scaled to integers
 first), ``verify_candidate_geometric`` (the geometric
 pipeline alone, for the search's integer-first filter),
+``verify_candidate_traverse`` (the integer-first filter with
+``traverse`` as its first closure test, for the one that runs the
+search's closed walk first),
 ``kernel_vector_gauss_jordan`` (the Fraction elimination, for the integer
 maximal-minor kernel), ``verify_fraction_coordinates`` (Fraction root
 coordinates against rescaled rays, for the integer covectors),
@@ -75,6 +78,7 @@ from cryarr.geometry import (
     initial_chamber,
     is_irreducible,
     make_root_set,
+    supports_connected,
 )
 from cryarr.groupoid import (
     GroupoidGraph,
@@ -251,6 +255,29 @@ def verify_candidate_geometric(roots):
     if res.base_object.positive_roots != frozenset(roots):
         return None
     if not all_ok(run_all(res.graph)):
+        return None
+    return res.graph
+
+
+def verify_candidate_traverse(roots):
+    """A search state decided as the search decided it before its closed
+    walk: connected supports, the closure built by ``traverse`` within
+    n(n-1)+2 objects, then the geometry, which must reproduce the state as
+    its base object and the same closure; the closure, or None."""
+    n = len(roots)
+    if not supports_connected(roots, 3):
+        return None
+    try:
+        G = traverse(RootObject(3, frozenset(roots)), max_objects=n * (n - 1) + 2)
+    except (NotClosedError, ClosureOverflowError):
+        return None
+    try:
+        R = make_root_set(roots, rank=3)
+    except ValueError:
+        return None
+    res = verify_crystallographic(R)
+    if (not res.ok or res.base_object.positive_roots != frozenset(roots)
+            or res.graph != G):
         return None
     return res.graph
 
@@ -601,8 +628,8 @@ def _integer_inverse(A):
     return [[cofactor(c, r) * det for c in range(3)] for r in range(3)]
 
 
-def partial_closure_ok(roots, depth):
-    """The search's reflection test from scratch, in matrix form.
+def partial_closure_ok(roots, depth, r111=True):
+    """The search's reflection and (1,1,1) tests from scratch, in matrix form.
 
     With H the largest height of ``roots``, a vector u of Z^3 is decided
     present when u or -u is a member, decided absent when it has mixed
@@ -616,7 +643,10 @@ def partial_closure_ok(roots, depth):
     non-negative M^{-1} t for t in +-roots.  Each member beta != e_j whose
     entries c_jl with beta_l != 0 are all decided must have
     sigma_j(beta)_j >= 0, at every object and for every j; the path goes on
-    through sigma_j, with the matrix M*sigma_j, when row j is decided."""
+    through sigma_j, with the matrix M*sigma_j, when row j is decided.
+    With ``r111``, M(1,1,1) must also not be decided absent at every object
+    (alpha_1 + alpha_2 + alpha_3 is a root at every object of an irreducible
+    rank-3 root system); without it, the reflection test alone."""
     height = max(sum(v) for v in roots)
     signed = set(roots) | {tuple(-x for x in v) for v in roots}
 
@@ -638,6 +668,8 @@ def partial_closure_ok(roots, depth):
             m += 1
 
     def walk(M, last, d):
+        if r111 and status(_apply(M, (1, 1, 1))) == "absent":
+            return False
         inverse = _integer_inverse(M)
         members = [b for b in (_apply(inverse, t) for t in signed) if min(b) >= 0]
         cartan = [[2 if j == l else entry(M, j, l) for l in range(3)] for j in range(3)]
@@ -663,13 +695,14 @@ def partial_closure_ok(roots, depth):
     return walk([[int(r == c) for c in range(3)] for r in range(3)], None, 0)
 
 
-def level_walk_states(cap):
+def level_walk_states(cap, r111=True):
     """The states the level walk must decide: those of ``dfs_states`` that
     are the least image under coordinate permutations and pass the
-    reflection test at every object up to ``search.DEPTH`` reflections from
-    the base, both computed from scratch."""
+    reflection test and, with ``r111``, the (1,1,1) test at every object up
+    to ``search.DEPTH`` reflections from the base, all computed from
+    scratch."""
     return {S for S in dfs_states(cap)
-            if least_permutation_image(S) and partial_closure_ok(S, search.DEPTH)}
+            if least_permutation_image(S) and partial_closure_ok(S, search.DEPTH, r111)}
 
 
 def search_state_ok(roots, cap):

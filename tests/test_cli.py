@@ -167,6 +167,24 @@ def test_search_cli(tmp_path, capsys):
     assert len(doc["arrangements"]) == 1
 
 
+@pytest.mark.parametrize("command", [
+    ("search", "--cap", "6"),
+    ("catalog", "export", "A3"),
+    ("render-svg", "{doc}"),
+    ("export-dot", "{doc}"),
+    ("enumerate-rank2", "4", "--json"),
+])
+def test_unwritable_out_path_exits_2(tmp_path, capsys, command):
+    doc = write_doc(tmp_path, "a3", 3, A3)
+    missing = tmp_path / "missing" / "x.json"
+    argv = [word.format(doc=doc) for word in command] + ["--out", str(missing)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("output error: ") and len(err.strip().splitlines()) == 1
+    assert not missing.parent.exists()
+
+
 def test_catalog_list_and_show(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0 and "A3" in out.split()

@@ -3,7 +3,7 @@
 The verify report of every catalog entry and of the arrangements of
 ``arrangement_documents``, the ``run_all`` reports of the
 Weyl-restriction closures of the benchmark (several objects each) and the
-search output at caps 6, 9 and 12 must not change under refactoring.  The
+search output at caps 6, 9, 12 and 13 must not change under refactoring.  The
 search's ``states_visited`` is left out: a symmetry reduction or a prune may
 legitimately change how many states are walked.
 
@@ -116,6 +116,12 @@ def test_search_cap12_is_pinned(tmp_path):
     assert search_answer(tmp_path, 12) == expected
 
 
+def test_search_cap13_is_pinned(tmp_path):
+    # fourteen forms, among them the 13-line F4 restriction
+    expected = (GOLDEN / "search_cap13.json").read_text(encoding="utf-8")
+    assert search_answer(tmp_path, 13) == expected
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -129,7 +135,7 @@ if __name__ == "__main__":
                 document_stdout(doc, tmp), encoding="utf-8")
         (GOLDEN / "run_all_restrictions.json").write_text(
             restriction_reports(), encoding="utf-8")
-        for cap in (6, 9, 12):
+        for cap in (6, 9, 12, 13):
             (GOLDEN / f"search_cap{cap}.json").write_text(
                 search_answer(tmp, cap), encoding="utf-8")
     sys.exit(0)

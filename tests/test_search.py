@@ -29,6 +29,7 @@ from oracles import (
     search_state_ok,
     tree_walk,
     verify_candidate_geometric,
+    verify_candidate_traverse,
 )
 
 search_at = lru_cache(maxsize=None)(enumerate_rank3)
@@ -63,7 +64,7 @@ def test_walked_states_meet_the_string_and_cap_rules(cap, monkeypatch):
 
     monkeypatch.setattr(search, "_plane_systems_ok", recording)
     enumerate_rank3(cap)
-    assert len(walked) == {6: 9, 7: 22, 8: 48}[cap]
+    assert len(walked) == {6: 4, 7: 8, 8: 18}[cap]
     for S in walked:
         assert len(S) <= cap
         for v in S:
@@ -107,13 +108,16 @@ def test_budget_exhaustion_reports_incomplete():
     assert result.states_visited == 10
 
 
-@pytest.mark.parametrize("cap, states, emitted",
-                         [(6, 9, 1), (7, 22, 2), (8, 48, 3), (9, 100, 5), (10, 220, 7),
-                          (11, 586, 8)])
-def test_work_counters_are_pinned(cap, states, emitted):
+# (states decided, forms emitted) per cap; the test ids name the cap alone,
+# so that a prune that changes the counts changes no test name
+WORK = {6: (4, 1), 7: (8, 2), 8: (18, 3), 9: (39, 5), 10: (87, 7), 11: (221, 8)}
+
+
+@pytest.mark.parametrize("cap", sorted(WORK))
+def test_work_counters_are_pinned(cap):
     result = search_at(cap)
     assert result.verdict == "Complete"
-    assert (result.states_visited, result.emitted) == (states, emitted)
+    assert (result.states_visited, result.emitted) == WORK[cap]
 
 
 @pytest.mark.parametrize("cap", [6, 7, 8, 9, 10])
@@ -131,7 +135,7 @@ def test_close_checks_new_roots_against_known_ones():
 
 
 def test_close_matches_all_pairs_check(monkeypatch):
-    # cap 8, because no _close call of the cap-7 search prunes
+    # cap 11, because no _close call of the search at a smaller cap prunes
     calls = []
     fast = search._close
 
@@ -141,10 +145,10 @@ def test_close_matches_all_pairs_check(monkeypatch):
         return out
 
     monkeypatch.setattr(search, "_close", recording)
-    enumerate_rank3(8)
-    assert len(calls) == 118
+    enumerate_rank3(11)
+    assert len(calls) == 1054
     for S, v, out in calls:
-        assert (out is not None) == search_state_ok(S + (v,), 8), (S, v)
+        assert (out is not None) == search_state_ok(S + (v,), 11), (S, v)
         assert out is None or out == S + (v,)
     assert 0 < sum(out is None for *_, out in calls) < len(calls)
 
@@ -177,7 +181,7 @@ def test_cap9_walk_decides_one_state_per_permutation_class(monkeypatch):
 
     monkeypatch.setattr(search, "_plane_systems_ok", recording)
     enumerate_rank3(9)
-    assert len(decided) == 100
+    assert len(decided) == 39
     assert all(least_permutation_image(S) for S in decided)
 
 
@@ -239,7 +243,7 @@ def test_permutation_and_reflection_tests_match_their_slow_paths(T):
     # at depth 0 the test is the reflection rule with final Cartan entries on
     # states that meet the search's rules, whose root strings are unbroken
     if search_state_ok(T, len(T)):
-        assert partial_closure_ok(T, 0) == reflection_rule_ok(T)
+        assert partial_closure_ok(T, 0, r111=False) == reflection_rule_ok(T)
     # T as the child of S, T without its top level: when S is least, the
     # permutations that fix S decide whether T is
     top = sum(T[-1])
@@ -319,6 +323,45 @@ def test_weyl_restriction_prefixes_pass_the_reflection_test():
             assert search._partial_closure_ok(T, depth), (T, depth)
 
 
+def test_closed_walk_passes_every_weyl_restriction_object():
+    # each object of a crystallographic arrangement, under each coordinate
+    # permutation, is a state that the geometry accepts
+    objects = [O for _, G in weyl_restriction_closures() for O in G.objects]
+    for O in objects:
+        for perm in permutations(range(3)):
+            assert search._partial_closure_ok(search._image(O.positive_roots, perm), None), O
+
+
+def test_closed_walk_rejects_only_what_traverse_or_the_geometry_rejects(monkeypatch):
+    # on the states decided at cap 10, which hold those of caps 6-9, the
+    # closed walk rejects no state that the decision with traverse first
+    # accepts, so the two decisions agree
+    decided = []
+    fast = search._plane_systems_ok
+
+    def recording(roots):
+        decided.append(roots)
+        return fast(roots)
+
+    monkeypatch.setattr(search, "_plane_systems_ok", recording)
+    enumerate_rank3(10)
+    rejected = 0
+    for S in decided:
+        expected = verify_candidate_traverse(S)
+        if not search._partial_closure_ok(S, None):
+            assert expected is None, S
+            rejected += 1
+        assert search._verify_candidate(S) == expected, S
+    assert (len(decided), rejected) == (87, 70)
+
+
+@settings(max_examples=500, deadline=None)
+@given(T=st.one_of(root_states(), near_states()))
+def test_closed_walk_rejects_only_what_traverse_or_the_geometry_rejects_at_random(T):
+    if not search._partial_closure_ok(T, None):
+        assert verify_candidate_traverse(T) is None, T
+
+
 def test_closure_bound_covers_every_chamber_count():
     # the closure bound n(n-1)+2 of the search's pre-filter is at least
     # the chamber count on the catalog and on the cap-9 search output
@@ -354,7 +397,7 @@ def _decisions(cap, monkeypatch):
 def test_verify_candidate_agrees_with_geometric_oracle(monkeypatch):
     result, passed, verified = _decisions(7, monkeypatch)
     # every state of the cap-7 walk passes the plane tests
-    assert (result.states_visited, len(passed), len(verified)) == (22, 22, 21)
+    assert (result.states_visited, len(passed), len(verified)) == (8, 8, 7)
     closures = dict(verified)
     hits = 0
     for roots in passed:
