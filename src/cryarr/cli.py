@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -216,8 +217,7 @@ def cmd_enumerate_rank2(args):
         return EXIT_INPUT
     if args.json:
         return _write_out(json.dumps([[list(v) for v in s] for s in seqs]) + "\n", args.out)
-    print(len(seqs))
-    return EXIT_PASS
+    return _write_out(f"{len(seqs)}\n", args.out)
 
 
 def cmd_search(args):
@@ -243,9 +243,7 @@ def cmd_search(args):
 
 def cmd_catalog(args):
     if not args.words:
-        for e in cat.entries():
-            print(e.name)
-        return EXIT_PASS
+        return _write_out("".join(f"{e.name}\n" for e in cat.entries()), args.out)
     if args.words[0] == "export":
         if len(args.words) != 2:
             print("usage: catalog export <name>", file=sys.stderr)
@@ -264,14 +262,13 @@ def cmd_catalog(args):
     except KeyError as e:
         print(str(e), file=sys.stderr)
         return EXIT_INPUT
-    print(json.dumps({
+    return _write_out(json.dumps({
         "name": entry.name,
         "rank": entry.rank,
         "positive_roots": len(entry.positive_roots),
         "crystallographic": entry.crystallographic,
         "expected_chambers": entry.expected_chambers,
-    }, indent=2))
-    return EXIT_PASS
+    }, indent=2) + "\n", args.out)
 
 
 @cache
@@ -321,9 +318,19 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # a closed pipe raises here, not at exit
+        return code
     except CryarrError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_FAIL
+    except BrokenPipeError:
+        # the reader of stdout has gone: point stdout at the null device, so
+        # that the flush at exit finds no pipe (the recipe of the Python
+        # ``signal`` docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_FAIL
 
 

@@ -144,48 +144,43 @@ state S that is decided as a whole, as if S were all of R^a: every vector
 is decided, present exactly when it is in +-S (H is infinite), there is no
 depth limit, and the walk fails once it has found more than n(n-1)+2
 distinct matrices (n = |S|).  ``_verify_candidate`` runs it after the
-support test and before ``traverse``, and every state it rejects is one
-that ``_verify_candidate`` would reject without it, in ``traverse`` or in
-the geometry.  For suppose the geometry accepts S, with connected
-supports.  Then S is the set of positive roots, at its base chamber, of an
-irreducible crystallographic arrangement of n planes, so every fact the
-walk uses is true of R^a = S: each matrix, Cartan entry and member, by the
-soundness argument, and each absence of M_b (1,1,1), by the theorem.  So
-neither test fails.  The columns of each matrix M_b are the roots of
-+-R^a on the walls of one chamber K that are positive on K, in the order
-of their labels.  The labels do not depend on the path that reached K.
-Crossing wall j keeps label j on that wall and gives label i (i != j) to
-the root sigma_j(alpha_i) = alpha_i - c_ji alpha_j, whose plane contains
-the line X = H_i meet H_j; so walking once around X, through the 2m
-chambers that contain X, alternates the labels j and i on the walls
-through X and returns with the labels it started with.  The chamber
-graph is the 1-skeleton of the arrangement's zonotope, a 3-polytope whose
-2-faces are these walks around the lines X, and the boundary of a
-3-polytope is a sphere, so these walks and the steps across a wall and
-straight back, which undo each other, generate every closed walk of the
-graph, and no closed walk changes the labels.  So
-distinct matrices are distinct chambers, and a simplicial rank-3
-arrangement of n planes has at most n(n-1)+2 chambers.  The closed walk
-builds no ``RootObject``, so the closures that fail are rejected without
-one; ``traverse`` and the geometry run on the survivors alone and still
-check each other.
+support test and before the geometry, and every state it rejects is one
+the geometry rejects too.  For suppose the geometry accepts S, with
+connected supports.  Then S is the set of positive roots, at its base
+chamber, of an irreducible crystallographic arrangement of n planes, so
+every fact the walk uses is true of R^a = S: each matrix, Cartan entry and
+member, by the soundness argument, and each absence of M_b (1,1,1), by the
+theorem.  So neither test fails.  The columns of each matrix M_b are the
+roots of +-R^a on the walls of one chamber K that are positive on K, in
+the order of their labels.  The labels do not depend on the path that
+reached K.  Crossing wall j keeps label j on that wall and gives label i
+(i != j) to the root sigma_j(alpha_i) = alpha_i - c_ji alpha_j, whose
+plane contains the line X = H_i meet H_j; so walking once around X,
+through the 2m chambers that contain X, alternates the labels j and i on
+the walls through X and returns with the labels it started with.  The
+chamber graph is the 1-skeleton of the arrangement's zonotope, a
+3-polytope whose 2-faces are these walks around the lines X, and the
+boundary of a 3-polytope is a sphere, so these walks and the steps across
+a wall and straight back, which undo each other, generate every closed
+walk of the graph, and no closed walk changes the labels.  So distinct
+matrices are distinct chambers, and a simplicial rank-3 arrangement of n
+planes has at most n(n-1)+2 chambers.  The closed walk builds no
+``RootObject``, so the closures that fail are rejected without one.
 
-Each state S that passes the rank-2 plane tests is decided integer-first,
-in root coordinates: the supports of S must be connected, the closed walk
-must pass, and the reflection closure of the root object S must finish
-with at most n(n-1)+2 objects (n = |S|).  This pre-filter drops no
-arrangement the geometry would accept: irreducibility in the base chamber
-is exactly support connectivity of S, the closed walk rejects none by the
-proof above, and a simplicial rank-3 arrangement of n planes has at most
-n(n-1)+2 chambers, so the geometric closure of the same base object
-finishes within that bound too.  The geometry then decides: each
-survivor is re-verified from scratch by the chamber walk, which must
-reproduce S as its base object and the same closure; neither the pruning
-nor the pre-filter is trusted for soundness.  The statement checks do not
-filter: the geometry decides without them, and as a filter they could
-only hide a counterexample to the theorems they check.  The root object S
-is built as it stands, without validation: its members are the simple
-roots and sums of non-negative vectors, pairwise non-parallel by (b).
+Each state S that passes the rank-2 plane tests is decided by three tests
+in turn: connected supports, the closed walk, and the geometry, the only
+judge, which re-verifies S from scratch and must reproduce it as its base
+object.  The first two reject no state the geometry accepts: irreducibility
+in the base chamber is support connectivity, and the closed walk is covered
+above.  An integer ``traverse`` of S within n(n-1)+2 objects would add
+nothing.  When the base object is S, the geometry runs ``traverse`` on an
+equal ``RootObject``, capped at its chamber count, at most n(n-1)+2; up to
+the first exception both calls take the same steps, so the integer one
+raises only if the geometric one raises no later, and when both finish
+their closures are equal.  ``make_root_set`` accepts every S: the simple
+roots span, and the members are non-zero, non-negative and pairwise
+non-parallel by (b).  The statement checks do not filter: as a filter they
+could only hide a counterexample to the theorems they check.
 
 Each closure is verified once.  All objects of one closure belong to one
 arrangement, and the closure of any of its objects has the same objects, so
@@ -203,19 +198,12 @@ from dataclasses import dataclass
 from itertools import combinations, count, permutations
 from math import inf
 
-from .errors import (
-    ClosureOverflowError,
-    ExtremeRootsNotUnimodularError,
-    NotClosedError,
-    NotESequenceError,
-)
+from .errors import ExtremeRootsNotUnimodularError, NotESequenceError
 from .geometry import make_root_set, supports_connected
 from .groupoid import (
     VOL2_MAX,
-    RootObject,
     canonical_form,
     simple_roots,
-    traverse,
     verify_crystallographic,
 )
 from .linalg import direction, vol2
@@ -269,25 +257,14 @@ def _plane_systems_ok(roots):
 def _verify_candidate(roots):
     """Decide a state; returns its groupoid closure or None.
 
-    The integer tests in root coordinates run first and reject almost every
-    state, most of them in the closed walk; the geometric re-verification
-    from scratch then decides the survivors."""
-    n = len(roots)
+    The support test and the closed walk in root coordinates run first and
+    reject almost every state, most of them in the closed walk; the
+    geometric re-verification from scratch then decides the survivors,
+    which must be the honest positive system of their own base chamber."""
     if not supports_connected(roots, 3) or not _partial_closure_ok(roots, None):
         return None
-    try:
-        G = traverse(RootObject(3, frozenset(roots)), max_objects=n * (n - 1) + 2)
-    except (NotClosedError, ClosureOverflowError):
-        return None
-    try:
-        R = make_root_set(roots, rank=3)
-    except ValueError:
-        return None
-    res = verify_crystallographic(R)
-    # the state must be the honest positive system of its own base chamber,
-    # and the geometry must reproduce the integer closure
-    if (not res.ok or res.base_object.positive_roots != frozenset(roots)
-            or res.graph != G):
+    res = verify_crystallographic(make_root_set(roots, rank=3))
+    if not res.ok or res.base_object.positive_roots != frozenset(roots):
         return None
     return res.graph
 

@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -173,6 +177,9 @@ def test_search_cli(tmp_path, capsys):
     ("render-svg", "{doc}"),
     ("export-dot", "{doc}"),
     ("enumerate-rank2", "4", "--json"),
+    ("enumerate-rank2", "4"),
+    ("catalog",),
+    ("catalog", "A3"),
 ])
 def test_unwritable_out_path_exits_2(tmp_path, capsys, command):
     doc = write_doc(tmp_path, "a3", 3, A3)
@@ -191,6 +198,43 @@ def test_catalog_list_and_show(capsys):
     code, out, _ = run(capsys, "catalog", "B3")
     assert code == 0
     assert json.loads(out)["positive_roots"] == 9
+
+
+@pytest.mark.parametrize("command", [
+    ("catalog",),
+    ("catalog", "B3"),
+    ("enumerate-rank2", "6"),
+], ids=["catalog-list", "catalog-show", "enumerate-rank2-count"])
+def test_out_writes_what_stdout_would_show(tmp_path, capsys, command):
+    code, shown, _ = run(capsys, *command)
+    assert code == 0 and shown
+    out_path = tmp_path / "out.txt"
+    code, out, err = run(capsys, *command, "--out", str(out_path))
+    assert (code, out, err) == (0, "", "")
+    assert out_path.read_text() == shown
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_exits_1_without_a_traceback(unbuffered):
+    # the reader of the pipe has gone before the command writes, as with
+    # ``cryarr catalog B3 | head -0``; buffered, the write fails only when
+    # stdout is flushed, unbuffered, at the write itself
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cryarr.cli", "catalog", "B3"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 def test_catalog_export_round_trip(tmp_path, capsys):

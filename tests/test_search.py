@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from functools import lru_cache
 from itertools import combinations, permutations
 from pathlib import Path
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cryarr import catalog as cat
-from cryarr import search
+from cryarr import groupoid, search
 from cryarr.geometry import chamber_graph, make_root_set, supports_connected
 from cryarr.groupoid import (
     RootObject,
@@ -166,9 +167,11 @@ def test_tree_walk_decides_the_states_of_the_graph_search(cap, monkeypatch):
     enumerate_rank3(cap)
     assert len(set(decided)) == len(decided)
     assert set(decided) == level_walk_states(cap)
-    # _verify_candidate builds its root object without make_root_object's checks
+    # every decided state is a valid root object and root set:
+    # _verify_candidate hands it to make_root_set with no ValueError handler
     for S in decided:
         assert make_root_object(3, S).positive_roots == S
+        assert set(make_root_set(S, rank=3).positives) == S
 
 
 def test_cap9_walk_decides_one_state_per_permutation_class(monkeypatch):
@@ -358,13 +361,36 @@ def test_closed_walk_rejects_only_what_traverse_or_the_geometry_rejects(monkeypa
 @settings(max_examples=500, deadline=None)
 @given(T=st.one_of(root_states(), near_states()))
 def test_closed_walk_rejects_only_what_traverse_or_the_geometry_rejects_at_random(T):
+    expected = verify_candidate_traverse(T)
     if not search._partial_closure_ok(T, None):
-        assert verify_candidate_traverse(T) is None, T
+        assert expected is None, T
+    assert search._verify_candidate(T) == expected, T
+
+
+@pytest.mark.parametrize("cap, closures", [(9, 5), (10, 7)])
+def test_search_builds_one_closure_per_emitted_form(cap, closures, monkeypatch):
+    # traverse runs once per state the geometry decides, and the closed walk
+    # leaves it only the states that verify; deciding as
+    # verify_candidate_traverse does, with an integer traverse first, would
+    # call it 10 and 14 times.  Every cryarr module that holds the function
+    # is patched, so a call by any name is counted.
+    calls = []
+    fast = groupoid.traverse
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return fast(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cryarr") and getattr(module, "traverse", None) is fast:
+            monkeypatch.setattr(module, "traverse", counting)
+    result = enumerate_rank3(cap)
+    assert len(calls) == result.emitted == closures
 
 
 def test_closure_bound_covers_every_chamber_count():
-    # the closure bound n(n-1)+2 of the search's pre-filter is at least
-    # the chamber count on the catalog and on the cap-9 search output
+    # the bound n(n-1)+2 on the distinct matrices of the closed walk is at
+    # least the chamber count on the catalog and on the cap-9 search output
     systems = [cat.root_set_of(e) for e in cat.entries() if e.rank == 3]
     systems += [make_root_set(roots, rank=3) for roots in search_at(9).arrangements]
     for R in systems:
