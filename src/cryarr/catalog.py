@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import make_root_set
-from .groupoid import make_root_object, reflect_vector, simple_roots
+from .groupoid import make_root_object, reflect_roots, simple_roots
 
 
 @dataclass(frozen=True)
@@ -49,21 +49,18 @@ def _series_cartan(kind, r):
 
 
 def _roots_from_cartan(c):
-    """Positive roots as the reflection closure of the simple roots."""
+    """Positive roots as the reflection closure of the simple roots.  The
+    Cartan matrix of a finite Weyl group is that of every chamber, so each
+    reflection maps the positive roots other than e_i into themselves."""
     r = len(c)
     roots = set(simple_roots(r))
     frontier = set(roots)
     while frontier:
         nxt = set()
-        for v in frontier:
-            for i in range(r):
-                w = reflect_vector(v, i, c[i])
-                if all(x <= 0 for x in w):
-                    w = tuple(-x for x in w)
-                if w not in roots:
-                    roots.add(w)
-                    nxt.add(w)
-        frontier = nxt
+        for i in range(r):
+            nxt |= reflect_roots(frontier, i, c[i])
+        frontier = nxt - roots
+        roots |= frontier
     return tuple(sorted(roots))
 
 

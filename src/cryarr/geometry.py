@@ -341,26 +341,33 @@ def chamber_graph(R: RootSet):
     as a chamber with other than ``rank`` extreme rays is met.
 
     Each chamber is built once, by the first crossing that reaches it; a
-    later crossing only looks its signs up.  A chamber that is not
-    simplicial is never indexed, so the first crossing into it raises, as
-    it would if every crossing built its chamber.
+    later crossing only looks it up.  A chamber is keyed by the int mask of
+    the covectors positive on it (bit k for the k-th), which its signs
+    determine, since no sign is 0; crossing wall i flips only the sign of
+    covector ``walls[i]``, so the key across it is the mask with that bit
+    flipped.  A chamber that is not simplicial is never indexed, so the
+    first crossing into it raises, as it would if every crossing built its
+    chamber.
     """
     k0 = initial_chamber(R)
     chambers = [k0]
-    index = {k0.signs: 0}
+    masks = [sum(1 << k for k, s in enumerate(k0.signs) if s > 0)]
+    index = {masks[0]: 0}
     edges = {}
     head = 0
     while head < len(chambers):
         ci = head
         head += 1
-        K = chambers[ci]
+        K, mask = chambers[ci], masks[ci]
         for i in range(R.rank):
-            j = index.get(_crossed_signs(K, i))
+            key = mask ^ (1 << K.walls[i])
+            j = index.get(key)
             if j is None:
                 Kn = adjacent_chamber(R, K, i)
                 j = len(chambers)
-                index[Kn.signs] = j
+                index[key] = j
                 chambers.append(Kn)
+                masks.append(key)
             edges[(ci, i)] = j
     return chambers, edges
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
 from math import gcd
-from operator import sub
+from operator import mul, sub
 
 from .errors import ClosureOverflowError, NonSimplicialError, NotClosedError
 from .geometry import RootSet, cartan_of_chamber, chamber_graph, ray_values
@@ -99,9 +99,13 @@ class RootObject:
     def pair_table(self):
         """The ``PairTable``, built in one pass over the pairs a < b of the
         sorted positive roots: one difference, one lookup in +-R and one
-        ``vol2`` per pair."""
+        Vol_2 per pair.  In rank 3 the difference and Vol_2, the gcd of the
+        entries of a x b as in ``linalg.vol2``, are taken from unpacked
+        coordinates."""
         ordered = tuple(sorted(self.positive_roots))
         signed = signed_roots(self.positive_roots)
+        rank3 = self.rank == 3
+        n = len(ordered)
         free = []
         unimodular = []
         sums = set()
@@ -109,10 +113,18 @@ class RootObject:
         hi = 0
         above = []
         for t, a in enumerate(ordered):
+            if rank3:
+                a0, a1, a2 = a
             f = m = 0
-            for u, b in enumerate(ordered[t + 1:], t + 1):
-                d = tuple(map(sub, b, a))
-                v = vol2(a, b)
+            for u in range(t + 1, n):
+                b = ordered[u]
+                if rank3:
+                    b0, b1, b2 = b
+                    d = (b0 - a0, b1 - a1, b2 - a2)
+                    v = gcd(a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+                else:
+                    d = tuple(map(sub, b, a))
+                    v = vol2(a, b)
                 if d in signed:
                     sums.add(b)
                 else:
@@ -157,27 +169,26 @@ def make_root_object(rank, positive_roots) -> RootObject:
     return RootObject(rank=rank, positive_roots=roots)
 
 
-def reflect_vector(v, i, cartan_row):
-    w = list(v)
-    w[i] = v[i] - sum(cartan_row[j] * v[j] for j in range(len(v)))
-    return tuple(w)
+def reflect_roots(roots, i, row):
+    """sigma_i(v) = v - <row, v> e_i on each of ``roots``, re-positivized.
+    sigma_i changes only coordinate i, so an image is positive when that
+    coordinate is nonnegative, and negative only when every other
+    coordinate is 0; any other image raises ``NotClosedError(v, image)``."""
+    out = set()
+    for v in roots:
+        x = v[i] - sum(map(mul, row, v))
+        if x >= 0:
+            out.add(v[:i] + (x,) + v[i + 1:])
+        elif any(v[:i]) or any(v[i + 1:]):
+            raise NotClosedError(v, v[:i] + (x,) + v[i + 1:])
+        else:
+            out.add(v[:i] + (-x,) + v[i + 1:])
+    return frozenset(out)
 
 
 def reflect_object(O: RootObject, i):
-    """Apply sigma_i and re-positivize.  sigma_i changes only coordinate i,
-    so an image is positive when that coordinate is nonnegative, and
-    negative only when every other coordinate is 0."""
-    row = O.cartan[i]
-    out = set()
-    for v in O.positive_roots:
-        w = reflect_vector(v, i, row)
-        if w[i] >= 0:
-            out.add(w)
-        elif any(w[:i] + w[i + 1:]):
-            raise NotClosedError(v, w)
-        else:
-            out.add(tuple(-x for x in w))
-    return RootObject(rank=O.rank, positive_roots=frozenset(out))
+    """Apply sigma_i, with row i of O's Cartan matrix, and re-positivize."""
+    return RootObject(rank=O.rank, positive_roots=reflect_roots(O.positive_roots, i, O.cartan[i]))
 
 
 @dataclass(frozen=True)
@@ -335,10 +346,11 @@ def canonical_form(G: GroupoidGraph) -> bytes:
     best = None
     object_sets = [O.positive_roots for O in G.objects]
     all_roots = frozenset().union(*object_sets)
+    coordinates = ",".join(["%d"] * r)
     for perm in permutations(range(r)):
-        image = {v: tuple(v[p] for p in perm) for v in all_roots}
-        text = {v: ",".join(map(str, w)) for v, w in image.items()}
-        rendered = {"|".join(text[v] for v in sorted(roots, key=image.__getitem__))
+        image = {v: tuple([v[p] for p in perm]) for v in all_roots}
+        text = {v: coordinates % w for v, w in image.items()}
+        rendered = {"|".join(map(text.__getitem__, sorted(roots, key=image.__getitem__)))
                     for roots in object_sets}
         s = str(r) + ";" + ";".join(sorted(rendered))
         if best is None or s < best:

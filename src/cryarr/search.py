@@ -169,18 +169,29 @@ planes has at most n(n-1)+2 chambers.  The closed walk builds no
 
 Each state S that passes the rank-2 plane tests is decided by three tests
 in turn: connected supports, the closed walk, and the geometry, the only
-judge, which re-verifies S from scratch and must reproduce it as its base
-object.  The first two reject no state the geometry accepts: irreducibility
-in the base chamber is support connectivity, and the closed walk is covered
-above.  An integer ``traverse`` of S within n(n-1)+2 objects would add
-nothing.  When the base object is S, the geometry runs ``traverse`` on an
-equal ``RootObject``, capped at its chamber count, at most n(n-1)+2; up to
-the first exception both calls take the same steps, so the integer one
-raises only if the geometric one raises no later, and when both finish
-their closures are equal.  ``make_root_set`` accepts every S: the simple
-roots span, and the members are non-zero, non-negative and pairwise
-non-parallel by (b).  The statement checks do not filter: as a filter they
-could only hide a counterexample to the theorems they check.
+judge, which re-verifies S from scratch.  The first two reject no state the
+geometry accepts: irreducibility in the base chamber is support
+connectivity, and the closed walk is covered above.  ``make_root_set``
+accepts every S: the simple roots span, and the members are non-zero,
+non-negative and pairwise non-parallel by (b).  It keeps every member as it
+is, with denominator 1, since sign normalization changes no non-negative
+integer vector.
+
+The geometry's base object is S itself.  ``generic_point`` tries t = 1
+first, and (1,1,1) lies on no plane, since every member has a positive
+coordinate sum; so every member is positive on the base chamber.  That
+chamber lies in the open positive orthant, because S holds e_1, e_2 and
+e_3, and it is the whole orthant, because no non-negative member vanishes
+inside it.  Its rays are e_1, e_2, e_3 and its walls the members e_1, e_2,
+e_3, which ``initial_chamber`` orders by descending wall covector, so ray i
+is e_i with scale <e_i, e_i> = 1, and the root coordinates of a member at
+the base chamber are the member itself.  So an integer ``traverse`` of S
+within n(n-1)+2 objects would add nothing: the geometry runs ``traverse``
+on a ``RootObject`` equal to S, capped at its chamber count, at most
+n(n-1)+2; up to the first exception both calls take the same steps, so the
+integer one raises only if the geometric one raises no later, and when both
+finish their closures are equal.  The statement checks do not filter: as a
+filter they could only hide a counterexample to the theorems they check.
 
 Each closure is verified once.  All objects of one closure belong to one
 arrangement, and the closure of any of its objects has the same objects, so
@@ -259,14 +270,12 @@ def _verify_candidate(roots):
 
     The support test and the closed walk in root coordinates run first and
     reject almost every state, most of them in the closed walk; the
-    geometric re-verification from scratch then decides the survivors,
-    which must be the honest positive system of their own base chamber."""
+    geometric re-verification from scratch then decides the survivors.  Its
+    base object is the state itself (see the module docstring), and its
+    closure is None unless it accepts."""
     if not supports_connected(roots, 3) or not _partial_closure_ok(roots, None):
         return None
-    res = verify_crystallographic(make_root_set(roots, rank=3))
-    if not res.ok or res.base_object.positive_roots != frozenset(roots):
-        return None
-    return res.graph
+    return verify_crystallographic(make_root_set(roots, rank=3)).graph
 
 
 def _representative(G):

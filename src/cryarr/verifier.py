@@ -259,14 +259,6 @@ def lemcon_sweep(G: GroupoidGraph) -> CheckReport:
                        {"triples_checked": triples})
 
 
-def _bits(mask):
-    """The indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def check_convexity_statements(G: GroupoidGraph) -> CheckReport:
     """(a) the only unimodular difference-free positive triple is the simple
     one; (b) a positive root completing two simples to a unimodular triple
@@ -282,26 +274,37 @@ def check_convexity_statements(G: GroupoidGraph) -> CheckReport:
         full, ordered, free = table.signed, table.ordered, table.free
         for t, a in enumerate(ordered):
             # Vol_2(a, b) divides every det(a, b, c), so only a unimodular
-            # pair (a, b) can start a unimodular triple
-            for u in _bits(table.unimodular[t]):
+            # pair (a, b) can start a unimodular triple; the set bits of
+            # each mask are taken lowest first
+            pairs = table.unimodular[t]
+            a0, a1, a2 = a
+            while pairs:
+                low = pairs & -pairs
+                pairs ^= low
+                u = low.bit_length() - 1
                 b = ordered[u]
+                b0, b1, b2 = b
                 # det(a, b, c) by cofactors along c: c . (a x b)
-                x = a[1] * b[2] - a[2] * b[1]
-                y = a[2] * b[0] - a[0] * b[2]
-                z = a[0] * b[1] - a[1] * b[0]
-                for w in _bits(free[t] & free[u]):
-                    c = ordered[w]
+                x = a1 * b2 - a2 * b1
+                y = a2 * b0 - a0 * b2
+                z = a0 * b1 - a1 * b0
+                thirds = free[t] & free[u]
+                while thirds:
+                    low = thirds & -thirds
+                    thirds ^= low
+                    c = ordered[low.bit_length() - 1]
                     if x * c[0] + y * c[1] + z * c[2] in (1, -1) and {a, b, c} != simples:
                         witnesses.append((oi, "a", (a, b, c)))
         for g1, g2 in combinations(sorted(simples), 2):
-            # Vol_3(g1, g2, a) = |a_k| for the third coordinate k
-            k = 3 - g1.index(1) - g2.index(1)
+            # Vol_3(g1, g2, a) = |a_k| for the third coordinate k, and a - g
+            # lowers the coordinate p of g = e_p by one
+            p, q = g1.index(1), g2.index(1)
+            k = 3 - p - q
             for a in roots:
                 if a in simples or abs(a[k]) != 1:
                     continue
-                d1 = tuple(x - y for x, y in zip(a, g1))
-                d2 = tuple(x - y for x, y in zip(a, g2))
-                if d1 not in full and d2 not in full:
+                if (a[:p] + (a[p] - 1,) + a[p + 1:] not in full
+                        and a[:q] + (a[q] - 1,) + a[q + 1:] not in full):
                     witnesses.append((oi, "b", (g1, g2, a)))
         if is_object_irreducible(O):
             for i in range(3):

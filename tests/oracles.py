@@ -6,7 +6,7 @@ enumeration with Fourier-Motzkin feasibility, determinants from cofactor
 expansion, elementary divisors from gcds of minors, Catalan numbers
 from the binomial closed form, and the simpliciality and chamber count of
 a rank-3 arrangement from its intersection points (Melchior, Zaslavsky).
-Twenty-seven references are the exception, each kept as the slow path that
+Twenty-eight references are the exception, each kept as the slow path that
 a faster one replaced: ``clear_denominators`` (lines of Fraction vectors,
 for the integer-only ``direction``), ``make_root_set_fractions`` (every
 input check on Fractions, for the checks on covectors scaled to integers
@@ -28,15 +28,18 @@ root differences), ``lemcon_conclusion_every_term`` (every term
 alpha + l*beta of the string, 0 <= l <= k, for the conclusion that tests
 the inner terms), ``traverse_every_edge`` (every edge of the closure
 reflected, for the walk that reflects each edge between two objects
-once), ``convexity_statements_vol3`` (``vol(3, .)`` on
+once), ``reflect_object_every_coordinate`` (the sign of every coordinate
+of each image, for the reflection that reads coordinate i alone),
+``convexity_statements_vol3`` (``vol(3, .)`` on
 every triple, for the inline determinants and the pair prefilter),
 ``sum_of_roots_every_pair`` and ``vol2_bound_every_pair`` (every pair
 of positive roots walked by the check itself, for the checks that read
 the object's pair table),
 ``chamber_from_signs_rescan`` and ``adjacent_chamber_rescan`` (a scan
 of every candidate ray per wall crossing, for the local crossing),
-``chamber_graph_every_crossing`` (a chamber built for every crossing, for
-the walk that builds each chamber once), and ``rank2_cycles_reflecting``,
+``chamber_graph_every_crossing`` (a chamber built for every crossing and
+looked up by its sign vector, for the walk that builds each chamber once
+and keys it by a mask), and ``rank2_cycles_reflecting``,
 ``plane_roots_reflecting`` and ``check_plane_roots_reflecting`` (every
 chamber of a localization walk built again by ``reflect_object`` on a
 coordinate-permuted copy, for the walk along the closure's edges),
@@ -88,7 +91,6 @@ from cryarr.groupoid import (
     is_object_irreducible,
     make_root_object,
     reflect_object,
-    reflect_vector,
     root_object_of_chamber,
     simple_roots,
     traverse,
@@ -891,6 +893,30 @@ def rank2_cycles_reflecting(O: RootObject, i, j) -> LocalizationCycles:
             raise CycleBrokenError("quiddity cycle is not n-periodic")
     return LocalizationCycles(n=n, quiddity=tuple(cs), auxiliary=tuple(ds),
                               objects=tuple(objs))
+
+
+def reflect_vector(v, i, cartan_row):
+    """sigma_i(v) = v - <cartan_row, v> e_i, every coordinate of it built."""
+    w = list(v)
+    w[i] = v[i] - sum(cartan_row[j] * v[j] for j in range(len(v)))
+    return tuple(w)
+
+
+def reflect_object_every_coordinate(O: RootObject, i):
+    """``reflect_object`` testing the sign of every coordinate of each image:
+    a non-negative image is kept, a non-positive one negated, and a mixed
+    one raises ``NotClosedError(root, image)``."""
+    row = O.cartan[i]
+    out = set()
+    for v in O.positive_roots:
+        w = reflect_vector(v, i, row)
+        if all(x >= 0 for x in w):
+            out.add(w)
+        elif all(x <= 0 for x in w):
+            out.add(tuple(-x for x in w))
+        else:
+            raise NotClosedError(v, w)
+    return RootObject(rank=O.rank, positive_roots=frozenset(out))
 
 
 def traverse_every_edge(base: RootObject, max_objects) -> GroupoidGraph:

@@ -28,6 +28,7 @@ from cryarr.rank2 import enumerate_esequences
 from oracles import (
     canonical_form_every_object,
     permute_object,
+    reflect_object_every_coordinate,
     traverse_every_edge,
     verify_every_chamber,
     verify_fraction_coordinates,
@@ -110,6 +111,22 @@ def test_traverse_matches_the_every_edge_walk_on_the_corpus():
 def test_traverse_matches_the_every_edge_walk_on_random_objects(base, max_objects):
     assert (traverse_outcome(traverse, base, max_objects)
             == traverse_outcome(traverse_every_edge, base, max_objects))
+
+
+def _reflection_outcome(reflect, O, i):
+    try:
+        return reflect(O, i)
+    except NotClosedError as e:
+        return "not closed", e.root, e.image
+
+
+@settings(max_examples=400, deadline=None)
+@given(O=small_objects(ranks=(1, 2, 3, 4)))
+def test_reflect_object_matches_the_every_coordinate_oracle(O):
+    # equal images, or NotClosedError on the same root with the same image
+    for i in range(O.rank):
+        assert (_reflection_outcome(reflect_object, O, i)
+                == _reflection_outcome(reflect_object_every_coordinate, O, i))
 
 
 @settings(max_examples=400, deadline=None)
@@ -387,7 +404,7 @@ def test_canonical_form_matches_every_object_renderer_on_two_digit_coordinates()
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from((2, 3)).flatmap(lambda r: st.tuples(
+@given(st.sampled_from((1, 2, 3, 4)).flatmap(lambda r: st.tuples(
     st.just(r), st.lists(st.frozensets(st.tuples(*[st.integers(0, 40)] * r),
                                        min_size=1, max_size=6),
                          min_size=1, max_size=4))))
@@ -401,8 +418,22 @@ def test_canonical_form_matches_every_object_renderer_on_random_objects(case):
 @settings(max_examples=300, deadline=None)
 @given(G=single_object_graphs(ranks=(1, 2, 3, 4)))
 def test_pair_table_matches_its_definitions(G):
+    _assert_pair_table_matches_its_definitions(G.objects[0])
+
+
+def test_pair_table_matches_its_definitions_on_the_closure_corpus():
+    # real objects, with root strings and Vol_2 above 1
+    objects = [O for _, G in closure_corpus() for O in G.objects]
+    for O in objects:
+        _assert_pair_table_matches_its_definitions(O)
+    assert len(objects) == 370
+    assert sum(bool(O.pair_table.strings) for O in objects) == 350
+    assert sum(O.pair_table.max_vol2 > 1 for O in objects) == 350
+    assert max(O.pair_table.max_vol2 for O in objects) == VOL2_MAX
+
+
+def _assert_pair_table_matches_its_definitions(O):
     # every field of the table, each from its definition on every pair
-    O = G.objects[0]
     roots = O.positive_roots
     table = O.pair_table
     signed = roots | {tuple(-x for x in v) for v in roots}

@@ -398,6 +398,29 @@ def test_closure_bound_covers_every_chamber_count():
         assert len(chamber_graph(R)[0]) <= n * (n - 1) + 2
 
 
+def test_geometry_reproduces_every_accepted_state_as_its_base_object(monkeypatch):
+    # _verify_candidate returns the geometry's closure without comparing its
+    # base object with the state: the module docstring proves the two equal,
+    # since generic_point's (1,1,1) lies in the positive orthant
+    decided = set()
+    fast = search._plane_systems_ok
+
+    def recording(roots):
+        decided.add(roots)
+        return fast(roots)
+
+    monkeypatch.setattr(search, "_plane_systems_ok", recording)
+    for cap in range(6, 11):
+        enumerate_rank3(cap)
+    accepted = 0
+    for S in decided:
+        res = verify_crystallographic(make_root_set(S, rank=3))
+        if res.ok:
+            assert res.base_object.positive_roots == frozenset(S), S
+            accepted += 1
+    assert (len(decided), accepted) == (87, 18)
+
+
 def _decisions(cap, monkeypatch):
     """The search at ``cap``, the states that pass the plane tests and the
     (state, closure or None) of each ``_verify_candidate`` call."""
