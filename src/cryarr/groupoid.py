@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations
 from math import gcd
 from operator import mul, sub
 
@@ -84,13 +84,23 @@ class RootObject:
     def planes(self):
         """The coordinate-plane localizations, built in one pass over the
         roots: (i, j) -> the sorted roots vanishing off coordinates i and j,
-        for each ordered pair i != j.  (i, j) and (j, i) share one tuple."""
-        table = {pair: [] for pair in combinations(range(self.rank), 2)}
+        for each ordered pair i != j.  (i, j) and (j, i) share one tuple.
+
+        A root lies in the planes whose pair contains its support: a support
+        {s, t} picks the one plane (s, t), a support {s} every plane through
+        s, the empty support of a zero vector every plane, and a larger
+        support none."""
+        coordinates = range(self.rank)
+        table = {pair: [] for pair in combinations(coordinates, 2)}
+        through = {(s,): [pair for pair in table if s in pair] for s in coordinates}
+        through[()] = list(table)
         for v in sorted(self.positive_roots):
-            support = {t for t, x in enumerate(v) if x}
-            for pair, roots in table.items():
-                if support.issubset(pair):
-                    roots.append(v)
+            support = tuple(compress(coordinates, v))
+            if len(support) == 2:
+                table[support].append(v)
+            else:
+                for pair in through.get(support, ()):
+                    table[pair].append(v)
         shared = {pair: tuple(roots) for pair, roots in table.items()}
         return {(i, j): shared[min(i, j), max(i, j)]
                 for i, j in permutations(range(self.rank), 2)}

@@ -46,16 +46,28 @@ def rank2_cycles(G: GroupoidGraph, oi, i, j) -> LocalizationCycles:
         raise ValueError("rank-2 cycles require a rank-3 object")
     if i == j:
         raise ValueError("indices must differ")
+    n = len(G.objects[oi].planes[i, j])
+    cs, ds, path = walk_cycle(G, oi, i, j, n)
+    return LocalizationCycles(n=n, quiddity=cs, auxiliary=ds,
+                              objects=tuple(G.objects[o] for o in path))
+
+
+def walk_cycle(G: GroupoidGraph, oi, i, j, n):
+    """The walk of ``rank2_cycles`` with n given: (quiddity, auxiliary,
+    the indices of K_1, ..., K_2n), or CycleBrokenError.
+
+    The walk is deterministic: a step reads only its object and label.
+    So a walk that returns to its start after 2n steps is periodic, and
+    the walk of 2n steps from K_l with its label is this one rotated left
+    by l - 1 places."""
     k = 3 - i - j
     objects, edges = G.objects, G.edges
-    n = len(objects[oi].planes[i, j])
-    cs, ds, objs = [], [], []
+    cs, ds, path = [], [], []
     cur = oi
     # K_l for odd l reads row i and leaves by label i, for even l row j
     for row, other in ((i, j), (j, i)) * n:
-        O = objects[cur]
-        objs.append(O)
-        c = O.cartan[row]
+        path.append(cur)
+        c = objects[cur].cartan[row]
         cs.append(-c[other])
         ds.append(-c[k])
         cur = edges.get((cur, row))
@@ -65,8 +77,7 @@ def rank2_cycles(G: GroupoidGraph, oi, i, j) -> LocalizationCycles:
         raise CycleBrokenError("walk of length 2n does not return to the start")
     if cs[:n] != cs[n:]:
         raise CycleBrokenError("quiddity cycle is not n-periodic")
-    return LocalizationCycles(n=n, quiddity=tuple(cs), auxiliary=tuple(ds),
-                              objects=tuple(objs))
+    return tuple(cs), tuple(ds), path
 
 
 @dataclass(frozen=True)
@@ -93,15 +104,36 @@ def plane_roots(G: GroupoidGraph, oi, i, j) -> PlaneRoots:
     coordinate is 1 because the betas' is 0."""
     if G.rank != 3:
         raise ValueError("plane roots require a rank-3 object")
-    roots = G.objects[oi].positive_roots
+    O = G.objects[oi]
+    pairs = slope_sorted([(v[i], v[j]) for v in O.planes[i, j]])
+    require_ends(pairs)
+    cs, ds, _ = walk_cycle(G, oi, j, i, len(pairs))
+    gammas, deltas = plane_sums(O.positive_roots, pairs, ds, i, j)
+    return PlaneRoots(n=len(pairs), betas=tuple((x, y, 0) for x, y in pairs),
+                      gammas=gammas, deltas=deltas, auxiliary=ds,
+                      quiddity=cs, perm=(i, j, 3 - i - j))
+
+
+def require_ends(pairs):
+    """MissingRootError for an end simple root absent from the slope-sorted
+    localization ``pairs`` of ``plane_roots``: (0,1,0) unless they start
+    with (0,1), else (1,0,0) unless they end with (1,0), in permuted
+    coordinates.  A present end is where the slope order puts it, because
+    no other root of the plane is parallel to it."""
+    if not pairs or pairs[0] != (0, 1):
+        raise MissingRootError((0, 1, 0))
+    if pairs[-1] != (1, 0):
+        raise MissingRootError((1, 0, 0))
+
+
+def plane_sums(roots, pairs, d, i, j):
+    """The gammas and deltas of ``plane_roots`` from the slope-sorted
+    ``pairs`` and the auxiliary cycle ``d``, each (x, y, 1) in permuted
+    coordinates; MissingRootError for the first of them, gammas before
+    deltas, that is not in ``roots``."""
     k = 3 - i - j
-    pairs = slope_sorted([(v[i], v[j]) for v in G.objects[oi].planes[i, j]])
-    if pairs[0] != (0, 1) or pairs[-1] != (1, 0):
-        raise MissingRootError((*pairs[0], 0))
-    cyc = rank2_cycles(G, oi, j, i)
-    d = cyc.auxiliary
     # running sums over the pairs, forwards for the gammas and backwards
-    # for the deltas, each (x, y, 1) in the permuted coordinates
+    # for the deltas
     sums = []
     for steps in (zip(d, pairs), zip(reversed(d), reversed(pairs))):
         x = y = 0
@@ -118,6 +150,4 @@ def plane_roots(G: GroupoidGraph, oi, i, j) -> PlaneRoots:
         w[i], w[j] = v[0], v[1]
         if tuple(w) not in roots:
             raise MissingRootError(v)
-    return PlaneRoots(n=len(pairs), betas=tuple((x, y, 0) for x, y in pairs),
-                      gammas=gammas, deltas=deltas, auxiliary=d,
-                      quiddity=cyc.quiddity, perm=(i, j, k))
+    return gammas, deltas

@@ -97,7 +97,7 @@ from cryarr.groupoid import (
     verify_crystallographic,
 )
 from cryarr.linalg import direction, sign_normalize, vec_neg, vol
-from cryarr.localization import LocalizationCycles, PlaneRoots, localize
+from cryarr.localization import LocalizationCycles, PlaneRoots, localize, plane_roots
 from cryarr.rank2 import slope_sorted
 from cryarr.verifier import (
     FAIL,
@@ -963,8 +963,10 @@ def plane_roots_reflecting(O: RootObject, i, j) -> PlaneRoots:
     pairs = slope_sorted([(v[0], v[1]) for v in localize(P.positive_roots, (0, 1))])
     betas = tuple((v[0], v[1], 0) for v in pairs)
     n = len(betas)
-    if betas[0] != (0, 1, 0) or betas[-1] != (1, 0, 0):
-        raise MissingRootError(betas[0])
+    if not betas or betas[0] != (0, 1, 0):
+        raise MissingRootError((0, 1, 0))
+    if betas[-1] != (1, 0, 0):
+        raise MissingRootError((1, 0, 0))
     cyc = rank2_cycles_reflecting(P, 1, 0)
     d = cyc.auxiliary
     e3 = (0, 0, 1)
@@ -989,6 +991,19 @@ def plane_roots_reflecting(O: RootObject, i, j) -> PlaneRoots:
 def check_plane_roots_reflecting(G: GroupoidGraph) -> CheckReport:
     """``check_plane_roots`` on ``plane_roots_reflecting``: the cycles are
     walked by reflecting each object again, not along ``G.edges``."""
+    return plane_roots_report(G, lambda oi, i, j: plane_roots_reflecting(G.objects[oi], i, j))
+
+
+def check_plane_roots_per_pair(G: GroupoidGraph) -> CheckReport:
+    """``check_plane_roots`` on ``localization.plane_roots``: every object
+    and ordered pair sorts its plane and walks its cycle along ``G.edges``
+    itself, whatever the graph."""
+    return plane_roots_report(G, lambda oi, i, j: plane_roots(G, oi, i, j))
+
+
+def plane_roots_report(G: GroupoidGraph, plane_roots_at) -> CheckReport:
+    """The ``check_plane_roots`` report read off ``plane_roots_at(oi, i, j)``
+    at each object and ordered pair."""
     if G.rank != 3:
         return CheckReport("plane_roots", SKIP, [], {"reason": "rank 3 only"})
     witnesses = []
@@ -998,7 +1013,7 @@ def check_plane_roots_reflecting(G: GroupoidGraph) -> CheckReport:
         for i, j in permutations(range(3), 2):
             pairs += 1
             try:
-                pr = plane_roots_reflecting(O, i, j)
+                pr = plane_roots_at(oi, i, j)
             except (MissingRootError, CycleBrokenError) as e:
                 witnesses.append((oi, (i, j), f"{type(e).__name__}: {e}"))
                 continue

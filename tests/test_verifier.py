@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from functools import cached_property, lru_cache
+from itertools import permutations
 from math import gcd
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from cryarr.errors import (
     ClosureOverflowError,
     CycleBrokenError,
     HypothesisFailedError,
+    MissingRootError,
     NotClosedError,
     PreconditionFailedError,
 )
@@ -49,6 +51,7 @@ from cryarr.verifier import (
     run_all,
 )
 from oracles import (
+    check_plane_roots_per_pair,
     check_plane_roots_reflecting,
     convexity_statements_vol3,
     lemcon_conclusion_every_term,
@@ -245,6 +248,12 @@ def test_plane_roots_check_matches_the_reflecting_walk_on_random_closures(base):
     except (NotClosedError, ClosureOverflowError):
         return
     assert check_plane_roots(G).to_dict() == check_plane_roots_reflecting(G).to_dict()
+    # the edge with label i maps the roots of each plane through i one to
+    # one onto those of the next object's plane, so n is constant along a walk
+    for (oi, i), oj in G.edges.items():
+        for j in range(3):
+            if j != i:
+                assert len(G.objects[oi].planes[i, j]) == len(G.objects[oj].planes[i, j])
 
 
 def pair_checks_match_their_slow_paths(G):
@@ -270,6 +279,90 @@ def test_walk_without_its_edges_is_a_broken_cycle():
     rep = check_plane_roots(G)
     assert rep.verdict == "fail" and len(rep.witnesses) == 6
     assert all(w[2].startswith("CycleBrokenError") for w in rep.witnesses)
+
+
+def test_plane_roots_check_names_the_missing_end():
+    # a localization without an end simple root reports that end, in
+    # permuted coordinates, and an empty one is a witness, not an IndexError
+    G = traverse(RootObject(3, frozenset({(0, 0, 1), (1, 1, 0)})), 30)
+    with pytest.raises(MissingRootError) as e:
+        plane_roots(G, 0, 0, 1)
+    assert e.value.vector == (0, 1, 0)
+    with pytest.raises(MissingRootError) as e:
+        plane_roots(G, 0, 0, 2)
+    assert e.value.vector == (1, 0, 0)
+    rep = check_plane_roots(G)
+    assert rep.witnesses[:2] == [
+        (0, (0, 1), "MissingRootError: expected root (0, 1, 0) is missing"),
+        (0, (0, 2), "MissingRootError: expected root (1, 0, 0) is missing")]
+    assert rep.to_dict() == check_plane_roots_reflecting(G).to_dict()
+    G = traverse(RootObject(3, frozenset({(0, 0, 1)})), 30)
+    assert G.objects[0].planes[0, 1] == ()
+    rep = next(r for r in run_all(G) if r.check == "plane_roots")
+    assert rep.witnesses[0] == (0, (0, 1), "MissingRootError: expected root (0, 1, 0) is missing")
+    assert rep.to_dict() == check_plane_roots_reflecting(G).to_dict()
+
+
+def cycle_orbits(G):
+    """The number of orbits of the walk's states (object, first label, other
+    label) under its step, which follows the edge of the first label and
+    swaps the labels, and the number of states."""
+    seen = set()
+    orbits = 0
+    for oi in range(len(G.objects)):
+        for first, other in permutations(range(3), 2):
+            start = state = (oi, first, other)
+            if state in seen:
+                continue
+            orbits += 1
+            while state not in seen:
+                seen.add(state)
+                o, a, b = state
+                state = (G.edges[o, a], b, a)
+            # the edges of a closure are involutions, so the step is a bijection
+            assert state == start
+    return orbits, len(seen)
+
+
+def test_plane_roots_check_walks_each_cycle_once(monkeypatch):
+    # every walk on these closures closes and, as on any closure built by
+    # ``traverse``, keeps its n, so one walk serves every state of its orbit
+    walks = []
+    walk = localization.walk_cycle
+
+    def counting(*args):
+        walks.append(args)
+        return walk(*args)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("cryarr.") and getattr(module, "walk_cycle", None) is walk:
+            monkeypatch.setattr(module, "walk_cycle", counting)
+    closures = [closure(e.name) for e in cat.entries() if e.crystallographic and e.rank == 3]
+    closures += [G for _, G in weyl_restriction_closures()]
+    totals = Counter()
+    for G in closures:
+        walks.clear()
+        assert check_plane_roots(G).verdict == "pass"
+        orbits, states = cycle_orbits(G)
+        assert len(walks) == orbits
+        totals.update(orbits=orbits, states=states)
+    assert totals == Counter(orbits=159, states=714)
+
+
+def test_plane_roots_check_walks_a_state_whose_plane_size_differs():
+    # on a closure built by ``traverse`` n is constant along a walk; on a
+    # graph whose edges are not reflections it need not be.  The walk from
+    # object 0 with first label 1 closes with n = 2 and passes object 1,
+    # whose plane (0, 1) has 3 roots: that state walks 6 steps itself and
+    # its quiddity is not 3-periodic
+    objects = (RootObject(3, frozenset(simple_roots(3))),
+               RootObject(3, frozenset(simple_roots(3) + ((1, 1, 0),))))
+    G = GroupoidGraph(rank=3, objects=objects, edges={(0, 1): 1, (1, 0): 0})
+    assert [len(O.planes[0, 1]) for O in objects] == [2, 3]
+    rep = check_plane_roots(G)
+    assert (1, (1, 0), "CycleBrokenError: quiddity cycle is not n-periodic") in rep.witnesses
+    assert not any(w[:2] == (0, (0, 1)) for w in rep.witnesses)
+    assert rep.to_dict() == check_plane_roots_per_pair(G).to_dict()
 
 
 def test_run_all_passes_on_every_weyl_restriction():
