@@ -35,8 +35,10 @@ COORDINATE = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
 
 def _coord(x):
-    if (isinstance(x, int) and not isinstance(x, bool)
-            or isinstance(x, str) and COORDINATE.fullmatch(x)):
+    """A document coordinate: an int as it is, a "p/q" string as a Fraction."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str) and COORDINATE.fullmatch(x):
         try:
             return Fraction(x)
         except ZeroDivisionError:

@@ -64,6 +64,40 @@ the chamber across H: K's signs with the sign of H flipped.
 So a crossing reads the rows of K's rays and computes at most one new row,
 that of w, and the new chamber is simplicial exactly when every covector has
 the new chamber's sign or 0 on w.
+
+Antipodal chambers.  The arrangement is central, so -A is a chamber for
+every chamber A: its signs are A's negated, its rays the negatives of A's
+(primitive again), and its wall opposite -a is A's wall opposite a.  Let
+K' across wall i of K be -A for a chamber A already built.  K' is simplicial,
+and by the first point above its rays are the u_t (t != i) and one new ray.
+So each u_t (t != i) is -a for one ray a of A, and the wall of K' opposite
+u_t is A's wall opposite -u_t; the new ray, at label i, is the negative of
+A's remaining ray, and the wall opposite it is H, since it holds the facet F.
+These are the signs, rays and walls that the crossing computes, so -A in
+K's frame is that crossing's result, with no row scanned and no covector
+tested.  The row of a ray -v is the row of v with its values negated and
+its plus and minus masks swapped.
+
+Integrality along a crossing.  Let B^K = (alpha_1..alpha_r) be K's wall
+roots, signed non-negative on K, so alpha_j(u_k) = 0 for k != j, and call K
+integral when every covector lies in the lattice ZB^K, that is, when every
+root coordinate at K is an integer.  Across wall i, alpha'_i = -alpha_i, and
+for j != i the new wall root alpha'_j vanishes on u_k for every k != i, j,
+so alpha'_j = x_j*alpha_j + y_j*alpha_i with
+|x_j| = |W_j(u_j)| / |w_j(u_j)| (x_j = 1 and y_j = 0 where W_j is w_j).
+The change of basis from B^K to B^K' has determinant -prod x_j.  Let K be
+integral.  Then alpha'_j, a covector, lies in ZB^K, so x_j and y_j are
+integers, and
+  - if |W_j(u_j)| = |w_j(u_j)| for every changed wall, the change of basis
+    is unimodular, ZB^K' = ZB^K contains every covector, and K' is integral;
+  - otherwise ZB^K' is a sublattice of ZB^K of index prod |x_j| > 1; the
+    covectors of B^K span ZB^K, so one of them lies outside ZB^K', and K'
+    is not integral.
+B^-A = -B^A, so -A is integral exactly when A is.  In the walk every
+chamber but the first is built from an earlier one, by a crossing or by
+negation; so, by induction in walk order, when the first chamber is
+integral, the first chamber that is not is the first one built by a
+crossing that fails the test above.
 """
 
 from __future__ import annotations
@@ -109,6 +143,15 @@ class RootSet:
         (bit k for the k-th positive covector)."""
         return {}
 
+    @cached_property
+    def lattice_changes(self):
+        """Memo that ``chamber_graph`` fills: the indices, in its chamber
+        order, of the chambers built by a crossing that changes the lattice
+        ZB^K, one with |W_j(u_j)| != |w_j(u_j)| for some wall j (see the
+        module docstring).  The walk is deterministic, so every walk of the
+        root set adds the same indices."""
+        return set()
+
 
 def _show(v, d):
     """v/d as a tuple of written coordinates: (2,), (1/2, 1)."""
@@ -124,7 +167,8 @@ def make_root_set(covectors, rank=None) -> RootSet:
     parallel covectors are rejected because a root set contains each line
     only as +/- one pair.
     """
-    covectors = [tuple(Fraction(x) for x in cov) for cov in covectors]
+    covectors = [tuple(x if isinstance(x, int) else Fraction(x) for x in cov)
+                 for cov in covectors]
     if not covectors:
         raise ValueError("empty root set")
     r = rank if rank is not None else len(covectors[0])
@@ -161,8 +205,18 @@ class Chamber:
     walls: tuple
 
 
+def _negated_row(row):
+    """The row of -v, given the row of v."""
+    values, plus, minus = row
+    return tuple([-x for x in values]), minus, plus
+
+
 def _row_of(R: RootSet, v):
-    """(values, plus, minus) of the ray v: see ``RootSet.rows``."""
+    """(values, plus, minus) of the ray v: see ``RootSet.rows``; read from
+    the row of -v when the memo holds it."""
+    opposite = R.rows.get(vec_neg(v))
+    if opposite is not None:
+        return _negated_row(opposite)
     values = tuple([sum(map(mul, cov, v)) for cov in R.positives])
     plus = minus = 0
     for k, x in enumerate(values):
@@ -333,6 +387,25 @@ def adjacent_chamber(R: RootSet, K: Chamber, i: int) -> Chamber:
     return Chamber(signs=signs, rays=tuple(rays), walls=tuple(walls))
 
 
+def _negated_chamber(R: RootSet, K: Chamber, i: int, A: Chamber) -> Chamber:
+    """-A in K's frame, where -A is the chamber across wall i of K: K's
+    rays but ray i, each with the wall of A opposite its negative, and at
+    label i the negative of A's remaining ray, with K's wall i (see the
+    module docstring).  The new ray's row is the negated row of A's ray."""
+    label = {vec_neg(a): p for p, a in enumerate(A.rays)}
+    walls = list(K.walls)
+    for t, u in enumerate(K.rays):
+        if t != i:
+            walls[t] = A.walls[label.pop(u)]
+    (w, p), = label.items()
+    if w not in R.rows:
+        R.rows[w] = _negated_row(_row(R, A.rays[p]))
+    rays = list(K.rays)
+    rays[i] = w
+    return Chamber(signs=tuple([-s for s in A.signs]), rays=tuple(rays),
+                   walls=tuple(walls))
+
+
 def chamber_graph(R: RootSet):
     """All chambers with consistently labelled walls, plus the crossing map.
 
@@ -345,26 +418,45 @@ def chamber_graph(R: RootSet):
     the covectors positive on it (bit k for the k-th), which its signs
     determine, since no sign is 0; crossing wall i flips only the sign of
     covector ``walls[i]``, so the key across it is the mask with that bit
-    flipped.  A chamber that is not simplicial is never indexed, so the
-    first crossing into it raises, as it would if every crossing built its
+    flipped, and its antipode's key is the complement of that mask.  When
+    the antipode is already built, the new chamber is built from it by
+    negation (``_negated_chamber``); otherwise by ``adjacent_chamber``, and
+    the walk tests that crossing from the rows of K's rays, O(r), adding
+    the new chamber's index to ``R.lattice_changes`` when some wall j has
+    |W_j(u_j)| != |w_j(u_j)| (module docstring).  A chamber that is
+    not simplicial is never indexed, nor is its antipode, so the first
+    crossing into it raises, as it would if every crossing built its
     chamber.
     """
     k0 = initial_chamber(R)
     chambers = [k0]
     masks = [sum(1 << k for k, s in enumerate(k0.signs) if s > 0)]
     index = {masks[0]: 0}
+    full = (1 << len(R.positives)) - 1
+    changes = R.lattice_changes
     edges = {}
     head = 0
     while head < len(chambers):
         ci = head
         head += 1
         K, mask = chambers[ci], masks[ci]
+        columns = None
         for i in range(R.rank):
             key = mask ^ (1 << K.walls[i])
             j = index.get(key)
             if j is None:
-                Kn = adjacent_chamber(R, K, i)
                 j = len(chambers)
+                a = index.get(full ^ key)
+                if a is not None:
+                    Kn = _negated_chamber(R, K, i, chambers[a])
+                else:
+                    Kn = adjacent_chamber(R, K, i)
+                    if columns is None:
+                        columns = [R.rows[v][0] for v in K.rays]
+                    for t, values in enumerate(columns):
+                        if abs(values[Kn.walls[t]]) != abs(values[K.walls[t]]):
+                            changes.add(j)
+                            break
                 index[key] = j
                 chambers.append(Kn)
                 masks.append(key)

@@ -233,7 +233,22 @@ def traverse(base: RootObject, max_objects) -> GroupoidGraph:
 
     Skipped reflections never find a new object and never raise, so the
     objects, their order, the edge order and the first exception are
-    those of reflecting every edge."""
+    those of reflecting every edge.
+
+    The base is checked as ``make_root_object`` checks it, in one pass,
+    except for the simple roots, which it may lack: a zero, negative or
+    parallel root raises ValueError.  ``reflect_roots`` keeps every image
+    a nonzero vector in N_0^r, and sigma_i is linear and invertible, so no
+    two images are parallel."""
+    directions = set()
+    for v in base.positive_roots:
+        g = gcd(*v)
+        if not g or min(v) < 0:
+            raise ValueError(f"root {v} is not a nonzero vector in N_0^r")
+        d = v if g == 1 else tuple(x // g for x in v)
+        if d in directions:
+            raise ValueError(f"parallel roots in direction {d}")
+        directions.add(d)
     objects = [base]
     index = {base.positive_roots: 0}
     edges = {}
@@ -279,8 +294,8 @@ def root_object_of_chamber(R: RootSet, K):
     coordinates) in the document's own scale, as Fractions.
 
     ``verify_crystallographic`` calls this once: at the base chamber on
-    success, or at the first chamber whose columns are not all integral,
-    so the witness is that of a walk that built every chamber's object.
+    success, or at the first chamber with a non-integral coordinate, so
+    the witness is that of a walk that built every chamber's object.
 
     The root object needs no validation: no coordinate vector is zero,
     because the rays form a basis; no two roots are parallel, because the
@@ -305,32 +320,37 @@ def verify_crystallographic(R: RootSet) -> VerifyResult:
     termination of the groupoid closure.
 
     Coordinate i of every root at chamber K is <cov, ray_i> / s_i (see
-    ``root_object_of_chamber``).  The column of values <cov, ray_i> depends
-    on the ray alone, so whether column i is integral depends only on the
-    pair (ray_i, s_i), and a pair that passed at one chamber passes at
-    every other.  The chambers are walked in ``chamber_graph`` order, each
-    new pair tested once; the first chamber with a failing pair is the
-    first chamber with a non-integral coordinate, and its object gives the
+    ``root_object_of_chamber``).  Only the base chamber's columns are
+    tested for divisibility.  If one fails, the base chamber is the first
+    with a non-integral coordinate; otherwise that chamber is the first one
+    that ``chamber_graph`` built by a crossing that changes the lattice ZB^K
+    (``R.lattice_changes``), since every other crossing keeps ZB^K and a
+    chamber built by negation has its antipode's lattice (the lemma of the
+    ``geometry`` module docstring).  That chamber's object gives the
     witness."""
     try:
         chambers, edges = chamber_graph(R)
     except NonSimplicialError as e:
         return VerifyResult(False, "non-simplicial", (e.signs, e.ray_count),
                             0, (), None, None)
+    base = chambers[0]
     base_cartan = cartan_of_chamber(
-        R, chambers[0], [chambers[edges[0, i]] for i in range(R.rank)])
-    passed = set()
-    for K in chambers:
-        for v, w in zip(K.rays, K.walls):
-            values = ray_values(R, v)
-            column = (v, K.signs[w] * values[w])
-            if column not in passed:
-                if any(x % column[1] for x in values):
-                    return VerifyResult(False, "non-integral root coordinates",
-                                        root_object_of_chamber(R, K)[1], len(chambers),
-                                        base_cartan, None, None)
-                passed.add(column)
-    base_object, _ = root_object_of_chamber(R, chambers[0])
+        R, base, [chambers[edges[0, i]] for i in range(R.rank)])
+    failing = None
+    for v, w in zip(base.rays, base.walls):
+        values = ray_values(R, v)
+        scale = base.signs[w] * values[w]
+        if any(x % scale for x in values):
+            failing = base
+            break
+    else:
+        if R.lattice_changes:
+            failing = chambers[min(R.lattice_changes)]
+    if failing is not None:
+        return VerifyResult(False, "non-integral root coordinates",
+                            root_object_of_chamber(R, failing)[1], len(chambers),
+                            base_cartan, None, None)
+    base_object, _ = root_object_of_chamber(R, base)
     try:
         graph = traverse(base_object, max_objects=len(chambers))
     except NotClosedError as e:

@@ -22,7 +22,7 @@ def dot(u, v):
 
 
 def vec_neg(u):
-    return tuple(-a for a in u)
+    return tuple([-a for a in u])
 
 
 def sign_normalize(vec):

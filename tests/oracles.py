@@ -6,7 +6,7 @@ enumeration with Fourier-Motzkin feasibility, determinants from cofactor
 expansion, elementary divisors from gcds of minors, Catalan numbers
 from the binomial closed form, and the simpliciality and chamber count of
 a rank-3 arrangement from its intersection points (Melchior, Zaslavsky).
-Twenty-eight references are the exception, each kept as the slow path that
+Twenty-nine references are the exception, each kept as the slow path that
 a faster one replaced: ``clear_denominators`` (lines of Fraction vectors,
 for the integer-only ``direction``), ``make_root_set_fractions`` (every
 input check on Fractions, for the checks on covectors scaled to integers
@@ -44,7 +44,9 @@ and keys it by a mask), and ``rank2_cycles_reflecting``,
 chamber of a localization walk built again by ``reflect_object`` on a
 coordinate-permuted copy, for the walk along the closure's edges),
 ``verify_every_chamber`` (a root object built at every chamber, for the
-test of each distinct column once), ``kernel_vector_minors`` (the signed
+test of each distinct column once), ``verify_column_scan`` (each distinct
+column of every chamber tested for divisibility, for the lattice test of
+one crossing per chamber), ``kernel_vector_minors`` (the signed
 maximal minors in every dimension, for the rank-3 cross product),
 ``canonical_form_every_object`` (every object rendered in full under each
 relabelling, for the rendering of each distinct root once) and
@@ -81,6 +83,7 @@ from cryarr.geometry import (
     initial_chamber,
     is_irreducible,
     make_root_set,
+    ray_values,
     supports_connected,
 )
 from cryarr.groupoid import (
@@ -367,6 +370,45 @@ def verify_every_chamber(R: RootSet) -> VerifyResult:
                                 len(chambers), base_cartan, None, None)
         if base_object is None:
             base_object = obj
+    try:
+        graph = traverse(base_object, max_objects=len(chambers))
+    except NotClosedError as e:
+        return VerifyResult(False, "reflection image not sign-coherent",
+                            (e.root, e.image), len(chambers), base_cartan,
+                            base_object, None)
+    except ClosureOverflowError as e:
+        return VerifyResult(False, "closure exceeds chamber count", str(e),
+                            len(chambers), base_cartan, base_object, None)
+    return VerifyResult(True, "", None, len(chambers), base_cartan,
+                        base_object, graph)
+
+
+def verify_column_scan(R: RootSet) -> VerifyResult:
+    """``verify_crystallographic`` testing the divisibility of every
+    distinct (ray, scale) column of every chamber, in walk order, on the
+    chambers of ``chamber_graph_every_crossing``: coordinate i of every
+    root at chamber K is <cov, ray_i> / s_i, the column depends on the pair
+    (ray_i, s_i) alone, and the first chamber with a failing pair is the
+    first chamber with a non-integral coordinate."""
+    try:
+        chambers, edges = chamber_graph_every_crossing(R)
+    except NonSimplicialError as e:
+        return VerifyResult(False, "non-simplicial", (e.signs, e.ray_count),
+                            0, (), None, None)
+    base_cartan = cartan_of_chamber(
+        R, chambers[0], [chambers[edges[0, i]] for i in range(R.rank)])
+    passed = set()
+    for K in chambers:
+        for v, w in zip(K.rays, K.walls):
+            values = ray_values(R, v)
+            column = (v, K.signs[w] * values[w])
+            if column not in passed:
+                if any(x % column[1] for x in values):
+                    return VerifyResult(False, "non-integral root coordinates",
+                                        root_object_of_chamber(R, K)[1], len(chambers),
+                                        base_cartan, None, None)
+                passed.add(column)
+    base_object, _ = root_object_of_chamber(R, chambers[0])
     try:
         graph = traverse(base_object, max_objects=len(chambers))
     except NotClosedError as e:

@@ -9,12 +9,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cryarr import catalog as cat
-from cryarr.cli import build_parser, main
-from strategies import written
+from cryarr.cli import _coord, build_parser, load_document, main
+from oracles import make_root_set_fractions
+from strategies import arrangements, written
 
 
 def run(capsys, *argv):
@@ -79,6 +80,39 @@ def test_verify_rational_coordinates(tmp_path, capsys):
                    "(Fraction(1, 1), Fraction(1, 2)))",
         "checks": [],
     }
+
+
+def test_integer_coordinates_stay_integers(tmp_path):
+    assert type(_coord(3)) is int and _coord(-3) == -3
+    assert (type(_coord("-3")), _coord("1/2")) == (Fraction, Fraction(1, 2))
+    R = load_document(write_doc(tmp_path, "a3", 3, A3))
+    assert R.denominator == 1
+    assert all(type(x) is int for cov in R.positives for x in cov)
+
+
+def _root_set_or_message(build, *args):
+    try:
+        R = build(*args)
+    except ValueError as e:
+        return str(e)
+    return R.rank, R.positives, R.denominator
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((2, 3, 4)).flatmap(lambda r: st.tuples(st.just(r), arrangements(r))))
+@example((2, [[1, 0], [2, 0]]))
+@example((2, [["1/2", 1], [1, 2], [0, 1]]))
+@example((2, [[0, 0], [1, 0], [0, 1]]))
+def test_load_document_matches_fraction_checks(tmp_path_factory, case):
+    # int coordinates are read as ints and "p/q" strings as Fractions: the
+    # positives, the denominator and every error message are those of the
+    # checks on Fractions
+    rank, roots = case
+    path = tmp_path_factory.mktemp("doc") / "doc.json"
+    path.write_text(json.dumps({"rank": rank, "roots": roots}))
+    fractions = [tuple(Fraction(x) for x in v) for v in roots]
+    assert (_root_set_or_message(load_document, str(path))
+            == _root_set_or_message(make_root_set_fractions, fractions, rank))
 
 
 @pytest.mark.parametrize("factor", ["1/2", "3"])

@@ -1,5 +1,8 @@
 import random
+import re
+from collections import Counter
 from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -7,8 +10,14 @@ from hypothesis import strategies as st
 
 from cryarr import catalog as cat
 from cryarr import geometry, groupoid
-from cryarr.errors import ClosureOverflowError, NotClosedError
-from cryarr.geometry import cartan_of_chamber, chamber_graph, make_root_set, ray_values
+from cryarr.errors import ClosureOverflowError, NonSimplicialError, NotClosedError
+from cryarr.geometry import (
+    adjacent_chamber,
+    cartan_of_chamber,
+    chamber_graph,
+    make_root_set,
+    ray_values,
+)
 from cryarr.groupoid import (
     VOL2_MAX,
     GroupoidGraph,
@@ -30,6 +39,7 @@ from oracles import (
     permute_object,
     reflect_object_every_coordinate,
     traverse_every_edge,
+    verify_column_scan,
     verify_every_chamber,
     verify_fraction_coordinates,
 )
@@ -44,6 +54,23 @@ def test_make_root_object_validation():
         make_root_object(2, [(1, 0), (1, 1)])  # missing e2
     with pytest.raises(ValueError):
         make_root_object(2, [(1, 0), (0, 1), (2, 2), (1, 1)])  # parallel
+
+
+@pytest.mark.parametrize("roots, message", [
+    ({(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (2, 2, 0)},
+     "parallel roots in direction (1, 1, 0)"),
+    ({(1, 0, 0), (0, 1, 0), (0, 0, 0)}, "root (0, 0, 0) is not a nonzero vector in N_0^r"),
+    ({(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 1)},
+     "root (1, -1, 1) is not a nonzero vector in N_0^r")])
+def test_traverse_rejects_a_base_that_make_root_object_rejects(roots, message):
+    # the base is validated as make_root_object validates it; a base that
+    # lacks a simple root is still walked
+    for build in (lambda: traverse(RootObject(3, frozenset(roots)), 30),
+                  lambda: make_root_object(3, roots)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+    G = traverse(RootObject(2, frozenset({(0, 1), (1, 1)})), 10)
+    assert G.objects[1].positive_roots == frozenset(simple_roots(2))
 
 
 def test_cartan_from_roots_examples():
@@ -196,12 +223,14 @@ ROWS = {"A2": 6, "rank2-7": 14, "noncrystallographic-2.6": 6, "A3": 14,
 
 
 @pytest.mark.parametrize("name, scans", [
-    ("A2", 6), ("rank2-7", 14), ("noncrystallographic-2.6", 6), ("A3", 24),
-    ("A4", 120), ("B3", 48), ("C3", 48), ("D4", 192)])
-def test_verify_scans_the_ray_table_once_per_chamber(name, scans, monkeypatch):
-    """Each chamber is built once: the base chamber by one clipping, every
-    other one by one local crossing; and the row memo holds one row per
-    distinct ray of the walk."""
+    ("A2", 3), ("rank2-7", 7), ("noncrystallographic-2.6", 3), ("A3", 12),
+    ("A4", 60), ("B3", 24), ("C3", 24), ("D4", 96)])
+def test_verify_builds_half_the_chambers_by_scanning(name, scans, monkeypatch):
+    """Each chamber is built once, and half of them by a scan: the base
+    chamber by one clipping, chamber_count/2 - 1 chambers by one local
+    crossing each, and the other half, each reached after its antipode,
+    by negating that antipode; the row memo holds one row per distinct ray
+    of the walk."""
     calls = []
 
     def counting(f):
@@ -215,7 +244,7 @@ def test_verify_scans_the_ray_table_once_per_chamber(name, scans, monkeypatch):
     R = cat.root_set_of(cat.get(name))
     res = verify_crystallographic(R)
     assert calls.count("_chamber_rays") == 1
-    assert len(calls) == scans == res.chamber_count
+    assert len(calls) == scans == res.chamber_count // 2
     assert len(R.rows) == ROWS[name]
     walked, _ = chamber_graph(R)
     assert len(R.rows) == len({v for K in walked for v in K.rays})
@@ -340,6 +369,101 @@ def test_verify_matches_every_chamber_oracle(case):
     except ValueError:
         assume(False)
     assert_same_verify_result(R)
+
+
+def assert_same_as_column_scan(R):
+    res = verify_crystallographic(R)
+    expected = verify_column_scan(R)
+    assert res == expected
+    assert repr(res.witness) == repr(expected.witness)
+    return res
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from((2, 3, 4)).flatmap(arrangements))
+def test_verify_matches_column_scan(covectors):
+    try:
+        R = make_root_set(covectors)
+    except ValueError:
+        assume(False)
+    assert_same_as_column_scan(R)
+
+
+def integer_images(count, seed):
+    """(rank, roots): the positive roots of a rank-3 or rank-4 catalog
+    arrangement under a seeded random integer matrix with entries in
+    [-2, 2], each image replaced by its primitive vector with probability
+    0.7.  The images of one arrangement keep its root coordinates, so the
+    primitive ones make some columns non-integral, at the base or later."""
+    rng = random.Random(seed)
+    entries = [e for e in cat.entries() if e.rank in (3, 4)]
+    for _ in range(count):
+        e = rng.choice(entries)
+        M = [[rng.randint(-2, 2) for _ in range(e.rank)] for _ in range(e.rank)]
+        roots = []
+        for v in e.positive_roots:
+            w = tuple(sum(a * b for a, b in zip(row, v)) for row in M)
+            g = gcd(*w)
+            roots.append(tuple(x // g for x in w) if g and rng.random() < 0.7 else w)
+        yield e.rank, roots
+
+
+def test_verify_matches_column_scan_on_integer_images():
+    # the corpus holds root sets whose first non-integral chamber is the
+    # base, and some whose first one lies past it
+    outcomes = Counter()
+    for rank, roots in integer_images(60, seed=25):
+        try:
+            R = make_root_set(roots, rank=rank)
+        except ValueError:
+            outcomes["rejected"] += 1
+            continue
+        res = assert_same_as_column_scan(R)
+        outcome = res.reason or "ok"
+        if res.reason == "non-integral root coordinates":
+            chambers, _ = chamber_graph(R)
+            first = [K.signs for K in chambers].index(res.witness[0])
+            outcome += " at the base" if first == 0 else " past the base"
+        outcomes[outcome] += 1
+    assert outcomes == {"ok": 21, "rejected": 7,
+                        "non-integral root coordinates at the base": 23,
+                        "non-integral root coordinates past the base": 9}
+
+
+def _built_by_negation(R):
+    """The chambers of the walk that are reached after their antipode, each
+    with the crossing that first reaches it: (chamber index, parent index,
+    wall label)."""
+    chambers, edges = chamber_graph(R)
+    index = {K.signs: c for c, K in enumerate(chambers)}
+    first = {}
+    for (p, i), c in edges.items():
+        first.setdefault(c, (p, i))
+    return chambers, [(c, p, i) for c, (p, i) in first.items()
+                      if index[tuple(-s for s in chambers[c].signs)] < c]
+
+
+def _check_negated_chambers(R):
+    chambers, negated = _built_by_negation(R)
+    for c, p, i in negated:
+        assert chambers[c] == adjacent_chamber(R, chambers[p], i)
+    assert len(negated) == len(chambers) // 2
+
+
+@pytest.mark.parametrize("name", [e.name for e in cat.entries()])
+def test_chambers_built_by_negation_match_the_crossing(name):
+    _check_negated_chambers(cat.root_set_of(cat.get(name)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 4)).flatmap(arrangements))
+def test_chambers_built_by_negation_match_the_crossing_on_arrangements(covectors):
+    try:
+        R = make_root_set(covectors)
+        chamber_graph(R)
+    except (ValueError, NonSimplicialError):
+        assume(False)
+    _check_negated_chambers(R)
 
 
 @pytest.mark.parametrize("name, old, new, first", [

@@ -23,6 +23,7 @@ from cryarr.errors import (
     NotClosedError,
     PreconditionFailedError,
 )
+from cryarr.cli import document_of
 from cryarr.geometry import make_root_set
 from cryarr.groupoid import (
     GroupoidGraph,
@@ -62,6 +63,7 @@ from oracles import (
     vol2_bound_every_pair,
 )
 from strategies import small_objects
+from test_golden import GOLDEN, arrangement_documents
 from test_search import weyl_restriction_closures
 
 
@@ -161,6 +163,25 @@ def test_check_k0_fails_without_k0_root(flags):
     out = subprocess.run([sys.executable, *flags, "-c", K0_FAILURE], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["fail", "2"]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+@pytest.mark.parametrize("name", ["noncrystallographic-2.6", "A3-222"])
+def test_verify_rejects_non_integral_documents(name, flags, tmp_path):
+    # both first fail past the base chamber, noncrystallographic-2.6 at
+    # chamber 1 and A3-222 at chamber 4, where only the lattice test of the
+    # crossing that builds the chamber finds them; python -O must print the
+    # pinned report and exit 1 all the same
+    doc = arrangement_documents().get(name) or document_of(cat.get(name))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, *flags, "-m", "cryarr.cli", "verify", str(path)],
+                         env=env, capture_output=True, text=True)
+    expected = (GOLDEN / f"verify_{name}.json").read_text(encoding="utf-8")
+    assert (out.returncode, out.stdout) == (1, expected)
+    assert json.loads(out.stdout)["reason"] == "non-integral root coordinates"
 
 
 def test_no_assert_statement_in_src():
