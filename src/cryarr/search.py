@@ -57,13 +57,15 @@ holds one generator of children per level of the current state.
 
 Permutations.  A state is kept only if it is at most, as a tuple, the
 key-sorted image of itself under each of the six coordinate
-permutations.  Rules (a)-(e), the plane tests, the decision of a state,
-``canonical_form`` and ``_representative`` are all invariant under
-permuting coordinates, so deciding the least state of each permutation
-class loses no form.  The test is hereditary: a permutation keeps
-heights, so the key-sorted image of P = T without its top level is a
-prefix of the key-sorted image of T, of the same length as the prefix P
-of T; if P were greater than its image, T would be greater than its own.
+permutations.  Rules (a)-(e), the decision of a state (each of its four
+tests below, the plane tests among them), ``canonical_form`` and
+``_representative`` are all invariant under permuting coordinates, so
+deciding the least state of each permutation class loses no form.
+A permutation keeps heights, so ``_image`` sorts the (height, image)
+pairs of the roots, which is key order.  The test is hereditary: the
+key-sorted image of P = T without its top level is a prefix of the
+key-sorted image of T, of the same length as the prefix P of T; if P
+were greater than its image, T would be greater than its own.
 So the least state of every class has a least parent, the walk reaches
 it, and each class is decided exactly once.  The same prefix argument
 limits the test of a child T of S to the permutations that fix S: under
@@ -167,15 +169,19 @@ matrices are distinct chambers, and a simplicial rank-3 arrangement of n
 planes has at most n(n-1)+2 chambers.  The closed walk builds no
 ``RootObject``, so the closures that fail are rejected without one.
 
-Each state S that passes the rank-2 plane tests is decided by three tests
-in turn: connected supports, the closed walk, and the geometry, the only
-judge, which re-verifies S from scratch.  The first two reject no state the
+Each state S is decided by four tests in turn: connected supports, the
+closed walk, the rank-2 plane tests, and the geometry, the only judge,
+which re-verifies S from scratch.  The first three reject no state the
 geometry accepts: irreducibility in the base chamber is support
-connectivity, and the closed walk is covered above.  ``make_root_set``
-accepts every S: the simple roots span, and the members are non-zero,
-non-negative and pairwise non-parallel by (b).  It keeps every member as it
-is, with denominator 1, since sign normalization changes no non-negative
-integer vector.
+connectivity, the closed walk is covered above, and the localization of a
+crystallographic arrangement at each coordinate plane is a
+crystallographic rank-2 arrangement.  The plane tests come after the
+closed walk, which rejects almost every state that fails, so they run on
+few states; they are a necessary condition, so their place changes no
+decision.  ``make_root_set`` accepts every S: the simple roots span, and
+the members are non-zero, non-negative and pairwise non-parallel by (b).
+It keeps every member as it is, with denominator 1, since sign
+normalization changes no non-negative integer vector.
 
 The geometry's base object is S itself.  ``generic_point`` tries t = 1
 first, and (1,1,1) lies on no plane, since every member has a positive
@@ -206,7 +212,7 @@ has a new canonical form, and every form is verified exactly once."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, count, permutations
+from itertools import combinations, permutations
 from math import inf
 
 from .errors import ExtremeRootsNotUnimodularError, NotESequenceError
@@ -222,7 +228,8 @@ from .localization import localize
 from .rank2 import is_crystallographic_rank2
 
 SIMPLES = simple_roots(3)
-MOVES = tuple(permutations(range(3)))[1:]   # the permutations other than the identity
+PERMS = tuple(permutations(range(3)))
+MOVES = PERMS[1:]   # the permutations other than the identity
 
 COMPLETE, INCOMPLETE = "Complete", "Incomplete"
 DEPTH = 3   # reflections from the base object that the reflection test walks
@@ -268,28 +275,37 @@ def _plane_systems_ok(roots):
 def _verify_candidate(roots):
     """Decide a state; returns its groupoid closure or None.
 
-    The support test and the closed walk in root coordinates run first and
-    reject almost every state, most of them in the closed walk; the
-    geometric re-verification from scratch then decides the survivors.  Its
-    base object is the state itself (see the module docstring), and its
-    closure is None unless it accepts."""
-    if not supports_connected(roots, 3) or not _partial_closure_ok(roots, None):
+    The support test, the closed walk in root coordinates and the rank-2
+    plane tests run first and reject almost every state, most of them in the
+    closed walk; the geometric re-verification from scratch then decides the
+    survivors.  Its base object is the state itself (see the module
+    docstring), and its closure is None unless it accepts."""
+    if not supports_connected(roots, 3) or not _partial_closure_ok(roots, None) \
+            or not _plane_systems_ok(roots):
         return None
     return verify_crystallographic(make_root_set(roots, rank=3)).graph
 
 
-def _representative(G):
-    """The least sorted root tuple over the closure's objects and their
-    coordinate permutations.  States of one canonical form have the same
-    closure up to a permutation, so this does not depend on which state
-    the search meets first."""
-    return min(tuple(sorted(tuple(v[p] for p in perm) for v in O.positive_roots))
-               for O in G.objects for perm in permutations(range(3)))
+def _closure_images(G):
+    """The key-sorted image of every object of the closure G under each
+    coordinate permutation, the identity included."""
+    return [_image(O.positive_roots, perm) for O in G.objects for perm in PERMS]
+
+
+def _representative(images):
+    """The least sorted root tuple among the ``_closure_images`` of a
+    closure.  States of one canonical form have the same closure up to a
+    permutation, so this does not depend on which state the search meets
+    first."""
+    return min(tuple(sorted(T)) for T in images)
 
 
 def _image(T, perm):
-    """The key-sorted image of T under the coordinate permutation ``perm``."""
-    return tuple(sorted((tuple(v[p] for p in perm) for v in T), key=_key))
+    """The key-sorted image of T under the coordinate permutation ``perm``.
+    A permutation keeps heights, so sorting the (height, image) pairs of the
+    roots puts the images in key order."""
+    i, j, k = perm
+    return tuple([u for _, u in sorted([(v[0] + v[1] + v[2], (v[i], v[j], v[k])) for v in T])])
 
 
 def _least(T, moves):
@@ -302,45 +318,42 @@ def _partial_closure_ok(T, depth):
     """T passes the reflection and (1,1,1) tests at every object at most
     ``depth`` reflections from its base object; with ``depth`` None, in
     closed mode, at every object of its closure (see the module
-    docstring)."""
+    docstring).  A vector u not in +-T is decided absent when it has mixed
+    signs or when u or -u has height at most ``top``."""
     if depth is None:
         top, most = inf, len(T) * (len(T) - 1) + 2
     else:
         top, most = sum(T[-1]), inf
     signed = set(T)
     signed.update((-x, -y, -z) for x, y, z in T)
-
-    def absent(u0, u1, u2):
-        """Whether a vector that is not in +-T is decided absent: it has
-        mixed signs, or it or its negative has height at most ``top``."""
-        return -top <= u0 + u1 + u2 <= top or min(u0, u1, u2) < 0 < max(u0, u1, u2)
-
-    def string(a, b):
-        """-c_jl at the object whose matrix has the columns a = M e_j and
-        b = M e_l: the least m >= 1 with m*a + b not in +-T, less one; None
-        when that vector is undecided."""
-        a0, a1, a2 = a
-        u0, u1, u2 = b
-        for m in count(1):
-            u0, u1, u2 = u0 + a0, u1 + a1, u2 + a2
-            if (u0, u1, u2) not in signed:
-                break
-        return m - 1 if absent(u0, u1, u2) else None
-
+    # M (1,1,1) is tested when the walk first reaches M, before the members
+    # are reflected there; at the base it is (1,1,1), of height 3
+    if (1, 1, 1) not in signed and top >= 3:
+        return False
     walked = {SIMPLES}
     level = [(SIMPLES, T, None)]   # (M, the members of T seen from M, last label)
     d = 0
     while level:
         below = []
         for M, seen, last in level:
-            (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = M
-            u = a0 + b0 + c0, a1 + b1 + c1, a2 + b2 + c2   # M (1,1,1)
-            if u not in signed and absent(*u):
-                return False
             for j, k, l in ROWS:
                 if j == last:
                     continue   # the row of the reflection that led here
-                tk, tl = string(M[j], M[k]), string(M[j], M[l])
+                a0, a1, a2 = M[j]
+                mk, ml = M[k], M[l]
+                # -c_jk and -c_jl: for b = M e_k and b = M e_l, the least
+                # m >= 1 with m*M e_j + b not in +-T, less one; None when
+                # that vector is undecided
+                entries = []
+                for u0, u1, u2 in (mk, ml):
+                    t = 0
+                    u0, u1, u2 = u0 + a0, u1 + a1, u2 + a2
+                    while (u0, u1, u2) in signed:
+                        t += 1
+                        u0, u1, u2 = u0 + a0, u1 + a1, u2 + a2
+                    entries.append(t if -top <= u0 + u1 + u2 <= top
+                                   or min(u0, u1, u2) < 0 < max(u0, u1, u2) else None)
+                tk, tl = entries
                 xk, xl = tk or 0, tl or 0
                 for b in seen:   # members other than e_j with decided entries
                     if b[j] > xk * b[k] + xl * b[l] and (b[k] or b[l]) \
@@ -348,13 +361,16 @@ def _partial_closure_ok(T, depth):
                         return False
                 if tk is None or tl is None or d == depth:
                     continue
-                mj, mk, ml = M[j], M[k], M[l]
+                nk = (mk[0] + tk * a0, mk[1] + tk * a1, mk[2] + tk * a2)
+                nl = (ml[0] + tl * a0, ml[1] + tl * a1, ml[2] + tl * a2)
                 N = [None] * 3
-                N[j] = (-mj[0], -mj[1], -mj[2])
-                N[k] = (mk[0] + tk * mj[0], mk[1] + tk * mj[1], mk[2] + tk * mj[2])
-                N[l] = (ml[0] + tl * mj[0], ml[1] + tl * mj[1], ml[2] + tl * mj[2])
+                N[j], N[k], N[l] = (-a0, -a1, -a2), nk, nl
                 N = tuple(N)
                 if N not in walked:
+                    u0, u1, u2 = nk[0] + nl[0] - a0, nk[1] + nl[1] - a1, nk[2] + nl[2] - a2
+                    if (u0, u1, u2) not in signed and (-top <= u0 + u1 + u2 <= top
+                                                       or min(u0, u1, u2) < 0 < max(u0, u1, u2)):
+                        return False   # N (1,1,1) is decided absent
                     walked.add(N)
                     if len(walked) > most:
                         return False
@@ -396,13 +412,13 @@ def _children(S, cap):
     top = sum(S[-1])
     fixing = [perm for perm in MOVES if _image(S, perm) == S]
     dirs = {direction(u) for u in S}
-    sums = {tuple(x + y for x, y in zip(a, b)) for a, b in combinations(S, 2)}
+    sums = {(a0 + b0, a1 + b1, a2 + b2) for (a0, a1, a2), (b0, b1, b2) in combinations(S, 2)}
     levels = {}
-    for v in sorted(sums, key=_key):
-        if sum(v) > top and direction(v) not in dirs and _close(S, v) is not None:
-            levels.setdefault(sum(v), []).append(v)
-    for height in sorted(levels):
-        for L in _levels(tuple(levels[height]), cap - len(S)):
+    for height, v in sorted([(x + y + z, (x, y, z)) for x, y, z in sums]):
+        if height > top and direction(v) not in dirs and _close(S, v) is not None:
+            levels.setdefault(height, []).append(v)
+    for level in levels.values():   # in increasing height, as inserted
+        for L in _levels(tuple(level), cap - len(S)):
             T = S + L
             if _least(T, fixing) and _partial_closure_ok(T, DEPTH):
                 yield T
@@ -429,12 +445,12 @@ def enumerate_rank3(cap, budget=10 ** 7) -> SearchResult:
             exhausted = True
             break
         states += 1
-        if _plane_systems_ok(S) and S not in known:
+        if S not in known:
             G = _verify_candidate(S)
             if G is not None:
-                found[canonical_form(G)] = _representative(G)
-                known.update(_image(O.positive_roots, perm)
-                             for O in G.objects for perm in permutations(range(3)))
+                images = _closure_images(G)
+                found[canonical_form(G)] = _representative(images)
+                known.update(images)
         if len(S) < cap:   # a full state has no children
             stack.append(_children(S, cap))
     forms = tuple(sorted(found))

@@ -6,7 +6,7 @@ enumeration with Fourier-Motzkin feasibility, determinants from cofactor
 expansion, elementary divisors from gcds of minors, Catalan numbers
 from the binomial closed form, and the simpliciality and chamber count of
 a rank-3 arrangement from its intersection points (Melchior, Zaslavsky).
-Twenty-nine references are the exception, each kept as the slow path that
+Thirty-one references are the exception, each kept as the slow path that
 a faster one replaced: ``clear_denominators`` (lines of Fraction vectors,
 for the integer-only ``direction``), ``make_root_set_fractions`` (every
 input check on Fractions, for the checks on covectors scaled to integers
@@ -51,10 +51,14 @@ maximal minors in every dimension, for the rank-3 cross product),
 ``canonical_form_every_object`` (every object rendered in full under each
 relabelling, for the rendering of each distinct root once) and
 ``matrix_rank_fractions`` (Gauss-Jordan over the rationals, for the
-fraction-free elimination) and ``partial_closure_ok`` (every path of the
+fraction-free elimination), ``partial_closure_ok`` (every path of the
 reflection walk in matrix form, members found through integer inverses
-and every row tested, for the search's walk over reflected members that
-visits each object once).
+and every row tested, and in closed mode a stack of matrices that
+follows every row, for the search's level walk over reflected members
+that visits each object once), ``key_sorted_image`` (a generator and a
+key call per root, for the image sorted by (height, image) pairs) and
+``representative_every_object`` (every object permuted and sorted again,
+for the representative read from the images the search keeps).
 ``rays_for_signs_scan`` (every candidate ray, for the clipping of
 ``_chamber_rays``), which the two rescans use with ``walls_exact``,
 reads the signs of the rays from exact products of its own, not from the
@@ -64,7 +68,7 @@ package's row memo.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
-from math import comb, gcd, lcm
+from math import comb, gcd, inf, lcm
 
 from cryarr import search
 from cryarr.errors import (
@@ -602,10 +606,9 @@ def tree_walk(cap):
     stack = [tuple(sorted(simple_roots(3), key=key))]
     while stack:
         S = stack.pop()
-        if search._plane_systems_ok(S):
-            G = search._verify_candidate(S)
-            if G is not None:
-                forms.add(canonical_form(G))
+        G = search._verify_candidate(S)
+        if G is not None:
+            forms.add(canonical_form(G))
         if len(S) >= cap:
             continue
         dirs = {direction(u) for u in S}
@@ -616,6 +619,20 @@ def tree_walk(cap):
                 if T is not None:
                     stack.append(T)
     return forms
+
+
+def key_sorted_image(roots, perm):
+    """The image of ``roots`` under the coordinate permutation ``perm``,
+    sorted by key(v) = (sum(v), v), with a generator and a key call per
+    root."""
+    return tuple(sorted((tuple(v[p] for p in perm) for v in roots), key=search._key))
+
+
+def representative_every_object(G):
+    """The least plainly sorted root tuple over the closure's objects under
+    every coordinate permutation, each image built from the object's roots."""
+    return min(tuple(sorted(tuple(v[p] for p in perm) for v in O.positive_roots))
+               for O in G.objects for perm in permutations(range(3)))
 
 
 def least_permutation_image(roots):
@@ -675,23 +692,27 @@ def _integer_inverse(A):
 def partial_closure_ok(roots, depth, r111=True):
     """The search's reflection and (1,1,1) tests from scratch, in matrix form.
 
-    With H the largest height of ``roots``, a vector u of Z^3 is decided
-    present when u or -u is a member, decided absent when it has mixed
-    signs or when u or -u is non-negative of height at most H and not a
-    member, and undecided otherwise.  Every path of at most ``depth``
-    reflections from the base object that never takes the label it just
-    took ends at an object with a matrix M, w being a root there exactly
-    when M w is one at the base.  Its Cartan entry c_jl (l != j) is 1 - m
-    for the least m >= 1 with M(m*e_j + e_l) not decided present, and is
-    decided when that vector is decided absent; its members are the
-    non-negative M^{-1} t for t in +-roots.  Each member beta != e_j whose
-    entries c_jl with beta_l != 0 are all decided must have
-    sigma_j(beta)_j >= 0, at every object and for every j; the path goes on
-    through sigma_j, with the matrix M*sigma_j, when row j is decided.
-    With ``r111``, M(1,1,1) must also not be decided absent at every object
-    (alpha_1 + alpha_2 + alpha_3 is a root at every object of an irreducible
-    rank-3 root system); without it, the reflection test alone."""
-    height = max(sum(v) for v in roots)
+    With H the largest height of ``roots`` (infinite when ``depth`` is
+    None), a vector u of Z^3 is decided present when u or -u is a member,
+    decided absent when it has mixed signs or when u or -u is non-negative
+    of height at most H and not a member, and undecided otherwise.  Every
+    path of at most ``depth`` reflections from the base object that never
+    takes the label it just took ends at an object with a matrix M, w being
+    a root there exactly when M w is one at the base.  Its Cartan entry
+    c_jl (l != j) is 1 - m for the least m >= 1 with M(m*e_j + e_l) not
+    decided present, and is decided when that vector is decided absent; its
+    members are the non-negative M^{-1} t for t in +-roots.  Each member
+    beta != e_j whose entries c_jl with beta_l != 0 are all decided must
+    have sigma_j(beta)_j >= 0, at every object and for every j; the path
+    goes on through sigma_j, with the matrix M*sigma_j, when row j is
+    decided.  With ``r111``, M(1,1,1) must also not be decided absent at
+    every object (alpha_1 + alpha_2 + alpha_3 is a root at every object of
+    an irreducible rank-3 root system); without it, the reflection test
+    alone.  With ``depth`` None (closed mode) the tests run at every matrix
+    reached through decided rows, each matrix once, from a stack of
+    matrices with every row followed, and fail once more than n(n-1)+2
+    distinct matrices are found (n = len(roots))."""
+    height = inf if depth is None else max(sum(v) for v in roots)
     signed = set(roots) | {tuple(-x for x in v) for v in roots}
 
     def status(u):
@@ -711,9 +732,11 @@ def partial_closure_ok(roots, depth, r111=True):
                 return 1 - m if found == "absent" else None
             m += 1
 
-    def walk(M, last, d):
+    def tested(M):
+        """The Cartan matrix at M, None for an undecided entry; None in its
+        place when a test fails at M."""
         if r111 and status(_apply(M, (1, 1, 1))) == "absent":
-            return False
+            return None
         inverse = _integer_inverse(M)
         members = [b for b in (_apply(inverse, t) for t in signed) if min(b) >= 0]
         cartan = [[2 if j == l else entry(M, j, l) for l in range(3)] for j in range(3)]
@@ -724,19 +747,46 @@ def partial_closure_ok(roots, depth, r111=True):
                 if any(beta[l] and cartan[j][l] is None for l in range(3)):
                     continue
                 if beta[j] - sum(cartan[j][l] * beta[l] for l in range(3) if beta[l]) < 0:
-                    return False
+                    return None
+        return cartan
+
+    def reflected(M, j, cartan):
+        sigma = [[int(r == c) - (r == j) * cartan[j][c] for c in range(3)] for r in range(3)]
+        return _matrix_times(M, sigma)
+
+    def walk(M, last, d):
+        cartan = tested(M)
+        if cartan is None:
+            return False
         if d == depth:
             return True
         for j in range(3):
             if j == last or None in cartan[j]:
                 continue
-            sigma = [[int(r == c) - (r == j) * cartan[j][c] for c in range(3)]
-                     for r in range(3)]
-            if not walk(_matrix_times(M, sigma), j, d + 1):
+            if not walk(reflected(M, j, cartan), j, d + 1):
                 return False
         return True
 
-    return walk([[int(r == c) for c in range(3)] for r in range(3)], None, 0)
+    base = [[int(r == c) for c in range(3)] for r in range(3)]
+    if depth is not None:
+        return walk(base, None, 0)
+    most = len(roots) * (len(roots) - 1) + 2
+    found, todo = {tuple(map(tuple, base))}, [base]
+    while todo:
+        M = todo.pop()
+        cartan = tested(M)
+        if cartan is None:
+            return False
+        for j in range(3):
+            if None in cartan[j]:
+                continue
+            N = reflected(M, j, cartan)
+            if tuple(map(tuple, N)) not in found:
+                found.add(tuple(map(tuple, N)))
+                if len(found) > most:
+                    return False
+                todo.append(N)
+    return True
 
 
 def level_walk_states(cap, r111=True):

@@ -23,10 +23,12 @@ from cryarr.linalg import direction
 from cryarr.search import _close, _plane_systems_ok, enumerate_rank3
 from cryarr.verifier import all_ok, run_all
 from oracles import (
+    key_sorted_image,
     least_permutation_image,
     level_walk_states,
     partial_closure_ok,
     reflection_rule_ok,
+    representative_every_object,
     search_state_ok,
     tree_walk,
     verify_candidate_geometric,
@@ -36,6 +38,23 @@ from oracles import (
 search_at = lru_cache(maxsize=None)(enumerate_rank3)
 SIMPLES = tuple(sorted(search.SIMPLES))
 INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+
+
+def _decided(cap):
+    """The search at ``cap`` and the states it decides, in order: the simple
+    roots, then each state that ``_children`` yields."""
+    decided = [SIMPLES]
+    fast = search._children
+
+    def recording(S, cap):
+        for T in fast(S, cap):
+            decided.append(T)
+            yield T
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_children", recording)
+        result = enumerate_rank3(cap)
+    return result, decided
 
 
 def test_cap_too_small():
@@ -53,18 +72,10 @@ def test_close_rules():
 
 
 @pytest.mark.parametrize("cap", [6, 7, 8])
-def test_walked_states_meet_the_string_and_cap_rules(cap, monkeypatch):
+def test_walked_states_meet_the_string_and_cap_rules(cap):
     # _close tests only Vol_2: the walk keeps k <= 7, root-string
     # convexity and the cap without testing them
-    walked = []
-    fast = search._plane_systems_ok
-
-    def recording(roots):
-        walked.append(roots)
-        return fast(roots)
-
-    monkeypatch.setattr(search, "_plane_systems_ok", recording)
-    enumerate_rank3(cap)
+    _, walked = _decided(cap)
     assert len(walked) == {6: 4, 7: 8, 8: 18}[cap]
     for S in walked:
         assert len(S) <= cap
@@ -83,6 +94,36 @@ def test_plane_systems_filter():
     a3 = set(cat.get("A3").positive_roots)
     assert _plane_systems_ok(a3)
     assert not _plane_systems_ok({(1, 0, 0), (0, 1, 0), (0, 0, 1), (3, 1, 0)})
+
+
+def test_plane_tests_pass_every_state_decided_at_caps_6_to_10():
+    # the states decided at cap 10 hold those of caps 6-9; the plane tests
+    # reject none of them, so running them last in _verify_candidate, on the
+    # few states that pass the supports and the closed walk, loses nothing
+    result, decided = _decided(10)
+    assert len(decided) == result.states_visited == 87
+    assert all(_plane_systems_ok(S) for S in decided)
+
+
+def test_plane_tests_run_only_after_the_supports_and_the_closed_walk(monkeypatch):
+    planes, verified = [], []
+    plane, fast = search._plane_systems_ok, search._verify_candidate
+
+    def recording_planes(roots):
+        planes.append(roots)
+        return plane(roots)
+
+    def recording_states(roots):
+        verified.append(roots)
+        return fast(roots)
+
+    monkeypatch.setattr(search, "_plane_systems_ok", recording_planes)
+    monkeypatch.setattr(search, "_verify_candidate", recording_states)
+    result = enumerate_rank3(9)
+    survivors = [S for S in verified
+                 if supports_connected(S, 3) and search._partial_closure_ok(S, None)]
+    assert planes == survivors
+    assert (result.states_visited, len(verified), len(planes), result.emitted) == (39, 36, 5, 5)
 
 
 def test_cap6_finds_exactly_a3():
@@ -155,16 +196,8 @@ def test_close_matches_all_pairs_check(monkeypatch):
 
 
 @pytest.mark.parametrize("cap", [6, 7, 8])
-def test_tree_walk_decides_the_states_of_the_graph_search(cap, monkeypatch):
-    decided = []
-    fast = search._plane_systems_ok
-
-    def recording(roots):
-        decided.append(frozenset(roots))
-        return fast(roots)
-
-    monkeypatch.setattr(search, "_plane_systems_ok", recording)
-    enumerate_rank3(cap)
+def test_tree_walk_decides_the_states_of_the_graph_search(cap):
+    decided = [frozenset(S) for S in _decided(cap)[1]]
     assert len(set(decided)) == len(decided)
     assert set(decided) == level_walk_states(cap)
     # every decided state is a valid root object and root set:
@@ -174,16 +207,8 @@ def test_tree_walk_decides_the_states_of_the_graph_search(cap, monkeypatch):
         assert set(make_root_set(S, rank=3).positives) == S
 
 
-def test_cap9_walk_decides_one_state_per_permutation_class(monkeypatch):
-    decided = []
-    fast = search._plane_systems_ok
-
-    def recording(roots):
-        decided.append(roots)
-        return fast(roots)
-
-    monkeypatch.setattr(search, "_plane_systems_ok", recording)
-    enumerate_rank3(9)
+def test_cap9_walk_decides_one_state_per_permutation_class():
+    _, decided = _decided(9)
     assert len(decided) == 39
     assert all(least_permutation_image(S) for S in decided)
 
@@ -255,6 +280,52 @@ def test_permutation_and_reflection_tests_match_their_slow_paths(T):
         fixing = [perm for perm in list(permutations(range(3)))[1:]
                   if {tuple(v[p] for p in perm) for v in S} == set(S)]
         assert search._least(T, fixing) == least_permutation_image(T)
+
+
+TRIPLES = st.tuples(*[st.integers(0, 6)] * 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(T=st.one_of(st.sets(TRIPLES, max_size=14), st.frozensets(TRIPLES, max_size=14),
+                   root_states()))
+def test_image_matches_its_slow_path(T):
+    for perm in permutations(range(3)):
+        assert search._image(T, perm) == key_sorted_image(T, perm), perm
+
+
+@pytest.mark.parametrize("cap", [6, 7, 8, 9, 10, 11, 12])
+def test_closure_images_give_the_old_representative_and_known_set(cap, monkeypatch):
+    result, _, verified = _decisions(cap, monkeypatch)
+    closures = [G for _, G in verified if G is not None]
+    assert len(closures) == result.emitted
+    for G in closures:
+        images = search._closure_images(G)
+        assert search._representative(images) == representative_every_object(G)
+        assert set(images) == {key_sorted_image(O.positive_roots, perm)
+                               for O in G.objects for perm in permutations(range(3))}
+
+
+def test_reflection_walk_matches_its_slow_path_on_every_candidate(monkeypatch):
+    # every child that _children hands to the reflection test at cap 10,
+    # which holds those of caps 6-9, decided at DEPTH and in closed mode
+    candidates = []
+    fast = search._partial_closure_ok
+
+    def recording(T, depth):
+        if depth is not None:
+            candidates.append(T)
+        return fast(T, depth)
+
+    monkeypatch.setattr(search, "_partial_closure_ok", recording)
+    enumerate_rank3(10)
+    kept = closed = 0
+    for T in candidates:
+        at_depth, whole = fast(T, search.DEPTH), fast(T, None)
+        assert at_depth == partial_closure_ok(T, search.DEPTH), T
+        assert whole == partial_closure_ok(T, None), T
+        kept += at_depth
+        closed += whole
+    assert (len(candidates), kept, closed) == (539, 86, 17)
 
 
 def _inputs():
@@ -335,19 +406,11 @@ def test_closed_walk_passes_every_weyl_restriction_object():
             assert search._partial_closure_ok(search._image(O.positive_roots, perm), None), O
 
 
-def test_closed_walk_rejects_only_what_traverse_or_the_geometry_rejects(monkeypatch):
+def test_closed_walk_rejects_only_what_traverse_or_the_geometry_rejects():
     # on the states decided at cap 10, which hold those of caps 6-9, the
     # closed walk rejects no state that the decision with traverse first
     # accepts, so the two decisions agree
-    decided = []
-    fast = search._plane_systems_ok
-
-    def recording(roots):
-        decided.append(roots)
-        return fast(roots)
-
-    monkeypatch.setattr(search, "_plane_systems_ok", recording)
-    enumerate_rank3(10)
+    _, decided = _decided(10)
     rejected = 0
     for S in decided:
         expected = verify_candidate_traverse(S)
@@ -398,20 +461,13 @@ def test_closure_bound_covers_every_chamber_count():
         assert len(chamber_graph(R)[0]) <= n * (n - 1) + 2
 
 
-def test_geometry_reproduces_every_accepted_state_as_its_base_object(monkeypatch):
+def test_geometry_reproduces_every_accepted_state_as_its_base_object():
     # _verify_candidate returns the geometry's closure without comparing its
     # base object with the state: the module docstring proves the two equal,
     # since generic_point's (1,1,1) lies in the positive orthant
     decided = set()
-    fast = search._plane_systems_ok
-
-    def recording(roots):
-        decided.add(roots)
-        return fast(roots)
-
-    monkeypatch.setattr(search, "_plane_systems_ok", recording)
     for cap in range(6, 11):
-        enumerate_rank3(cap)
+        decided.update(_decided(cap)[1])
     accepted = 0
     for S in decided:
         res = verify_crystallographic(make_root_set(S, rank=3))
@@ -422,34 +478,27 @@ def test_geometry_reproduces_every_accepted_state_as_its_base_object(monkeypatch
 
 
 def _decisions(cap, monkeypatch):
-    """The search at ``cap``, the states that pass the plane tests and the
-    (state, closure or None) of each ``_verify_candidate`` call."""
-    passed, verified = [], []
-    plane, fast = search._plane_systems_ok, search._verify_candidate
-
-    def planes(roots):
-        ok = plane(roots)
-        if ok:
-            passed.append(roots)
-        return ok
+    """The search at ``cap``, the states it decides and the (state, closure
+    or None) of each ``_verify_candidate`` call."""
+    verified = []
+    fast = search._verify_candidate
 
     def verifying(roots):
         G = fast(roots)
         verified.append((roots, G))
         return G
 
-    monkeypatch.setattr(search, "_plane_systems_ok", planes)
     monkeypatch.setattr(search, "_verify_candidate", verifying)
-    return enumerate_rank3(cap), passed, verified
+    return *_decided(cap), verified
 
 
 def test_verify_candidate_agrees_with_geometric_oracle(monkeypatch):
-    result, passed, verified = _decisions(7, monkeypatch)
-    # every state of the cap-7 walk passes the plane tests
-    assert (result.states_visited, len(passed), len(verified)) == (8, 8, 7)
+    result, decided, verified = _decisions(7, monkeypatch)
+    # one state of the cap-7 walk is an object of a closure found before
+    assert (result.states_visited, len(decided), len(verified)) == (8, 8, 7)
     closures = dict(verified)
     hits = 0
-    for roots in passed:
+    for roots in decided:
         expected = verify_candidate_geometric(roots)
         if roots in closures:
             G = closures[roots]
@@ -465,10 +514,10 @@ def test_verify_candidate_agrees_with_geometric_oracle(monkeypatch):
 @pytest.mark.parametrize("cap, skipped", [(8, 3), (9, 3), (10, 10)])
 def test_each_closure_is_verified_once(cap, skipped, monkeypatch):
     # cap 7 (one state skipped) is checked state by state above
-    result, passed, verified = _decisions(cap, monkeypatch)
+    result, decided, verified = _decisions(cap, monkeypatch)
     assert sum(G is not None for _, G in verified) == result.emitted
-    decided = {roots for roots, _ in verified}
-    rest = [roots for roots in passed if roots not in decided]
+    checked = {roots for roots, _ in verified}
+    rest = [roots for roots in decided if roots not in checked]
     assert len(rest) == skipped
     for roots in rest:
         G = verify_candidate_geometric(roots)
