@@ -244,33 +244,27 @@ def cmd_search(args):
 
 
 def cmd_catalog(args):
-    if not args.words:
+    words = args.words
+    if not words:
         return _write_out("".join(f"{e.name}\n" for e in cat.entries()), args.out)
-    if args.words[0] == "export":
-        if len(args.words) != 2:
-            print("usage: catalog export <name>", file=sys.stderr)
-            return EXIT_INPUT
-        try:
-            entry = cat.get(args.words[1])
-        except KeyError as e:
-            print(str(e), file=sys.stderr)
-            return EXIT_INPUT
-        return _write_out(json.dumps(document_of(entry), indent=2) + "\n", args.out)
-    if len(args.words) != 1:
-        print("usage: catalog <name>", file=sys.stderr)
+    export = words[0] == "export"
+    if len(words) != 1 + export:
+        print("usage: catalog export <name>" if export else "usage: catalog <name>",
+              file=sys.stderr)
         return EXIT_INPUT
     try:
-        entry = cat.get(args.words[0])
+        entry = cat.get(words[-1])
     except KeyError as e:
         print(str(e), file=sys.stderr)
         return EXIT_INPUT
-    return _write_out(json.dumps({
+    doc = document_of(entry) if export else {
         "name": entry.name,
         "rank": entry.rank,
         "positive_roots": len(entry.positive_roots),
         "crystallographic": entry.crystallographic,
         "expected_chambers": entry.expected_chambers,
-    }, indent=2) + "\n", args.out)
+    }
+    return _write_out(json.dumps(doc, indent=2) + "\n", args.out)
 
 
 @cache

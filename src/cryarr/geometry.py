@@ -493,22 +493,21 @@ def cartan_of_chamber(R: RootSet, K: Chamber, neighbours):
 
 def supports_connected(vectors, rank) -> bool:
     """Whether the coordinate supports of ``vectors`` link all ``rank``
-    coordinates (union-find over the coordinates of each support)."""
-    parent = list(range(rank))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    coordinates: starting from coordinate 0, every support that meets the
+    linked coordinates joins them, until none adds one."""
+    rest = set()
     for v in vectors:
-        support = [k for k, c in enumerate(v) if c != 0]
-        for a in support[1:]:
-            ra, rb = find(a), find(support[0])
-            if ra != rb:
-                parent[ra] = rb
-    return len({find(k) for k in range(rank)}) == 1
+        m = 0
+        for k, c in enumerate(v):
+            if c:
+                m |= 1 << k
+        rest.add(m)
+    linked = 1
+    while joined := {m for m in rest if m & linked}:
+        rest -= joined
+        for m in joined:
+            linked |= m
+    return linked == (1 << rank) - 1
 
 
 def is_irreducible(R: RootSet) -> bool:

@@ -16,8 +16,8 @@ from math import gcd
 from operator import mul, sub
 
 from .errors import ClosureOverflowError, NonSimplicialError, NotClosedError
-from .geometry import RootSet, cartan_of_chamber, chamber_graph, ray_values
-from .linalg import direction, vol2
+from .geometry import RootSet, cartan_of_chamber, chamber_graph, ray_values, supports_connected
+from .linalg import vol2
 
 # the bound on Vol_2 of two positive roots; the search prunes by it too
 VOL2_MAX = 6
@@ -161,18 +161,25 @@ def simple_roots(rank):
     return tuple(tuple(int(t == i) for t in range(rank)) for i in range(rank))
 
 
-def make_root_object(rank, positive_roots) -> RootObject:
-    roots = frozenset(tuple(int(x) for x in v) for v in positive_roots)
-    dirs = set()
+def _check_roots(rank, roots):
+    """Raise ValueError unless every one of ``roots`` is a nonzero vector in
+    N_0^rank and no two are parallel."""
+    directions = set()
     for v in roots:
         if len(v) != rank:
             raise ValueError("root length does not match rank")
-        if any(x < 0 for x in v) or all(x == 0 for x in v):
+        g = gcd(*v)
+        if not g or min(v) < 0:
             raise ValueError(f"root {v} is not a nonzero vector in N_0^r")
-        d = direction(v)
-        if d in dirs:
+        d = v if g == 1 else tuple(x // g for x in v)
+        if d in directions:
             raise ValueError(f"parallel roots in direction {d}")
-        dirs.add(d)
+        directions.add(d)
+
+
+def make_root_object(rank, positive_roots) -> RootObject:
+    roots = frozenset(tuple(int(x) for x in v) for v in positive_roots)
+    _check_roots(rank, roots)
     for e in simple_roots(rank):
         if e not in roots:
             raise ValueError(f"missing simple root {e}")
@@ -235,20 +242,13 @@ def traverse(base: RootObject, max_objects) -> GroupoidGraph:
     objects, their order, the edge order and the first exception are
     those of reflecting every edge.
 
-    The base is checked as ``make_root_object`` checks it, in one pass,
-    except for the simple roots, which it may lack: a zero, negative or
-    parallel root raises ValueError.  ``reflect_roots`` keeps every image
-    a nonzero vector in N_0^r, and sigma_i is linear and invertible, so no
-    two images are parallel."""
-    directions = set()
-    for v in base.positive_roots:
-        g = gcd(*v)
-        if not g or min(v) < 0:
-            raise ValueError(f"root {v} is not a nonzero vector in N_0^r")
-        d = v if g == 1 else tuple(x // g for x in v)
-        if d in directions:
-            raise ValueError(f"parallel roots in direction {d}")
-        directions.add(d)
+    The base is checked by ``_check_roots``, as ``make_root_object``
+    checks it, except for the simple roots, which it may lack: a root of
+    the wrong length and a zero, negative or parallel root raise
+    ValueError.  ``reflect_roots`` keeps every image a nonzero vector in
+    N_0^r, and sigma_i is linear and invertible, so no two images are
+    parallel."""
+    _check_roots(base.rank, base.positive_roots)
     objects = [base]
     index = {base.positive_roots: 0}
     edges = {}
@@ -396,15 +396,6 @@ def canonical_form_of_rootset(R: RootSet) -> bytes:
 
 
 def is_object_irreducible(O: RootObject) -> bool:
-    """Connectivity of the Cartan graph (i ~ j when c_ij != 0)."""
-    c = O.cartan
-    r = O.rank
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(r):
-            if j not in seen and c[i][j] != 0:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == r
+    """Connectivity of the Cartan graph (i ~ j when c_ij != 0): row i of
+    the Cartan matrix is nonzero at i and at each such j."""
+    return supports_connected(O.cartan, O.rank)

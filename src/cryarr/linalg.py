@@ -220,8 +220,10 @@ def vol(m, vectors):
     k = min(m, r).
 
     For m = 1 this is the gcd of the coordinates, for m = r the absolute
-    value of the determinant.  A zero column makes the result 0.  An entry
-    that is not an ``int`` raises ValueError.
+    value of the determinant.  For m <= r a zero column makes the result 0;
+    for m > r only the minors that hold it vanish, so
+    vol(3, [(1, 0), (0, 1), (0, 0)]) = 1.  An entry that is not an ``int``
+    raises ValueError.
     """
     if m < 1 or m > len(vectors):
         raise ValueError("need 1 <= m <= number of vectors")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 
 from .errors import ExtremeRootsNotUnimodularError, NotESequenceError
+from .linalg import direction
 
 BASE = ((0, 1), (1, 0))
 
@@ -152,7 +153,7 @@ def is_crystallographic_rank2(r_pos):
     taking the extreme roots to (0,1) and (1,0), and tests the insertion
     property.  Returns (True, sequence) or (False, witness)."""
     vs = slope_sorted(r_pos)
-    if len(vs) != len(set(vs)):
+    if len({direction(v) for v in vs}) != len(vs):
         raise ValueError("parallel roots in input")
     if len(vs) < 2:
         raise ValueError("need at least two roots")

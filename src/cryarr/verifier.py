@@ -72,16 +72,10 @@ def check_r111(G: GroupoidGraph) -> CheckReport:
 
 def check_bound7(G: GroupoidGraph) -> CheckReport:
     """All Cartan entries are >= -7; reports the minimum entry."""
-    lo = 2
-    witnesses = []
-    for oi, O in enumerate(G.objects):
-        c = O.cartan
-        m = min(min(row) for row in c)
-        lo = min(lo, m)
-        if m < -7:
-            witnesses.append((oi, c))
+    witnesses = [(oi, O.cartan) for oi, O in enumerate(G.objects)
+                 if min(min(row) for row in O.cartan) < -7]
     return CheckReport("bound7", FAIL if witnesses else PASS, witnesses,
-                       {"min_cartan_entry": lo})
+                       {"min_cartan_entry": _min_cartan_entry(G)})
 
 
 def check_b128(G: GroupoidGraph) -> CheckReport:

@@ -6,7 +6,7 @@ enumeration with Fourier-Motzkin feasibility, determinants from cofactor
 expansion, elementary divisors from gcds of minors, Catalan numbers
 from the binomial closed form, and the simpliciality and chamber count of
 a rank-3 arrangement from its intersection points (Melchior, Zaslavsky).
-Thirty-one references are the exception, each kept as the slow path that
+Thirty-two references are the exception, each kept as the slow path that
 a faster one replaced: ``clear_denominators`` (lines of Fraction vectors,
 for the integer-only ``direction``), ``make_root_set_fractions`` (every
 input check on Fractions, for the checks on covectors scaled to integers
@@ -56,9 +56,11 @@ reflection walk in matrix form, members found through integer inverses
 and every row tested, and in closed mode a stack of matrices that
 follows every row, for the search's level walk over reflected members
 that visits each object once), ``key_sorted_image`` (a generator and a
-key call per root, for the image sorted by (height, image) pairs) and
+key call per root, for the image sorted by (height, image) pairs),
 ``representative_every_object`` (every object permuted and sorted again,
-for the representative read from the images the search keeps).
+for the representative read from the images the search keeps) and
+``supports_connected_union_find`` (a union-find over the coordinates of
+each support, for the bit-mask closure of the linked coordinates).
 ``rays_for_signs_scan`` (every candidate ray, for the clipping of
 ``_chamber_rays``), which the two rescans use with ``walls_exact``,
 reads the signs of the rays from exact products of its own, not from the
@@ -246,6 +248,26 @@ def snf_divisors_minors(m):
 
 def catalan_binomial(k):
     return comb(2 * k, k) // (k + 1)
+
+
+def supports_connected_union_find(vectors, rank) -> bool:
+    """Whether the coordinate supports of ``vectors`` link all ``rank``
+    coordinates, by union-find over the coordinates of each support."""
+    parent = list(range(rank))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for v in vectors:
+        support = [k for k, c in enumerate(v) if c != 0]
+        for a in support[1:]:
+            ra, rb = find(a), find(support[0])
+            if ra != rb:
+                parent[ra] = rb
+    return len({find(k) for k in range(rank)}) == 1
 
 
 def verify_candidate_geometric(roots):

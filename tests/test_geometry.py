@@ -20,6 +20,7 @@ from cryarr.geometry import (
     is_irreducible,
     make_root_set,
     ray_values,
+    supports_connected,
 )
 from cryarr import catalog as cat
 from cryarr.groupoid import make_root_object, root_object_of_chamber
@@ -34,6 +35,7 @@ from oracles import (
     melchior_zaslavsky,
     rank3_rays_scan,
     rays_for_signs_scan,
+    supports_connected_union_find,
 )
 from strategies import arrangements, written
 from test_search import _inputs
@@ -326,6 +328,27 @@ def test_is_irreducible():
     assert is_irreducible(cat.root_set_of(cat.get("A3")))
     R = make_root_set([(1, 0), (0, 1)])
     assert not is_irreducible(R)
+
+
+@st.composite
+def support_lists(draw):
+    """(vectors, rank): rank in 1..5 and up to six vectors of that length
+    with entries in -1..1, so empty lists, zero vectors and repeated
+    supports all occur."""
+    rank = draw(st.integers(1, 5))
+    vector = st.tuples(*[st.integers(-1, 1)] * rank)
+    return draw(st.lists(vector, max_size=6)), rank
+
+
+@given(support_lists())
+@settings(max_examples=300, deadline=None)
+@example(([], 1))
+@example(([], 2))
+@example(([(0, 0, 0)], 3))
+@example(([(1, 0, 0), (0, 1, 1), (0, 0, 0)], 3))
+def test_supports_connected_matches_union_find(case):
+    vectors, rank = case
+    assert supports_connected(vectors, rank) == supports_connected_union_find(vectors, rank)
 
 
 def test_cartan_integral_on_weyl_base():

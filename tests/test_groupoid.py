@@ -61,7 +61,8 @@ def test_make_root_object_validation():
      "parallel roots in direction (1, 1, 0)"),
     ({(1, 0, 0), (0, 1, 0), (0, 0, 0)}, "root (0, 0, 0) is not a nonzero vector in N_0^r"),
     ({(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 1)},
-     "root (1, -1, 1) is not a nonzero vector in N_0^r")])
+     "root (1, -1, 1) is not a nonzero vector in N_0^r"),
+    ({(1, 0), (0, 1), (1, 1)}, "root length does not match rank")])
 def test_traverse_rejects_a_base_that_make_root_object_rejects(roots, message):
     # the base is validated as make_root_object validates it; a base that
     # lacks a simple root is still walked
@@ -322,6 +323,37 @@ def test_weyl_cartans_classical_up_to_permutation():
 def test_is_object_irreducible():
     assert is_object_irreducible(cat.root_object_of(cat.get("A3")))
     assert not is_object_irreducible(make_root_object(2, [(1, 0), (0, 1)]))
+    # c_10 and c_20 are nonzero while row 0 is zero off the diagonal, so
+    # the Cartan graph is connected although coordinate 0 reaches no other
+    # one along its own row
+    O = RootObject(3, frozenset({(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 0), (1, 0, 2)}))
+    assert O.cartan == ((2, 0, 0), (-2, 2, 0), (-2, 0, 2))
+    assert is_object_irreducible(O)
+
+
+def _reached_along_rows(O):
+    """Whether every coordinate is reached from coordinate 0 by steps
+    i -> j with c_ij != 0: the depth-first search that tested
+    irreducibility before the undirected Cartan graph did."""
+    c = O.cartan
+    seen = {0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(O.rank):
+            if j not in seen and c[i][j] != 0:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == O.rank
+
+
+def test_is_object_irreducible_matches_row_reach_on_the_corpus():
+    # every corpus object has c_ij = 0 exactly when c_ji = 0, so following
+    # rows and the undirected graph agree there
+    objects = [O for _, G in closure_corpus() for O in G.objects]
+    assert len(objects) == 370
+    for O in objects:
+        assert is_object_irreducible(O) == _reached_along_rows(O)
 
 
 def test_sum_of_two_positive_roots_over_closures():

@@ -67,6 +67,8 @@ def test_vol_examples():
     assert vol(2, [(1, 0, 0), (0, 1, 0)]) == 1
     assert vol(2, [(2, 0, 0), (0, 3, 0)]) == 6
     assert vol(2, [(1, 2, 0), (2, 4, 0)]) == 0  # parallel columns
+    assert vol(2, [(1, 0, 0), (0, 0, 0)]) == 0  # a zero column, m <= r
+    assert vol(3, [(1, 0), (0, 1), (0, 0)]) == 1  # a zero column, m > r
 
 
 def test_vol_rejects_non_integer_entries():

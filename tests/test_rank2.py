@@ -73,6 +73,14 @@ def test_crystallographic_rank2_decisions():
     assert ((0, 1), (1, 3), (1, 0)) not in enumerate_esequences(3)
 
 
+@pytest.mark.parametrize("roots", [
+    [(1, 0), (0, 1), (1, 1), (1, 1)],
+    [(1, 0), (0, 1), (1, 1), (2, 2)]], ids=["duplicate", "multiple"])
+def test_parallel_roots_are_rejected(roots):
+    with pytest.raises(ValueError, match="parallel roots in input"):
+        is_crystallographic_rank2(roots)
+
+
 def test_extreme_roots_not_unimodular():
     with pytest.raises(ExtremeRootsNotUnimodularError):
         is_crystallographic_rank2([(2, 1), (1, 2)])
