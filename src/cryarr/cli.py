@@ -26,7 +26,7 @@ from .geometry import RootSet, chamber_graph, make_root_set
 from .groupoid import canonical_form, verify_crystallographic
 from .rank2 import enumerate_esequences
 from .search import enumerate_rank3
-from .verifier import run_all
+from .verifier import all_ok, run_all
 
 EXIT_PASS, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
 
@@ -107,7 +107,7 @@ def cmd_verify(args):
     if res.ok:
         reports = run_all(res.graph)
         report["checks"] = [r.to_dict() for r in reports]
-        ok = all(r.ok for r in reports)
+        ok = all_ok(reports)
         report["canonical_form"] = canonical_form(res.graph).decode("utf-8")
     print(json.dumps(report, indent=2))
     return EXIT_PASS if ok else EXIT_FAIL
@@ -129,11 +129,18 @@ def _section_plane(R: RootSet):
         t += 1
 
 
-def cmd_render_svg(args):
+def _load_or_report(path):
+    """``load_document(path)``, or None after an input error on stderr."""
     try:
-        R = load_document(args.path)
+        return load_document(path)
     except (OSError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
+        return None
+
+
+def cmd_render_svg(args):
+    R = _load_or_report(args.path)
+    if R is None:
         return EXIT_INPUT
     if R.rank != 3:
         print("render-svg requires a rank-3 document", file=sys.stderr)
@@ -189,10 +196,8 @@ def cmd_render_svg(args):
 
 
 def cmd_export_dot(args):
-    try:
-        R = load_document(args.path)
-    except (OSError, ValueError) as e:
-        print(f"input error: {e}", file=sys.stderr)
+    R = _load_or_report(args.path)
+    if R is None:
         return EXIT_INPUT
     try:
         chambers, edges = chamber_graph(R)

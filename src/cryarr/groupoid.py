@@ -11,13 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress, permutations
+from itertools import combinations, permutations
 from math import gcd
 from operator import mul, sub
 
 from .errors import ClosureOverflowError, NonSimplicialError, NotClosedError
 from .geometry import RootSet, cartan_of_chamber, chamber_graph, ray_values, supports_connected
 from .linalg import vol2
+from .localization import localize
 
 # the bound on Vol_2 of two positive roots; the search prunes by it too
 VOL2_MAX = 6
@@ -62,46 +63,31 @@ class RootObject:
 
     @cached_property
     def cartan(self):
-        """c_ij = -max{k >= 0 : k*alpha_i + alpha_j in R}, c_ii = 2."""
+        """c_ij = -max{k >= 0 : k*alpha_i + alpha_j in R}, c_ii = 2: the
+        largest v_i among the roots v of ``planes[i, j]`` with v_j = 1,
+        negated, or 0 when there is none."""
+        planes = self.planes
         r = self.rank
-        c = [[2] * r for _ in range(r)]
-        for v in self.positive_roots:
-            support = [t for t, x in enumerate(v) if x != 0]
-            if len(support) != 2:
-                continue
-            s, t = support
-            if v[s] == 1 and c[t][s] > -v[t]:
-                c[t][s] = -v[t]
-            if v[t] == 1 and c[s][t] > -v[s]:
-                c[s][t] = -v[s]
+        rows = []
         for i in range(r):
+            row = [2] * r
             for j in range(r):
-                if i != j and c[i][j] == 2:
-                    c[i][j] = 0
-        return tuple(tuple(row) for row in c)
+                if j != i:
+                    k = 0
+                    for v in planes[i, j]:
+                        if v[j] == 1 and v[i] > k:
+                            k = v[i]
+                    row[j] = -k
+            rows.append(tuple(row))
+        return tuple(rows)
 
     @cached_property
     def planes(self):
-        """The coordinate-plane localizations, built in one pass over the
-        roots: (i, j) -> the sorted roots vanishing off coordinates i and j,
-        for each ordered pair i != j.  (i, j) and (j, i) share one tuple.
-
-        A root lies in the planes whose pair contains its support: a support
-        {s, t} picks the one plane (s, t), a support {s} every plane through
-        s, the empty support of a zero vector every plane, and a larger
-        support none."""
-        coordinates = range(self.rank)
-        table = {pair: [] for pair in combinations(coordinates, 2)}
-        through = {(s,): [pair for pair in table if s in pair] for s in coordinates}
-        through[()] = list(table)
-        for v in sorted(self.positive_roots):
-            support = tuple(compress(coordinates, v))
-            if len(support) == 2:
-                table[support].append(v)
-            else:
-                for pair in through.get(support, ()):
-                    table[pair].append(v)
-        shared = {pair: tuple(roots) for pair, roots in table.items()}
+        """The coordinate-plane localizations: (i, j) -> ``localize`` at
+        (i, j), for each ordered pair i != j.  (i, j) and (j, i) share one
+        tuple."""
+        shared = {pair: localize(self.positive_roots, pair)
+                  for pair in combinations(range(self.rank), 2)}
         return {(i, j): shared[min(i, j), max(i, j)]
                 for i, j in permutations(range(self.rank), 2)}
 
@@ -163,11 +149,14 @@ def simple_roots(rank):
 
 def _check_roots(rank, roots):
     """Raise ValueError unless every one of ``roots`` is a nonzero vector in
-    N_0^rank and no two are parallel."""
+    N_0^rank of ``int`` coordinates (not ``bool``) and no two are
+    parallel."""
     directions = set()
     for v in roots:
         if len(v) != rank:
             raise ValueError("root length does not match rank")
+        if any(type(x) is not int for x in v):
+            raise ValueError(f"root {v} has a coordinate that is not an int")
         g = gcd(*v)
         if not g or min(v) < 0:
             raise ValueError(f"root {v} is not a nonzero vector in N_0^r")
@@ -178,7 +167,7 @@ def _check_roots(rank, roots):
 
 
 def make_root_object(rank, positive_roots) -> RootObject:
-    roots = frozenset(tuple(int(x) for x in v) for v in positive_roots)
+    roots = frozenset(tuple(v) for v in positive_roots)
     _check_roots(rank, roots)
     for e in simple_roots(rank):
         if e not in roots:

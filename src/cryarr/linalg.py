@@ -90,12 +90,8 @@ def kernel_vector(rows, dim):
         return None
     if dim == 1:
         return (1,)
-    if dim == 3:
-        (a0, a1, a2), (b0, b1, b2) = rows
-        vec = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-    else:
-        cols = list(zip(*rows))
-        vec = [(-1) ** j * _det(cols[:j] + cols[j + 1:]) for j in range(dim)]
+    cols = list(zip(*rows))
+    vec = [(-1) ** j * _det(cols[:j] + cols[j + 1:]) for j in range(dim)]
     g = gcd(*vec)
     if g == 0:
         return None

@@ -11,18 +11,27 @@ reconstructed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import CycleBrokenError, MissingRootError
-from .groupoid import GroupoidGraph
 from .rank2 import slope_sorted
+
+if TYPE_CHECKING:
+    from .groupoid import GroupoidGraph
 
 
 def localize(roots, support) -> tuple:
-    """The roots vanishing off the coordinate indices ``support``, sorted."""
-    return tuple(sorted(
-        v for v in roots
-        if all(x == 0 for t, x in enumerate(v) if t not in support)
-    ))
+    """The roots vanishing off the coordinate indices ``support``, sorted:
+    a root is dropped at its first nonzero coordinate off ``support``."""
+    out = []
+    for v in roots:
+        for t, x in enumerate(v):
+            if x and t not in support:
+                break
+        else:
+            out.append(v)
+    out.sort()
+    return tuple(out)
 
 
 @dataclass(frozen=True)

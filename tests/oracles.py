@@ -6,7 +6,7 @@ enumeration with Fourier-Motzkin feasibility, determinants from cofactor
 expansion, elementary divisors from gcds of minors, Catalan numbers
 from the binomial closed form, and the simpliciality and chamber count of
 a rank-3 arrangement from its intersection points (Melchior, Zaslavsky).
-Thirty-two references are the exception, each kept as the slow path that
+Thirty-four references are the exception, each kept as the slow path that
 a faster one replaced: ``clear_denominators`` (lines of Fraction vectors,
 for the integer-only ``direction``), ``make_root_set_fractions`` (every
 input check on Fractions, for the checks on covectors scaled to integers
@@ -47,7 +47,7 @@ coordinate-permuted copy, for the walk along the closure's edges),
 test of each distinct column once), ``verify_column_scan`` (each distinct
 column of every chamber tested for divisibility, for the lattice test of
 one crossing per chamber), ``kernel_vector_minors`` (the signed
-maximal minors in every dimension, for the rank-3 cross product),
+maximal minors by cofactor expansion, for the Bareiss minors),
 ``canonical_form_every_object`` (every object rendered in full under each
 relabelling, for the rendering of each distinct root once) and
 ``matrix_rank_fractions`` (Gauss-Jordan over the rationals, for the
@@ -60,7 +60,11 @@ key call per root, for the image sorted by (height, image) pairs),
 ``representative_every_object`` (every object permuted and sorted again,
 for the representative read from the images the search keeps) and
 ``supports_connected_union_find`` (a union-find over the coordinates of
-each support, for the bit-mask closure of the linked coordinates).
+each support, for the bit-mask closure of the linked coordinates),
+``planes_support_dispatch`` and ``cartan_support_scan`` (one pass over
+the roots dispatched on each support, and a scan of the two-coordinate
+supports with a fix-up of the entries left at 2, for the plane table
+built by ``localize`` and the Cartan matrix read from it).
 ``rays_for_signs_scan`` (every candidate ray, for the clipping of
 ``_chamber_rays``), which the two rescans use with ``walls_exact``,
 reads the signs of the rays from exact products of its own, not from the
@@ -69,7 +73,7 @@ package's row memo.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, compress, permutations, product
 from math import comb, gcd, inf, lcm
 
 from cryarr import search
@@ -973,6 +977,48 @@ def convexity_statements_vol3(G: GroupoidGraph) -> CheckReport:
                 if small == 2:
                     witnesses.append((oi, "c", i))
     return CheckReport("convexity", FAIL if witnesses else PASS, witnesses, {})
+
+
+def planes_support_dispatch(O: RootObject):
+    """``RootObject.planes`` built in one pass over the roots, dispatched on
+    each root's support: a support {s, t} picks the one plane (s, t), a
+    support {s} every plane through s, the empty support of a zero vector
+    every plane, and a larger support none."""
+    coordinates = range(O.rank)
+    table = {pair: [] for pair in combinations(coordinates, 2)}
+    through = {(s,): [pair for pair in table if s in pair] for s in coordinates}
+    through[()] = list(table)
+    for v in sorted(O.positive_roots):
+        support = tuple(compress(coordinates, v))
+        if len(support) == 2:
+            table[support].append(v)
+        else:
+            for pair in through.get(support, ()):
+                table[pair].append(v)
+    shared = {pair: tuple(roots) for pair, roots in table.items()}
+    return {(i, j): shared[min(i, j), max(i, j)]
+            for i, j in permutations(range(O.rank), 2)}
+
+
+def cartan_support_scan(O: RootObject):
+    """``RootObject.cartan`` by a scan of the roots with a support of two
+    coordinates, every entry never lowered from 2 set to 0 afterwards."""
+    r = O.rank
+    c = [[2] * r for _ in range(r)]
+    for v in O.positive_roots:
+        support = [t for t, x in enumerate(v) if x != 0]
+        if len(support) != 2:
+            continue
+        s, t = support
+        if v[s] == 1 and c[t][s] > -v[t]:
+            c[t][s] = -v[t]
+        if v[t] == 1 and c[s][t] > -v[s]:
+            c[s][t] = -v[s]
+    for i in range(r):
+        for j in range(r):
+            if i != j and c[i][j] == 2:
+                c[i][j] = 0
+    return tuple(tuple(row) for row in c)
 
 
 def rank2_cycles_reflecting(O: RootObject, i, j) -> LocalizationCycles:

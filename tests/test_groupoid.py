@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 
@@ -72,6 +73,16 @@ def test_traverse_rejects_a_base_that_make_root_object_rejects(roots, message):
             build()
     G = traverse(RootObject(2, frozenset({(0, 1), (1, 1)})), 10)
     assert G.objects[1].positive_roots == frozenset(simple_roots(2))
+
+
+@pytest.mark.parametrize("x", [1.5, Fraction(3, 2), "1", True])
+def test_a_coordinate_that_is_not_an_int_is_rejected(x):
+    # int(x) would make each of them the root (1, 1)
+    roots = [(1, 0), (0, 1), (x, 1)]
+    for build in (lambda: make_root_object(2, roots),
+                  lambda: traverse(RootObject(2, frozenset(roots)), 10)):
+        with pytest.raises(ValueError, match=re.escape(f"root {(x, 1)} has a coordinate")):
+            build()
 
 
 def test_cartan_from_roots_examples():

@@ -5,11 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cryarr import catalog as cat
-from cryarr.groupoid import make_root_object, simple_roots, traverse
+from cryarr.groupoid import RootObject, make_root_object, simple_roots, traverse
 from cryarr.linalg import direction, matrix_rank
 from cryarr.localization import localize, plane_roots, rank2_cycles
 from cryarr.rank2 import is_crystallographic_rank2, quiddity_of
-from oracles import plane_roots_reflecting, rank2_cycles_reflecting
+from oracles import (
+    cartan_support_scan,
+    plane_roots_reflecting,
+    planes_support_dispatch,
+    rank2_cycles_reflecting,
+)
 from test_verifier import closure_corpus
 
 
@@ -38,34 +43,51 @@ def test_localize_members_match_bruteforce_span():
 
 
 def test_plane_table_matches_localize_on_the_corpus():
-    for name, G in closure_corpus():
-        for oi, O in enumerate(G.objects):
-            assert len(O.planes) == G.rank * (G.rank - 1), (name, oi)
-            for i, j in permutations(range(G.rank), 2):
-                assert O.planes[i, j] == localize(O.positive_roots, (i, j)), (name, oi, i, j)
+    # the table of localize calls equals the support dispatch it replaced,
+    # and the Cartan matrix read from it the support scan, on all 370
+    # objects of the corpus
+    objects = [(name, oi, O) for name, G in closure_corpus() for oi, O in enumerate(G.objects)]
+    assert len(objects) == 370
+    for name, oi, O in objects:
+        assert O.planes == planes_support_dispatch(O), (name, oi)
+        assert O.cartan == cartan_support_scan(O), (name, oi)
 
 
 @st.composite
-def root_objects(draw):
+def root_objects(draw, raw=False):
     """An object of rank 1..4: the simple roots plus up to 12 vectors in
-    {0..3}^r, many of them on a coordinate plane, one per direction."""
+    {0..3}^r, many of them on a coordinate plane, one per direction.  A
+    ``raw`` object is a ``RootObject`` of the vectors alone, so zero
+    vectors, multiples of simple roots, parallel roots and missing simple
+    roots all occur."""
     rank = draw(st.integers(1, 4))
     entries = st.tuples(*[st.integers(0, 3)] * rank)
     plane = st.tuples(entries, st.integers(0, rank - 1), st.integers(0, rank - 1)).map(
         lambda t: tuple(x if k in t[1:] else 0 for k, x in enumerate(t[0])))
+    vectors = draw(st.lists(st.one_of(plane, entries, st.sampled_from(simple_roots(rank))),
+                            max_size=12))
+    if raw:
+        return RootObject(rank, frozenset(vectors))
     roots = {}
-    for v in simple_roots(rank) + tuple(draw(st.lists(st.one_of(plane, entries), max_size=12))):
+    for v in simple_roots(rank) + tuple(vectors):
         if any(v):
             roots.setdefault(direction(v), v)
     return make_root_object(rank, roots.values())
 
 
 @settings(max_examples=300, deadline=None)
-@given(O=root_objects())
+@given(O=st.one_of(root_objects(), root_objects(raw=True)))
 def test_plane_table_matches_localize(O):
-    assert set(O.planes) == set(permutations(range(O.rank), 2))
-    for (i, j), roots in O.planes.items():
-        assert roots == localize(O.positive_roots, (i, j))
+    # the table of localize calls against the support dispatch it replaced
+    assert O.planes == planes_support_dispatch(O)
+    for i, j in O.planes:
+        assert O.planes[i, j] is O.planes[j, i]
+
+
+@settings(max_examples=300, deadline=None)
+@given(O=st.one_of(root_objects(), root_objects(raw=True)))
+def test_cartan_matches_the_support_scan(O):
+    assert O.cartan == cartan_support_scan(O)
 
 
 def test_rank2_cycles_a3():

@@ -6,7 +6,7 @@ import sys
 from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import permutations
-from math import gcd
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -430,12 +430,12 @@ def count_table_builds(monkeypatch, name):
 
 
 def test_run_all_builds_each_plane_table_once(monkeypatch):
-    # over the catalog and Weyl-restriction closures, built afresh, run_all
-    # computes Vol_2 by vol2 and reads the coordinate planes from each
-    # object's table: no vol or localize call, one table per rank-3 object
-    closures = [closure(e.name) for e in cat.entries() if e.crystallographic]
-    closures += [traverse(RootObject(3, G.objects[0].positive_roots), max_objects=len(G.objects))
-                 for _, G in weyl_restriction_closures()]
+    # over the catalog and Weyl-restriction closures, walked afresh, the
+    # first Cartan read of traverse builds each object's plane table by one
+    # localize call per coordinate pair; run_all reads the planes from those
+    # tables and computes Vol_2 by vol2: no vol call and no second build
+    graphs = ([closure(e.name) for e in cat.entries() if e.crystallographic]
+              + [G for _, G in weyl_restriction_closures()])
     calls = Counter()
 
     def counting(name, fn):
@@ -449,11 +449,15 @@ def test_run_all_builds_each_plane_table_once(monkeypatch):
             if module_name.startswith("cryarr.") and getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counting(name, fn))
     builds = count_table_builds(monkeypatch, "planes")
+    closures = [traverse(RootObject(G.rank, G.objects[0].positive_roots), max_objects=len(G.objects))
+                for G in graphs]
     for G in closures:
         assert all_ok(run_all(G))
-    assert calls == Counter()
-    assert builds == Counter({id(O): 1 for G in closures if G.rank == 3 for O in G.objects})
-    assert len(builds) == 3 + 116
+    objects = [O for G in closures for O in G.objects]
+    assert builds == Counter({id(O): 1 for O in objects})
+    assert calls == Counter({"localize": sum(comb(O.rank, 2) for O in objects)})
+    # 15 objects of rank 2, 119 of rank 3 and 2 of rank 4
+    assert (len(objects), calls["localize"]) == (15 + 119 + 2, 15 * 1 + 119 * 3 + 2 * 6)
 
 
 def test_run_all_builds_each_pair_table_once(monkeypatch):
