@@ -145,6 +145,11 @@ def cmd_render_svg(args):
     if R.rank != 3:
         print("render-svg requires a rank-3 document", file=sys.stderr)
         return EXIT_INPUT
+    try:
+        covectors = [[float(x) for x in cov] for cov in R.positives]
+    except OverflowError:
+        print("input error: a coordinate is too large to draw as a float", file=sys.stderr)
+        return EXIT_INPUT
     p = tuple(float(x) for x in _section_plane(R))
     # orthonormal frame (u, v) of the plane p.x = const through x0
     n = math.sqrt(sum(x * x for x in p))
@@ -160,7 +165,7 @@ def cmd_render_svg(args):
     size, radius = 500.0, 220.0
     cx = cy = size / 2
     data = []
-    for c in ([float(x) for x in cov] for cov in R.positives):
+    for c in covectors:
         # the hyperplane c.x = 0 meets the section in the plane-coordinate
         # line A*s + B*t + C = 0
         A = sum(ci * ui for ci, ui in zip(c, u))

@@ -63,12 +63,7 @@ def rank2_cycles(G: GroupoidGraph, oi, i, j) -> LocalizationCycles:
 
 def walk_cycle(G: GroupoidGraph, oi, i, j, n):
     """The walk of ``rank2_cycles`` with n given: (quiddity, auxiliary,
-    the indices of K_1, ..., K_2n), or CycleBrokenError.
-
-    The walk is deterministic: a step reads only its object and label.
-    So a walk that returns to its start after 2n steps is periodic, and
-    the walk of 2n steps from K_l with its label is this one rotated left
-    by l - 1 places."""
+    the indices of K_1, ..., K_2n), or CycleBrokenError."""
     k = 3 - i - j
     objects, edges = G.objects, G.edges
     cs, ds, path = [], [], []

@@ -172,8 +172,8 @@ def is_crystallographic_rank2(r_pos):
         if v[0] < 0 or v[1] < 0:
             return False, v
     if not is_esequence(seq):
-        # first interior entry that is not the sum of its neighbours in the
-        # contraction sense: report the head of the current remainder
+        # not an insertion sequence (ear contraction stops before
+        # ((0,1), (1,0))): the witness is the whole transformed sequence
         return False, seq
     return True, seq
 

@@ -215,7 +215,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import inf
 
-from .errors import ExtremeRootsNotUnimodularError, NotESequenceError
+from .errors import ExtremeRootsNotUnimodularError
 from .geometry import make_root_set, supports_connected
 from .groupoid import (
     VOL2_MAX,
@@ -265,7 +265,7 @@ def _plane_systems_ok(roots):
         pairs = [(v[i], v[j]) for v in localize(roots, (i, j))]
         try:
             ok, _ = is_crystallographic_rank2(pairs)
-        except (NotESequenceError, ExtremeRootsNotUnimodularError):
+        except ExtremeRootsNotUnimodularError:
             return False
         if not ok:
             return False

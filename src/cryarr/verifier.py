@@ -326,59 +326,21 @@ def check_plane_roots(G: GroupoidGraph) -> CheckReport:
     vanish; the plane roots exist with gamma_2 = (d_2, c_1*d_2 + d_1, 1)
     in permuted coordinates; at least n/2 of the gammas are distinct.
 
-    The report is that of ``plane_roots`` at every object and ordered pair,
-    with each plane sorted once and each cycle walked once.
-
-    Sorting: the pairs of (j, i) are those of (i, j), swapped and reversed.
-    ``slope_sorted`` orders by the sign of the cross product a_0 b_1 - a_1 b_0,
-    which swapping the coordinates of both vectors negates.  The roots of a
-    plane are non-negative, so none is negated first and all lie in one
-    quadrant, where that sign orders by angle; they are pairwise
-    non-parallel, so no two compare equal and the sorted order is the only
-    one.  The reversed swapped list is then the sorted swapped list.
-
-    Walking: ``plane_roots`` at (i, j) walks from the state (object, first
-    label j) with n the size of the object's plane.  A walk that closes
-    returns to its start after 2n steps, and the walk of 2n steps from the
-    state t steps along it is the same walk rotated by t (``walk_cycle``):
-    it returns too, and its quiddity, a rotation of an n-periodic cycle of
-    length 2n, is n-periodic.  So every state on the walk whose own plane
-    has n roots reads its sequences off the rotation.  On a closure built
-    by ``traverse`` that is every state: the edge with label i maps the
-    roots of each plane through i one to one onto the next object's.  A
-    state whose plane has another size, on a graph whose edges are not
-    those reflections, walks itself."""
+    The report is that of ``plane_roots`` at every object and ordered pair:
+    each sorts its plane and walks its cycle along ``G.edges`` itself."""
     if G.rank != 3:
         return CheckReport("plane_roots", SKIP, [], {"reason": "rank 3 only"})
-    objects = G.objects
     witnesses = []
     pairs_checked = 0
-    walks = {}      # (object, first label, other label) -> (quiddity, auxiliary, offset)
-    for oi, O in enumerate(objects):
+    for oi, O in enumerate(G.objects):
         irreducible = is_object_irreducible(O)
         roots, planes = O.positive_roots, O.planes
-        sorted_pairs = {}
         for i, j in permutations(range(3), 2):
             pairs_checked += 1
-            if i < j:
-                pairs = slope_sorted([(v[i], v[j]) for v in planes[i, j]])
-            else:
-                pairs = [(y, x) for x, y in reversed(sorted_pairs[j, i])]
-            sorted_pairs[i, j] = pairs
-            n = len(pairs)
+            pairs = slope_sorted([(v[i], v[j]) for v in planes[i, j]])
             try:
                 require_ends(pairs)
-                walk = walks.get((oi, j, i))
-                if walk is None:
-                    cs, ds, path = walk_cycle(G, oi, j, i, n)
-                    labels = ((j, i), (i, j)) * n
-                    for t, (o, (first, other)) in enumerate(zip(path, labels)):
-                        if len(objects[o].planes[i, j]) == n:
-                            walks[o, first, other] = cs, ds, t
-                    t = 0
-                else:
-                    cs, ds, t = walk
-                d = ds[t:] + ds[:t]
+                cs, d, _ = walk_cycle(G, oi, j, i, len(pairs))
                 gammas, _ = plane_sums(roots, pairs, d, i, j)
             except (MissingRootError, CycleBrokenError) as e:
                 witnesses.append((oi, (i, j), f"{type(e).__name__}: {e}"))
@@ -386,11 +348,11 @@ def check_plane_roots(G: GroupoidGraph) -> CheckReport:
             if irreducible and (0, 0) in zip(d, d[1:] + d[:1]):
                 witnesses.append((oi, (i, j), "consecutive zero d", d))
             # both ends are present, so n >= 2
-            c1, d1, d2 = cs[t], d[0], d[1]
+            c1, d1, d2 = cs[0], d[0], d[1]
             if gammas[2] != (d2, c1 * d2 + d1, 1):
                 witnesses.append((oi, (i, j), "gamma_2 closed form",
                                   gammas[2], (d2, c1 * d2 + d1, 1)))
-            if 2 * len(set(gammas)) < n:
+            if 2 * len(set(gammas)) < len(pairs):
                 witnesses.append((oi, (i, j), "too few distinct gammas"))
     return CheckReport("plane_roots", FAIL if witnesses else PASS, witnesses,
                        {"pairs": pairs_checked})

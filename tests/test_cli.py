@@ -147,6 +147,17 @@ def test_render_svg_wrong_rank(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("x", [10**400, f"1/{10**400}"], ids=["10^400", "1/10^400"])
+def test_render_svg_coordinate_beyond_float(tmp_path, capsys, x):
+    # verify is exact and accepts the document; the drawing is in floats,
+    # where 10^400 overflows (and 1/10^400 scales the other roots to it)
+    path = write_doc(tmp_path, "big", 3, [(x, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert run(capsys, "verify", path)[0] == 0
+    code, out, err = run(capsys, "render-svg", path)
+    assert (code, out) == (2, "")
+    assert err == "input error: a coordinate is too large to draw as a float\n"
+
+
 def test_export_dot_a2(tmp_path, capsys):
     path = write_doc(tmp_path, "a2", 2, [(1, 0), (0, 1), (1, 1)])
     code, out, _ = run(capsys, "export-dot", path)

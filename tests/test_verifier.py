@@ -324,30 +324,9 @@ def test_plane_roots_check_names_the_missing_end():
     assert rep.to_dict() == check_plane_roots_reflecting(G).to_dict()
 
 
-def cycle_orbits(G):
-    """The number of orbits of the walk's states (object, first label, other
-    label) under its step, which follows the edge of the first label and
-    swaps the labels, and the number of states."""
-    seen = set()
-    orbits = 0
-    for oi in range(len(G.objects)):
-        for first, other in permutations(range(3), 2):
-            start = state = (oi, first, other)
-            if state in seen:
-                continue
-            orbits += 1
-            while state not in seen:
-                seen.add(state)
-                o, a, b = state
-                state = (G.edges[o, a], b, a)
-            # the edges of a closure are involutions, so the step is a bijection
-            assert state == start
-    return orbits, len(seen)
-
-
-def test_plane_roots_check_walks_each_cycle_once(monkeypatch):
-    # every walk on these closures closes and, as on any closure built by
-    # ``traverse``, keeps its n, so one walk serves every state of its orbit
+def test_plane_roots_check_walks_each_pair_once(monkeypatch):
+    # every end root is present on these closures, so each object and
+    # ordered pair (i, j) walks its own cycle, from first label j, once
     walks = []
     walk = localization.walk_cycle
 
@@ -360,22 +339,23 @@ def test_plane_roots_check_walks_each_cycle_once(monkeypatch):
             monkeypatch.setattr(module, "walk_cycle", counting)
     closures = [closure(e.name) for e in cat.entries() if e.crystallographic and e.rank == 3]
     closures += [G for _, G in weyl_restriction_closures()]
-    totals = Counter()
+    total = 0
     for G in closures:
         walks.clear()
         assert check_plane_roots(G).verdict == "pass"
-        orbits, states = cycle_orbits(G)
-        assert len(walks) == orbits
-        totals.update(orbits=orbits, states=states)
-    assert totals == Counter(orbits=159, states=714)
+        assert walks == [(G, oi, j, i, len(O.planes[i, j]))
+                         for oi, O in enumerate(G.objects)
+                         for i, j in permutations(range(3), 2)]
+        total += len(walks)
+    assert total == 714
 
 
 def test_plane_roots_check_walks_a_state_whose_plane_size_differs():
     # on a closure built by ``traverse`` n is constant along a walk; on a
     # graph whose edges are not reflections it need not be.  The walk from
     # object 0 with first label 1 closes with n = 2 and passes object 1,
-    # whose plane (0, 1) has 3 roots: that state walks 6 steps itself and
-    # its quiddity is not 3-periodic
+    # whose plane (0, 1) has 3 roots: the walk from object 1 with first
+    # label 0 takes 6 steps and its quiddity is not 3-periodic
     objects = (RootObject(3, frozenset(simple_roots(3))),
                RootObject(3, frozenset(simple_roots(3) + ((1, 1, 0),))))
     G = GroupoidGraph(rank=3, objects=objects, edges={(0, 1): 1, (1, 0): 0})
@@ -384,6 +364,29 @@ def test_plane_roots_check_walks_a_state_whose_plane_size_differs():
     assert (1, (1, 0), "CycleBrokenError: quiddity cycle is not n-periodic") in rep.witnesses
     assert not any(w[:2] == (0, (0, 1)) for w in rep.witnesses)
     assert rep.to_dict() == check_plane_roots_per_pair(G).to_dict()
+
+
+@st.composite
+def random_graphs(draw):
+    """A rank-3 ``GroupoidGraph`` of 1 to 4 ``small_objects``, which may lack
+    a simple root, whose edges go to arbitrary objects or are missing."""
+    objects = tuple(draw(st.lists(small_objects(ranks=(3,)), min_size=1, max_size=4)))
+    target = st.none() | st.integers(0, len(objects) - 1)
+    edges = {}
+    for oi in range(len(objects)):
+        for label in range(3):
+            oj = draw(target)
+            if oj is not None:
+                edges[oi, label] = oj
+    return GroupoidGraph(rank=3, objects=objects, edges=edges)
+
+
+@settings(max_examples=500, deadline=None)
+@given(G=random_graphs())
+def test_plane_roots_check_matches_plane_roots_on_random_graphs(G):
+    # no closure: walks break, fail to return, change n on the way or
+    # close with a quiddity that is not n-periodic
+    assert check_plane_roots(G).to_dict() == check_plane_roots_per_pair(G).to_dict()
 
 
 def test_run_all_passes_on_every_weyl_restriction():
