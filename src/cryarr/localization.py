@@ -108,38 +108,37 @@ def plane_roots(G: GroupoidGraph, oi, i, j) -> PlaneRoots:
     coordinate is 1 because the betas' is 0."""
     if G.rank != 3:
         raise ValueError("plane roots require a rank-3 object")
-    O = G.objects[oi]
-    pairs = slope_sorted([(v[i], v[j]) for v in O.planes[i, j]])
-    require_ends(pairs)
-    cs, ds, _ = walk_cycle(G, oi, j, i, len(pairs))
-    gammas, deltas = plane_sums(O.positive_roots, pairs, ds, i, j)
+    if i == j:
+        raise ValueError("indices must differ")
+    pairs, cs, ds, gammas, deltas = plane_walk(G, oi, i, j)
     return PlaneRoots(n=len(pairs), betas=tuple((x, y, 0) for x, y in pairs),
                       gammas=gammas, deltas=deltas, auxiliary=ds,
                       quiddity=cs, perm=(i, j, 3 - i - j))
 
 
-def require_ends(pairs):
-    """MissingRootError for an end simple root absent from the slope-sorted
-    localization ``pairs`` of ``plane_roots``: (0,1,0) unless they start
-    with (0,1), else (1,0,0) unless they end with (1,0), in permuted
-    coordinates.  A present end is where the slope order puts it, because
-    no other root of the plane is parallel to it."""
+def plane_walk(G: GroupoidGraph, oi, i, j):
+    """The steps of ``plane_roots`` at one object and pair i != j of a
+    rank-3 closure: (the slope-sorted localization roots as (x, y) pairs,
+    quiddity, auxiliary, gammas, deltas), each gamma and delta (x, y, 1) in
+    permuted coordinates.
+
+    Raises MissingRootError for an absent end simple root, (0,1,0) before
+    (1,0,0), an empty localization included; then CycleBrokenError from
+    the walk; then MissingRootError for the first gamma or delta, gammas
+    before deltas, that is not a positive root.  A present end is where
+    the slope order puts it, because no other root of the plane is
+    parallel to it."""
+    O = G.objects[oi]
+    pairs = slope_sorted([(v[i], v[j]) for v in O.planes[i, j]])
     if not pairs or pairs[0] != (0, 1):
         raise MissingRootError((0, 1, 0))
     if pairs[-1] != (1, 0):
         raise MissingRootError((1, 0, 0))
-
-
-def plane_sums(roots, pairs, d, i, j):
-    """The gammas and deltas of ``plane_roots`` from the slope-sorted
-    ``pairs`` and the auxiliary cycle ``d``, each (x, y, 1) in permuted
-    coordinates; MissingRootError for the first of them, gammas before
-    deltas, that is not in ``roots``."""
-    k = 3 - i - j
+    cs, ds, _ = walk_cycle(G, oi, j, i, len(pairs))
     # running sums over the pairs, forwards for the gammas and backwards
     # for the deltas
     sums = []
-    for steps in (zip(d, pairs), zip(reversed(d), reversed(pairs))):
+    for steps in (zip(ds, pairs), zip(reversed(ds), reversed(pairs))):
         x = y = 0
         out = [(0, 0, 1)]
         for dl, (bx, by) in steps:
@@ -148,10 +147,11 @@ def plane_sums(roots, pairs, d, i, j):
             out.append((x, y, 1))
         sums.append(tuple(out))
     gammas, deltas = sums
+    roots = O.positive_roots
     w = [0, 0, 0]
-    w[k] = 1
+    w[3 - i - j] = 1
     for v in gammas + deltas:
         w[i], w[j] = v[0], v[1]
         if tuple(w) not in roots:
             raise MissingRootError(v)
-    return gammas, deltas
+    return pairs, cs, ds, gammas, deltas

@@ -24,8 +24,7 @@ from .groupoid import (
 )
 from .groupoid import signed_roots as _signed
 from .linalg import vol2
-from .localization import plane_sums, require_ends, walk_cycle
-from .rank2 import slope_sorted
+from .localization import plane_walk
 
 PASS, FAIL, SKIP = "pass", "fail", "skipped"
 
@@ -96,21 +95,15 @@ def check_b128(G: GroupoidGraph) -> CheckReport:
 
 
 def compute_k0(G: GroupoidGraph, object_index, ordering):
-    """min{k : k*a_i + 2*a_j + a_k in R} for the ordering (i, j, k), or
-    None when there is no such root.
+    """min{k : k*a_i + 2*a_j + a_k in R} for the ordering (i, j, k) at an
+    object of a rank-3 closure, or None when there is no such root.
 
     Requires the localization <a_i, a_j> to have at least 5 positive roots."""
     O = G.objects[object_index]
     i, j, k = ordering
-    roots = O.positive_roots
     if len(O.planes[i, j]) < 5:
         raise PreconditionFailedError("localization has fewer than 5 positive roots")
-    for k0 in range(max(v[i] for v in roots) + 1):
-        v = [0, 0, 0]
-        v[i], v[j], v[k] = k0, 2, 1
-        if tuple(v) in roots:
-            return k0
-    return None
+    return min((v[i] for v in O.positive_roots if v[j] == 2 and v[k] == 1), default=None)
 
 
 def check_k0(G: GroupoidGraph) -> CheckReport:
@@ -327,21 +320,18 @@ def check_plane_roots(G: GroupoidGraph) -> CheckReport:
     in permuted coordinates; at least n/2 of the gammas are distinct.
 
     The report is that of ``plane_roots`` at every object and ordered pair:
-    each sorts its plane and walks its cycle along ``G.edges`` itself."""
+    each runs ``plane_walk``, which sorts its plane and walks its cycle
+    along ``G.edges`` itself."""
     if G.rank != 3:
         return CheckReport("plane_roots", SKIP, [], {"reason": "rank 3 only"})
     witnesses = []
     pairs_checked = 0
     for oi, O in enumerate(G.objects):
         irreducible = is_object_irreducible(O)
-        roots, planes = O.positive_roots, O.planes
         for i, j in permutations(range(3), 2):
             pairs_checked += 1
-            pairs = slope_sorted([(v[i], v[j]) for v in planes[i, j]])
             try:
-                require_ends(pairs)
-                cs, d, _ = walk_cycle(G, oi, j, i, len(pairs))
-                gammas, _ = plane_sums(roots, pairs, d, i, j)
+                pairs, cs, d, gammas, _ = plane_walk(G, oi, i, j)
             except (MissingRootError, CycleBrokenError) as e:
                 witnesses.append((oi, (i, j), f"{type(e).__name__}: {e}"))
                 continue

@@ -6,7 +6,7 @@ enumeration with Fourier-Motzkin feasibility, determinants from cofactor
 expansion, elementary divisors from gcds of minors, Catalan numbers
 from the binomial closed form, and the simpliciality and chamber count of
 a rank-3 arrangement from its intersection points (Melchior, Zaslavsky).
-Thirty-four references are the exception, each kept as the slow path that
+Thirty-five references are the exception, each kept as the slow path that
 a faster one replaced: ``clear_denominators`` (lines of Fraction vectors,
 for the integer-only ``direction``), ``make_root_set_fractions`` (every
 input check on Fractions, for the checks on covectors scaled to integers
@@ -32,7 +32,9 @@ once), ``reflect_object_every_coordinate`` (the sign of every coordinate
 of each image, for the reflection that reads coordinate i alone),
 ``convexity_statements_vol3`` (``vol(3, .)`` on
 every triple, for the inline determinants and the pair prefilter),
-``sum_of_roots_every_pair`` and ``vol2_bound_every_pair`` (every pair
+``compute_k0_lookup`` (a membership test for each candidate k, for the
+scan over the roots), ``sum_of_roots_every_pair`` and
+``vol2_bound_every_pair`` (every pair
 of positive roots walked by the check itself, for the checks that read
 the object's pair table),
 ``chamber_from_signs_rescan`` and ``adjacent_chamber_rescan`` (a scan
@@ -83,6 +85,7 @@ from cryarr.errors import (
     MissingRootError,
     NonSimplicialError,
     NotClosedError,
+    PreconditionFailedError,
 )
 from cryarr.geometry import (
     Chamber,
@@ -903,6 +906,23 @@ def lemcon_sweep_triple_loop(G: GroupoidGraph) -> CheckReport:
                         witnesses.append((oi, alpha, beta, k, found))
     return CheckReport("lemcon_sweep", FAIL if witnesses else PASS, witnesses,
                        {"triples_checked": triples})
+
+
+def compute_k0_lookup(G: GroupoidGraph, object_index, ordering):
+    """``verifier.compute_k0`` looking up k*a_i + 2*a_j + a_k for each
+    k = 0, 1, ... up to the largest coordinate i of a root, for the scan
+    over the roots with coordinates j, k equal to 2, 1."""
+    O = G.objects[object_index]
+    i, j, k = ordering
+    roots = O.positive_roots
+    if len(O.planes[i, j]) < 5:
+        raise PreconditionFailedError("localization has fewer than 5 positive roots")
+    for k0 in range(max(v[i] for v in roots) + 1):
+        v = [0, 0, 0]
+        v[i], v[j], v[k] = k0, 2, 1
+        if tuple(v) in roots:
+            return k0
+    return None
 
 
 def sum_of_roots_every_pair(G: GroupoidGraph) -> CheckReport:

@@ -1,0 +1,68 @@
+"""Which modules an import loads, and that no module imports a name it
+never uses."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from test_tracing_names import _wrapped_names
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def loaded_after(statement):
+    """The ``cryarr`` modules in ``sys.modules`` after ``statement`` runs in
+    a fresh interpreter."""
+    code = (f"import sys; {statement}; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'cryarr'))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
+def test_the_package_loads_no_module():
+    assert loaded_after("import cryarr") == {"cryarr"}
+
+
+def test_benchmark_setup_loads_no_search_verifier_or_cli():
+    # the set-up line of perfbench/run.py
+    loaded = loaded_after("import cryarr, cryarr.catalog")
+    assert "cryarr.catalog" in loaded
+    assert not loaded & {"cryarr.search", "cryarr.verifier", "cryarr.cli"}
+
+
+def test_cli_loads_every_traced_module():
+    # the tracer finds the modules it wraps in sys.modules after the
+    # benchmark worker imports cryarr.cli
+    loaded = loaded_after("import cryarr.cli")
+    assert {f"cryarr.{module}" for module, _ in _wrapped_names()} <= loaded
+
+
+def unused_imports(source):
+    """The names that the import statements of ``source`` bind and that
+    appear nowhere else in it as a name."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("cryarr/*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == set()
+
+
+def test_unused_imports_are_found():
+    source = "from .rank2 import slope_sorted, walk\nimport os.path\nwalk()\n"
+    assert unused_imports(source) == {"slope_sorted", "os"}

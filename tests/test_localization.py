@@ -154,6 +154,15 @@ def test_rank2_cycles_requires_rank3():
         rank2_cycles(G, 0, 0, 1)
 
 
+@pytest.mark.parametrize("walk", [rank2_cycles, plane_roots])
+def test_walks_reject_equal_indices(walk):
+    # an equal pair is no plane: a ValueError, not a KeyError from the table
+    G = traverse(cat.root_object_of(cat.get("B3")), max_objects=100)
+    for i in range(3):
+        with pytest.raises(ValueError, match="indices must differ"):
+            walk(G, 0, i, i)
+
+
 def test_edge_walk_matches_the_reflecting_walk():
     # at every object and ordered pair of every closure in the corpus, the
     # walk along G.edges gives the cycles, the objects and the plane roots

@@ -54,6 +54,7 @@ from cryarr.verifier import (
 from oracles import (
     check_plane_roots_per_pair,
     check_plane_roots_reflecting,
+    compute_k0_lookup,
     convexity_statements_vol3,
     lemcon_conclusion_every_term,
     lemcon_sweep_triple_loop,
@@ -132,6 +133,24 @@ def test_compute_k0_preconditions():
     G = closure("A3")  # all localizations have at most 3 positive roots
     with pytest.raises(PreconditionFailedError):
         compute_k0(G, 0, (0, 1, 2))
+
+
+def k0_matches_the_lookup(G):
+    for oi in range(len(G.objects)):
+        for ordering in permutations(range(3)):
+            try:
+                expected = compute_k0_lookup(G, oi, ordering)
+            except PreconditionFailedError:
+                with pytest.raises(PreconditionFailedError):
+                    compute_k0(G, oi, ordering)
+                continue
+            assert compute_k0(G, oi, ordering) == expected, (oi, ordering)
+
+
+def test_compute_k0_matches_the_lookup_on_closures():
+    for name, G in closure_corpus():
+        if G.rank == 3:
+            k0_matches_the_lookup(G)
 
 
 def test_compute_k0_trivial_case():
@@ -350,6 +369,21 @@ def test_plane_roots_check_walks_each_pair_once(monkeypatch):
     assert total == 714
 
 
+def test_plane_roots_report_a_missing_gamma_before_a_missing_delta():
+    # every edge of the one object leads back to it, so each walk closes;
+    # at the pair (0, 2) gamma (1, 1, 1) and delta (2, 3, 1) are missing,
+    # and at (2, 0) gamma (3, 2, 1) and delta (1, 1, 1)
+    O = RootObject(3, frozenset(simple_roots(3) + ((0, 1, 1), (2, 0, 3))))
+    G = GroupoidGraph(rank=3, objects=(O,), edges={(0, label): 0 for label in range(3)})
+    with pytest.raises(MissingRootError) as e:
+        plane_roots(G, 0, 0, 2)
+    assert e.value.vector == (1, 1, 1)
+    witnesses = [w for w in check_plane_roots(G).witnesses if w[2].startswith("Missing")]
+    assert witnesses == [
+        (0, (0, 2), "MissingRootError: expected root (1, 1, 1) is missing"),
+        (0, (2, 0), "MissingRootError: expected root (3, 2, 1) is missing")]
+
+
 def test_plane_roots_check_walks_a_state_whose_plane_size_differs():
     # on a closure built by ``traverse`` n is constant along a walk; on a
     # graph whose edges are not reflections it need not be.  The walk from
@@ -508,6 +542,19 @@ def single_object_graphs(draw, ranks=(2, 3)):
         if any(v):
             roots.setdefault(direction(v), v)
     return single_object_graph(rank, roots.values())
+
+
+@settings(max_examples=500, deadline=None)
+@given(G=single_object_graphs(ranks=(3,)),
+       plane=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=6))
+def test_compute_k0_matches_the_lookup(G, plane):
+    # extra roots on the plane <a_0, a_1> meet the precondition of the
+    # orderings (0, 1, 2) and (1, 0, 2) more often
+    roots = {direction(v): v for v in G.objects[0].positive_roots}
+    for x, y in plane:
+        if x or y:
+            roots.setdefault(direction((x, y, 0)), (x, y, 0))
+    k0_matches_the_lookup(single_object_graph(3, roots.values()))
 
 
 @settings(max_examples=400, deadline=None)
