@@ -63,7 +63,22 @@ the chamber across H: K's signs with the sign of H flipped.
 
 So a crossing reads the rows of K's rays and computes at most one new row,
 that of w, and the new chamber is simplicial exactly when every covector has
-the new chamber's sign or 0 on w.
+the new chamber's sign or 0 on w.  Every crossing out of K reads the same
+rows, zero masks and positive mask, so the walk builds them once per chamber.
+
+The rank-3 new ray.  At rank 3, with {i, j, k} = {1, 2, 3}, let c be the
+cross product of the covectors of W_j and W_k, divided by the gcd of its
+coordinates and signed so that H(c) has the sign opposite to H(u_i).  The
+general formula gives the same vector: it scales w by a positive integer
+and divides by the positive gcd, so its result is the primitive multiple
+of w on which H has the sign of H(w) = -H(u_i).  W_j and W_k are different
+hyperplanes, since W_j(u_j) != 0 = W_k(u_j), so their covectors are
+independent and c spans the line where both vanish.  w vanishes on both
+too (above) and H(w) != 0, so w spans that line and H does not vanish on
+it.  The line has two primitive vectors, one the negative of the other, and
+only one of them has H of the sign of -H(u_i): c, and the general formula's
+result.  Nothing here assumes that the new chamber is simplicial, so its
+test reads the same vector either way.
 
 Antipodal chambers.  The arrangement is central, so -A is a chamber for
 every chamber A: its signs are A's negated, its rays the negatives of A's
@@ -217,13 +232,19 @@ def _row_of(R: RootSet, v):
     opposite = R.rows.get(vec_neg(v))
     if opposite is not None:
         return _negated_row(opposite)
-    values = tuple([sum(map(mul, cov, v)) for cov in R.positives])
+    if R.rank == 3:
+        x, y, z = v
+        values = tuple([a * x + b * y + c * z for a, b, c in R.positives])
+    else:
+        values = tuple([sum(map(mul, cov, v)) for cov in R.positives])
     plus = minus = 0
-    for k, x in enumerate(values):
+    bit = 1
+    for x in values:
         if x > 0:
-            plus |= 1 << k
+            plus |= bit
         elif x < 0:
-            minus |= 1 << k
+            minus |= bit
+        bit <<= 1
     return values, plus, minus
 
 
@@ -328,27 +349,44 @@ def _crossed_signs(K: Chamber, i: int):
     return tuple(signs)
 
 
-def adjacent_chamber(R: RootSet, K: Chamber, i: int) -> Chamber:
+def _crossing_state(R: RootSet, K: Chamber):
+    """What every crossing out of K reads: the values of the positive
+    covectors on each of K's rays, the zero mask of each ray, and the mask
+    of the covectors positive on K.  A covector is positive on K exactly
+    when it is positive on one of K's rays, since the rays span and none
+    has the opposite sign."""
+    values, zeros = [], []
+    full = (1 << len(R.positives)) - 1
+    positive = 0
+    for v in K.rays:
+        row, plus, minus = _row(R, v)
+        values.append(row)
+        zeros.append(full ^ (plus | minus))
+        positive |= plus
+    return values, zeros, positive
+
+
+def adjacent_chamber(R: RootSet, K: Chamber, i: int, state=None) -> Chamber:
     """The chamber across wall i of K, with frame labels propagated: K's
     rays with ray i replaced by the new ray w, and the new walls W_j, both
-    found from the rows of K's rays as the module docstring proves.  Raises
-    NonSimplicialError, with the ray count of ``_chamber_rays``, when some
-    covector has the sign opposite to the new chamber's on w."""
+    found from the rows of K's rays as the module docstring proves;
+    ``state`` is K's ``_crossing_state``, built here when not given.
+    Raises NonSimplicialError, with the ray count of ``_chamber_rays``,
+    when some covector has the sign opposite to the new chamber's on w."""
     if not 0 <= i < R.rank:
         raise IndexError("wall index out of range")
+    values, zeros, positive = state or _crossing_state(R, K)
     signs = _crossed_signs(K, i)
-    rows = [_row(R, v) for v in K.rays]
     h = K.walls[i]
-    full = (1 << len(R.positives)) - 1
-    zeros = [full ^ (plus | minus) for _, plus, minus in rows]
-    ui = rows[i][0]
+    others = ((1 << len(R.positives)) - 1) ^ (1 << h)
+    ui = values[i]
     walls = list(K.walls)
     # (j, W_j(u_i), W_j(u_j)) for each j != i whose W_j is not K's wall w_j
     picks = []
-    for j, (uj, _, _) in enumerate(rows):
+    for j, uj in enumerate(values):
         if j == i:
             continue
-        through = full ^ (1 << h)
+        through = others
         for k, z in enumerate(zeros):
             if k != i and k != j:
                 through &= z
@@ -364,20 +402,23 @@ def adjacent_chamber(R: RootSet, K: Chamber, i: int) -> Chamber:
                 walls[j] = wall
         if a0:
             picks.append((j, a0, b0))
-    scale = lcm(*(abs(b) for _, _, b in picks))
-    coeffs = [0] * R.rank
-    coeffs[i] = -scale
-    for j, a, b in picks:
-        coeffs[j] = a * scale // b
-    w = [sum(map(mul, coeffs, column)) for column in zip(*K.rays)]
-    d = gcd(*w)
+    if R.rank == 3:
+        (p0, p1, p2), (q0, q1, q2) = (R.positives[walls[j]] for j in range(3) if j != i)
+        w = (p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0)
+        d = gcd(*w)
+        h0, h1, h2 = R.positives[h]
+        if (h0 * w[0] + h1 * w[1] + h2 * w[2] > 0) == (ui[h] > 0):
+            d = -d
+    else:
+        scale = lcm(*(abs(b) for _, _, b in picks))
+        coeffs = [0] * R.rank
+        coeffs[i] = -scale
+        for j, a, b in picks:
+            coeffs[j] = a * scale // b
+        w = [sum(map(mul, coeffs, column)) for column in zip(*K.rays)]
+        d = gcd(*w)
     w = tuple(x // d for x in w)
     row = R.rows.get(w) or _row_of(R, w)
-    # a covector is positive on K exactly when it is positive on one of
-    # K's rays, since the rays span and none has the opposite sign
-    positive = 0
-    for _, plus, _ in rows:
-        positive |= plus
     positive ^= 1 << h
     if row[1] & ~positive or row[2] & positive:
         raise NonSimplicialError(signs, len(_chamber_rays(R, signs)))
@@ -392,14 +433,17 @@ def _negated_chamber(R: RootSet, K: Chamber, i: int, A: Chamber) -> Chamber:
     rays but ray i, each with the wall of A opposite its negative, and at
     label i the negative of A's remaining ray, with K's wall i (see the
     module docstring).  The new ray's row is the negated row of A's ray."""
-    label = {vec_neg(a): p for p, a in enumerate(A.rays)}
     walls = list(K.walls)
+    rest = (1 << R.rank) - 1
     for t, u in enumerate(K.rays):
         if t != i:
-            walls[t] = A.walls[label.pop(u)]
-    (w, p), = label.items()
+            p = A.rays.index(vec_neg(u))
+            walls[t] = A.walls[p]
+            rest ^= 1 << p
+    a = A.rays[rest.bit_length() - 1]
+    w = vec_neg(a)
     if w not in R.rows:
-        R.rows[w] = _negated_row(_row(R, A.rays[p]))
+        R.rows[w] = _negated_row(_row(R, a))
     rays = list(K.rays)
     rays[i] = w
     return Chamber(signs=tuple([-s for s in A.signs]), rays=tuple(rays),
@@ -420,13 +464,14 @@ def chamber_graph(R: RootSet):
     covector ``walls[i]``, so the key across it is the mask with that bit
     flipped, and its antipode's key is the complement of that mask.  When
     the antipode is already built, the new chamber is built from it by
-    negation (``_negated_chamber``); otherwise by ``adjacent_chamber``, and
-    the walk tests that crossing from the rows of K's rays, O(r), adding
-    the new chamber's index to ``R.lattice_changes`` when some wall j has
-    |W_j(u_j)| != |w_j(u_j)| (module docstring).  A chamber that is
-    not simplicial is never indexed, nor is its antipode, so the first
-    crossing into it raises, as it would if every crossing built its
-    chamber.
+    negation (``_negated_chamber``); otherwise by ``adjacent_chamber``
+    from K's ``_crossing_state``, built at K's first such crossing and read
+    by the others, and the walk tests that crossing from the same rows,
+    O(r), adding the new chamber's index to ``R.lattice_changes`` when
+    some wall j has |W_j(u_j)| != |w_j(u_j)| (module docstring).  A
+    chamber that is not simplicial is never indexed, nor is its antipode,
+    so the first crossing into it raises, as it would if every crossing
+    built its chamber.
     """
     k0 = initial_chamber(R)
     chambers = [k0]
@@ -440,7 +485,7 @@ def chamber_graph(R: RootSet):
         ci = head
         head += 1
         K, mask = chambers[ci], masks[ci]
-        columns = None
+        state = None
         for i in range(R.rank):
             key = mask ^ (1 << K.walls[i])
             j = index.get(key)
@@ -450,10 +495,10 @@ def chamber_graph(R: RootSet):
                 if a is not None:
                     Kn = _negated_chamber(R, K, i, chambers[a])
                 else:
-                    Kn = adjacent_chamber(R, K, i)
-                    if columns is None:
-                        columns = [R.rows[v][0] for v in K.rays]
-                    for t, values in enumerate(columns):
+                    if state is None:
+                        state = _crossing_state(R, K)
+                    Kn = adjacent_chamber(R, K, i, state)
+                    for t, values in enumerate(state[0]):
                         if abs(values[Kn.walls[t]]) != abs(values[K.walls[t]]):
                             changes.add(j)
                             break

@@ -200,11 +200,14 @@ def _det(rows):
 
 def vol2(a, b):
     """Vol_2 of two integer vectors, ``vol(2, [a, b])``: the gcd of the
-    2 x 2 minors (in rank 3 the entries of a x b); in rank 1 the gcd of a
-    and b, the one elementary divisor."""
+    2 x 2 minors (in rank 3 the entries of a x b, in rank 2 the one minor's
+    absolute value); in rank 1 the gcd of a and b, the one elementary
+    divisor."""
     if len(a) == 3:
         return gcd(a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
                    a[0] * b[1] - a[1] * b[0])
+    if len(a) == 2:
+        return abs(a[0] * b[1] - a[1] * b[0])
     if len(a) == 1:
         return gcd(a[0], b[0])
     return gcd(*(a[i] * b[j] - a[j] * b[i] for i, j in combinations(range(len(a)), 2)))

@@ -21,15 +21,17 @@ if TYPE_CHECKING:
 
 
 def localize(roots, support) -> tuple:
-    """The roots vanishing off the coordinate indices ``support``, sorted:
-    a root is dropped at its first nonzero coordinate off ``support``."""
-    out = []
-    for v in roots:
-        for t, x in enumerate(v):
-            if x and t not in support:
-                break
-        else:
-            out.append(v)
+    """The roots vanishing off the coordinate indices ``support``, sorted.
+    Only the coordinates off ``support`` are read, by one index when
+    exactly one is off, as at every coordinate plane of a rank-3 object."""
+    out = list(roots)
+    if out:
+        off = [t for t in range(len(out[0])) if t not in support]
+        if len(off) == 1:
+            t, = off
+            out = [v for v in out if not v[t]]
+        elif off:
+            out = [v for v in out if not any([v[t] for t in off])]
     out.sort()
     return tuple(out)
 

@@ -4,9 +4,12 @@ Everything here is deliberately written from first principles, without
 using the package's own algorithms: chamber counts come from sign-vector
 enumeration with Fourier-Motzkin feasibility, determinants from cofactor
 expansion, elementary divisors from gcds of minors, Catalan numbers
-from the binomial closed form, and the simpliciality and chamber count of
-a rank-3 arrangement from its intersection points (Melchior, Zaslavsky).
-Thirty-five references are the exception, each kept as the slow path that
+from the binomial closed form, the simpliciality and chamber count of
+a rank-3 arrangement from its intersection points (Melchior, Zaslavsky),
+and the plane roots of a localization walk from their definition
+(``plane_roots_from_definition``, with no routine of ``localization`` or
+``rank2``).
+Thirty-six references are the exception, each kept as the slow path that
 a faster one replaced: ``clear_denominators`` (lines of Fraction vectors,
 for the integer-only ``direction``), ``make_root_set_fractions`` (every
 input check on Fractions, for the checks on covectors scaled to integers
@@ -66,7 +69,9 @@ each support, for the bit-mask closure of the linked coordinates),
 ``planes_support_dispatch`` and ``cartan_support_scan`` (one pass over
 the roots dispatched on each support, and a scan of the two-coordinate
 supports with a fix-up of the entries left at 2, for the plane table
-built by ``localize`` and the Cartan matrix read from it).
+built by ``localize`` and the Cartan matrix read from it) and
+``localize_every_coordinate`` (every coordinate of each root read, for
+the test of the coordinates off the support alone).
 ``rays_for_signs_scan`` (every candidate ray, for the clipping of
 ``_chamber_rays``), which the two rescans use with ``walls_exact``,
 reads the signs of the rays from exact products of its own, not from the
@@ -1041,6 +1046,20 @@ def cartan_support_scan(O: RootObject):
     return tuple(tuple(row) for row in c)
 
 
+def localize_every_coordinate(roots, support) -> tuple:
+    """``localize`` reading every coordinate of each root: a root is
+    dropped at its first nonzero coordinate off ``support``."""
+    out = []
+    for v in roots:
+        for t, x in enumerate(v):
+            if x and t not in support:
+                break
+        else:
+            out.append(v)
+    out.sort()
+    return tuple(out)
+
+
 def rank2_cycles_reflecting(O: RootObject, i, j) -> LocalizationCycles:
     """The quiddity and auxiliary cycles around <alpha_i, alpha_j> of a
     rank-3 object, with every chamber of the walk built by
@@ -1179,6 +1198,72 @@ def check_plane_roots_per_pair(G: GroupoidGraph) -> CheckReport:
     and ordered pair sorts its plane and walks its cycle along ``G.edges``
     itself, whatever the graph."""
     return plane_roots_report(G, lambda oi, i, j: plane_roots(G, oi, i, j))
+
+
+def plane_roots_from_definition(G: GroupoidGraph, oi, i, j) -> PlaneRoots:
+    """``plane_roots`` from its definition, with no routine of
+    ``localization`` or ``rank2``: the roots of O = G.objects[oi] with no
+    third coordinate k, in permuted coordinates (x, y) = (v_i, v_j), in the
+    order of x / (x + y) from (0, 1) to (1, 0); the end roots (0, 1, 0) then
+    (1, 0, 0) required; 2n steps along ``G.edges`` from oi, leaving by label
+    j, i, j, ..., that read c_l = -c_{j,i} or -c_{i,j} and d_l = -c_{.,k}
+    at each object, with c_ab = -max{m >= 0 : m*e_a + e_b in R+} (0 when
+    there is none), back at oi and
+    with an n-periodic quiddity; then each gamma, and after them each delta,
+    required to be a positive root."""
+    k = 3 - i - j
+    O = G.objects[oi]
+    plane = [(v[i], v[j]) for v in O.positive_roots if v[k] == 0]
+    assert all(x >= 0 and y >= 0 for x, y in plane)
+    betas = sorted(plane, key=lambda v: Fraction(v[0], v[0] + v[1]))
+    n = len(betas)
+    if not betas or betas[0] != (0, 1):
+        raise MissingRootError((0, 1, 0))
+    if betas[-1] != (1, 0):
+        raise MissingRootError((1, 0, 0))
+
+    def string_top(P, a, b):
+        # -c_ab: the largest m with m*e_a + e_b a positive root of P, or 0
+        return max([v[a] for v in P.positive_roots if v[b] == 1 and v[3 - a - b] == 0],
+                   default=0)
+
+    cs, ds = [], []
+    cur = oi
+    for step in range(2 * n):
+        leave, other = (j, i) if step % 2 == 0 else (i, j)
+        P = G.objects[cur]
+        cs.append(string_top(P, leave, other))
+        ds.append(string_top(P, leave, k))
+        if (cur, leave) not in G.edges:
+            raise CycleBrokenError(f"the closure has no edge with label {leave}")
+        cur = G.edges[cur, leave]
+    if cur != oi:
+        raise CycleBrokenError("walk of length 2n does not return to the start")
+    if cs[:n] != cs[n:]:
+        raise CycleBrokenError("quiddity cycle is not n-periodic")
+    gammas = [(0, 0, 1)]
+    for l in range(1, n + 1):
+        x, y, _ = gammas[-1]
+        bx, by = betas[l - 1]
+        gammas.append((x + ds[l - 1] * bx, y + ds[l - 1] * by, 1))
+    deltas = [(0, 0, 1)]
+    for l in range(1, n + 1):
+        x, y, _ = deltas[-1]
+        bx, by = betas[n - l]
+        deltas.append((x + ds[2 * n - l] * bx, y + ds[2 * n - l] * by, 1))
+    for v in gammas + deltas:
+        root = [0, 0, 0]
+        root[i], root[j], root[k] = v
+        if tuple(root) not in O.positive_roots:
+            raise MissingRootError(v)
+    return PlaneRoots(n=n, betas=tuple((x, y, 0) for x, y in betas),
+                      gammas=tuple(gammas), deltas=tuple(deltas),
+                      auxiliary=tuple(ds), quiddity=tuple(cs), perm=(i, j, k))
+
+
+def check_plane_roots_from_definition(G: GroupoidGraph) -> CheckReport:
+    """``check_plane_roots`` on ``plane_roots_from_definition``."""
+    return plane_roots_report(G, lambda oi, i, j: plane_roots_from_definition(G, oi, i, j))
 
 
 def plane_roots_report(G: GroupoidGraph, plane_roots_at) -> CheckReport:

@@ -262,6 +262,37 @@ def test_verify_builds_half_the_chambers_by_scanning(name, scans, monkeypatch):
     assert len(R.rows) == len({v for K in walked for v in K.rays})
 
 
+def test_verify_builds_one_crossing_state_per_chamber_that_crosses(monkeypatch):
+    """Every chamber of the walk that a crossing leaves builds its crossing
+    state once, and every crossing out of it reads that state; a chamber
+    whose neighbours are all built already, or built by negation, builds
+    none."""
+    crossed, built = Counter(), Counter()
+    state_of = geometry._crossing_state
+    cross = geometry.adjacent_chamber
+
+    def counting_state(R, K):
+        built[K] += 1
+        return state_of(R, K)
+
+    def counting_cross(R, K, i, *state):
+        crossed[K] += 1
+        return cross(R, K, i, *state)
+
+    monkeypatch.setattr(geometry, "_crossing_state", counting_state)
+    monkeypatch.setattr(geometry, "adjacent_chamber", counting_cross)
+    chambers = 0
+    for entry in cat.entries():
+        crossed.clear()
+        built.clear()
+        res = verify_crystallographic(cat.root_set_of(entry))
+        assert set(built) == set(crossed), entry.name
+        assert set(built.values()) == {1}, entry.name
+        assert sum(crossed.values()) == res.chamber_count // 2 - 1, entry.name
+        chambers += len(built)
+    assert chambers == 141
+
+
 def test_geometric_cartan_cross_check():
     # chamber route and root-coordinate route agree at every chamber
     for name in ("A2", "A3", "A4", "B3", "C3", "D4", "rank2-7"):

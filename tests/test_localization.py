@@ -1,7 +1,7 @@
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cryarr import catalog as cat
@@ -11,6 +11,7 @@ from cryarr.localization import localize, plane_roots, rank2_cycles
 from cryarr.rank2 import is_crystallographic_rank2, quiddity_of
 from oracles import (
     cartan_support_scan,
+    localize_every_coordinate,
     plane_roots_reflecting,
     planes_support_dispatch,
     rank2_cycles_reflecting,
@@ -40,6 +41,30 @@ def test_localize_members_match_bruteforce_span():
             span = [v for v in O.positive_roots
                     if matrix_rank(gens + [v]) == matrix_rank(gens)]
             assert localize(O.positive_roots, (i, j)) == tuple(sorted(span))
+
+
+@st.composite
+def roots_and_supports(draw):
+    """Up to 12 vectors of one rank 1..4 with coordinates in -2..2, zero
+    vectors included, and a support of any size, from empty to full."""
+    rank = draw(st.integers(1, 4))
+    roots = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank), max_size=12))
+    support = draw(st.sets(st.integers(0, rank - 1)))
+    return roots, tuple(sorted(support))
+
+
+@settings(max_examples=300, deadline=None)
+@given(roots_and_supports())
+@example(([], (0, 1)))
+@example(([], ()))
+@example(([(1,), (0,), (-2,)], ()))
+@example(([(1,), (0,), (-2,)], (0,)))
+@example(([(1, 0, 2), (0, 1, 0), (0, 0, 1)], (0, 1, 2)))
+def test_localize_matches_the_every_coordinate_loop(case):
+    roots, support = case
+    assert localize(roots, support) == localize_every_coordinate(roots, support)
+    roots = frozenset(roots)
+    assert localize(roots, support) == localize_every_coordinate(roots, support)
 
 
 def test_plane_table_matches_localize_on_the_corpus():

@@ -52,6 +52,7 @@ from cryarr.verifier import (
     run_all,
 )
 from oracles import (
+    check_plane_roots_from_definition,
     check_plane_roots_per_pair,
     check_plane_roots_reflecting,
     compute_k0_lookup,
@@ -421,6 +422,23 @@ def test_plane_roots_check_matches_plane_roots_on_random_graphs(G):
     # no closure: walks break, fail to return, change n on the way or
     # close with a quiddity that is not n-periodic
     assert check_plane_roots(G).to_dict() == check_plane_roots_per_pair(G).to_dict()
+
+
+@settings(max_examples=500, deadline=None)
+@given(G=random_graphs())
+def test_plane_roots_check_matches_the_definition_on_random_graphs(G):
+    # the oracle sorts, tests the ends, walks the edges and tests gamma
+    # before delta itself, with no routine of ``localization``
+    assert check_plane_roots(G).to_dict() == check_plane_roots_from_definition(G).to_dict()
+
+
+def test_plane_roots_check_matches_the_definition_on_the_corpus():
+    failing = 0
+    for name, G in closure_corpus():
+        report = check_plane_roots(G)
+        assert report.to_dict() == check_plane_roots_from_definition(G).to_dict(), name
+        failing += not report.ok
+    assert failing == 33
 
 
 def test_run_all_passes_on_every_weyl_restriction():
