@@ -265,7 +265,8 @@ def cmd_catalog(args):
     try:
         entry = cat.get(words[-1])
     except KeyError as e:
-        print(str(e), file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        print(e.args[0], file=sys.stderr)
         return EXIT_INPUT
     doc = document_of(entry) if export else {
         "name": entry.name,

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
 from math import gcd
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 
 from .errors import ClosureOverflowError, NonSimplicialError, NotClosedError
 from .geometry import RootSet, cartan_of_chamber, chamber_graph, ray_values, supports_connected
@@ -199,9 +199,76 @@ def reflect_object(O: RootObject, i):
 
 @dataclass(frozen=True)
 class GroupoidGraph:
+    """A closure: its objects and the edges (object index, label) -> object
+    index between them.
+
+    A relabelling pi of the simple roots acts on a root by
+    (pi.v)[t] = v[pi[t]] and on an object root by root.  It commutes with
+    reflection, sigma_t(pi.v) = pi.sigma_{pi[t]}(v): pi.O's Cartan matrix is
+    O's permuted, c'_tu = c_{pi[t], pi[u]}, because k*e_t + e_u is a root
+    of pi.O exactly when k*e_{pi[t]} + e_{pi[u]} is one of O; so
+    <c'_t, pi.v> = <c_{pi[t]}, v>, and pi.e_{pi[t]} = e_t.  Re-positivizing
+    commutes with pi as well.  So reflection of O at label s maps to
+    reflection of pi.O at label pi^-1(s)."""
     rank: int
     objects: tuple          # RootObject, index 0 is the base
     edges: dict             # (object index, label) -> object index
+
+    @cached_property
+    def _automorphisms(self):
+        """(pi, the object map o -> index of pi.O_o) for each of the
+        ``symmetries``, the identity first."""
+        r = self.rank
+        identity = tuple(range(r))
+        n = len(self.objects)
+        found = [(identity, tuple(range(n)))]
+        index = {O.positive_roots: oi for oi, O in enumerate(self.objects)}
+        if len(index) < n:
+            return tuple(found)
+        edges = self.edges
+        for perm in permutations(range(r)):
+            if perm == identity:
+                continue
+            # r >= 2 here, so the getter returns tuples
+            permuted = itemgetter(*perm)
+            images = []
+            for O in self.objects:
+                j = index.get(frozenset(map(permuted, O.positive_roots)))
+                if j is None:
+                    break
+                images.append(j)
+            else:
+                inverse = [perm.index(s) for s in range(r)]
+                # the edge keys map one-to-one, so edges that all map to
+                # edges are mapped onto the edges
+                if all(edges.get((images[o], inverse[s])) == images[e]
+                       for (o, s), e in edges.items()):
+                    found.append((perm, tuple(images)))
+        return tuple(found)
+
+    @cached_property
+    def symmetries(self):
+        """The relabellings pi for which O -> pi.O sends the objects one to
+        one onto the objects and each edge (o, s) -> e onto the edge
+        (pi.o, pi^-1(s)) -> pi.e, the identity first.  Both are tested
+        directly, so a graph with a repeated object has the identity only.
+        They form a group: the automorphisms of the graph."""
+        return tuple(perm for perm, _ in self._automorphisms)
+
+    @cached_property
+    def orbits(self):
+        """(representative, size) for each orbit of the objects under the
+        ``symmetries``, the representative its least index, in index order
+        (object 0 first)."""
+        maps = [images for _, images in self._automorphisms]
+        seen = set()
+        out = []
+        for oi in range(len(self.objects)):
+            if oi not in seen:
+                orbit = {images[oi] for images in maps}
+                seen |= orbit
+                out.append((oi, len(orbit)))
+        return tuple(out)
 
 
 def traverse(base: RootObject, max_objects) -> GroupoidGraph:
@@ -236,7 +303,9 @@ def traverse(base: RootObject, max_objects) -> GroupoidGraph:
     the wrong length and a zero, negative or parallel root raise
     ValueError.  ``reflect_roots`` keeps every image a nonzero vector in
     N_0^r, and sigma_i is linear and invertible, so no two images are
-    parallel."""
+    parallel.  A ``max_objects`` below 1 raises ValueError."""
+    if max_objects < 1:
+        raise ValueError("max_objects must be at least 1")
     _check_roots(base.rank, base.positive_roots)
     objects = [base]
     index = {base.positive_roots: 0}
@@ -360,13 +429,22 @@ def canonical_form(G: GroupoidGraph) -> bytes:
     "r;obj;obj;...", objects sorted, roots within an object joined by "|",
     coordinates by ",".  Equal forms characterize equivalent arrangements.
     The objects of a closure share most of their roots, so each distinct
-    root is permuted and rendered once per relabelling."""
+    root is permuted and rendered once per relabelling.
+
+    One relabelling is rendered per coset {gamma o pi : gamma in Gamma},
+    (gamma o pi)[t] = gamma[pi[t]], of the group Gamma of ``G.symmetries``:
+    pi.(gamma.v) = (gamma o pi).v, and gamma maps the object set onto
+    itself, so gamma o pi renders the same set of objects as pi."""
     r = G.rank
     best = None
     object_sets = [O.positive_roots for O in G.objects]
     all_roots = frozenset().union(*object_sets)
     coordinates = ",".join(["%d"] * r)
+    rendered_cosets = set()
     for perm in permutations(range(r)):
+        if perm in rendered_cosets:
+            continue
+        rendered_cosets.update(tuple([g[p] for p in perm]) for g in G.symmetries)
         image = {v: tuple([v[p] for p in perm]) for v in all_roots}
         text = {v: coordinates % w for v, w in image.items()}
         rendered = {"|".join(map(text.__getitem__, sorted(roots, key=image.__getitem__)))

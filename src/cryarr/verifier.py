@@ -2,7 +2,32 @@
 
 Every check is a pure function of a groupoid closure and returns a
 CheckReport with a verdict, failure witnesses, and the extremal statistics
-observed (so regression tests can pin exact values)."""
+observed (so regression tests can pin exact values).
+
+The eight checks that test each object on its own take ``orbits``, the
+(object index, weight) pairs to visit; the default, None, visits every
+object with weight 1, and ``run_all`` passes ``G.orbits``.
+
+Let pi be an automorphism of the graph (``GroupoidGraph.symmetries``) and
+O' = pi.O an image of an object O.  The roots of O' are those of O with
+coordinates permuted by pi, and so are its sums, differences, root
+strings and localizations (that of O' at (i, j) is that of O at
+(pi[i], pi[j])); Vol_2, determinants up to sign, ``_no_negative_ray`` and
+the set of simple roots are unchanged, and c'_tu = c_{pi[t], pi[u]} (the
+``GroupoidGraph`` docstring).  The walk of ``plane_walk`` at (O', i, j)
+follows the edges of labels i and j, the images of the edges of labels
+pi[i] and pi[j] at the objects of the walk at (O, pi[i], pi[j]), so it
+returns or raises what that walk does.  Each check tests every pair or
+ordering of labels and every root, pair or triple of roots of an object,
+so its outcomes at O' are those at O renamed: the same verdicts, counts
+and stats, and witnesses exactly when O has them.  The counter stats
+(``pairs``, ``triples_checked``) are summed with the orbit sizes as
+weights; the others are maxima, minima and sets, which an orbit
+representative fills as its whole orbit does.  So a suite over the orbit
+representatives has the verdicts and stats of one over every object, and
+no witness exactly when that one has none.  The witnesses themselves name
+objects and roots, so ``run_all`` takes them from a run over every
+object."""
 
 from __future__ import annotations
 
@@ -49,11 +74,17 @@ class CheckReport:
         return self.verdict != FAIL
 
 
-def check_sum_of_roots(G: GroupoidGraph) -> CheckReport:
+def _visits(G: GroupoidGraph, orbits):
+    """``orbits``, or every object with weight 1 when it is None."""
+    return [(oi, 1) for oi in range(len(G.objects))] if orbits is None else orbits
+
+
+def check_sum_of_roots(G: GroupoidGraph, orbits=None) -> CheckReport:
     """Every non-simple positive root is a sum of two positive roots."""
     simples = set(simple_roots(G.rank))
     witnesses = []
-    for oi, O in enumerate(G.objects):
+    for oi, _ in _visits(G, orbits):
+        O = G.objects[oi]
         sums = O.pair_table.sums
         witnesses += [(oi, v) for v in O.positive_roots if v not in simples and v not in sums]
     return CheckReport("sum_of_roots", FAIL if witnesses else PASS, witnesses,
@@ -69,24 +100,25 @@ def check_r111(G: GroupoidGraph) -> CheckReport:
     return CheckReport("r111", FAIL if witnesses else PASS, witnesses, {})
 
 
-def check_bound7(G: GroupoidGraph) -> CheckReport:
+def check_bound7(G: GroupoidGraph, orbits=None) -> CheckReport:
     """All Cartan entries are >= -7; reports the minimum entry."""
-    witnesses = [(oi, O.cartan) for oi, O in enumerate(G.objects)
-                 if min(min(row) for row in O.cartan) < -7]
+    witnesses = [(oi, G.objects[oi].cartan) for oi, _ in _visits(G, orbits)
+                 if min(min(row) for row in G.objects[oi].cartan) < -7]
     return CheckReport("bound7", FAIL if witnesses else PASS, witnesses,
                        {"min_cartan_entry": _min_cartan_entry(G)})
 
 
-def check_b128(G: GroupoidGraph) -> CheckReport:
+def check_b128(G: GroupoidGraph, orbits=None) -> CheckReport:
     """Every rank-2 localization at a pair of simple roots has <= 128
     positive roots; reports the maximum size."""
     if G.rank != 3:
         return CheckReport("b128", SKIP, [], {"reason": "rank 3 only"})
     hi = 0
     witnesses = []
-    for oi, O in enumerate(G.objects):
+    for oi, _ in _visits(G, orbits):
+        planes = G.objects[oi].planes
         for i, j in combinations(range(3), 2):
-            n = len(O.planes[i, j])
+            n = len(planes[i, j])
             hi = max(hi, n)
             if n > 128:
                 witnesses.append((oi, (i, j), n))
@@ -98,7 +130,13 @@ def compute_k0(G: GroupoidGraph, object_index, ordering):
     """min{k : k*a_i + 2*a_j + a_k in R} for the ordering (i, j, k) at an
     object of a rank-3 closure, or None when there is no such root.
 
-    Requires the localization <a_i, a_j> to have at least 5 positive roots."""
+    Requires the localization <a_i, a_j> to have at least 5 positive roots.
+    A graph that is not of rank 3, or an ordering that is not a permutation
+    of (0, 1, 2), raises ValueError."""
+    if G.rank != 3:
+        raise ValueError("k0 needs a rank-3 closure")
+    if sorted(ordering) != [0, 1, 2]:
+        raise ValueError(f"ordering {ordering!r} is not a permutation of (0, 1, 2)")
     O = G.objects[object_index]
     i, j, k = ordering
     if len(O.planes[i, j]) < 5:
@@ -106,15 +144,15 @@ def compute_k0(G: GroupoidGraph, object_index, ordering):
     return min((v[i] for v in O.positive_roots if v[j] == 2 and v[k] == 1), default=None)
 
 
-def check_k0(G: GroupoidGraph) -> CheckReport:
+def check_k0(G: GroupoidGraph, orbits=None) -> CheckReport:
     """Over all objects and orderings with big localizations, k0 exists and
     lies in {0,...,4}, and k0 <= 2 when the Cartan entry c_{i,k} vanishes."""
     if G.rank != 3:
         return CheckReport("k0", SKIP, [], {"reason": "rank 3 only"})
     values = []
     witnesses = []
-    for oi, O in enumerate(G.objects):
-        c = O.cartan
+    for oi, _ in _visits(G, orbits):
+        c = G.objects[oi].cartan
         for ordering in permutations(range(3)):
             try:
                 k0 = compute_k0(G, oi, ordering)
@@ -208,7 +246,7 @@ def _lemcon_conclusion(full, alpha, beta, k, min_entry):
     return witnesses
 
 
-def lemcon_sweep(G: GroupoidGraph) -> CheckReport:
+def lemcon_sweep(G: GroupoidGraph, orbits=None) -> CheckReport:
     """check_lemcon over every hypothesis-satisfying (object, alpha, beta, k)
     with beta a root.
 
@@ -232,22 +270,22 @@ def lemcon_sweep(G: GroupoidGraph) -> CheckReport:
     min_entry = _min_cartan_entry(G)
     witnesses = []
     triples = 0
-    for oi, O in enumerate(G.objects):
-        roots = O.positive_roots
+    for oi, weight in _visits(G, orbits):
+        O = G.objects[oi]
         table = O.pair_table
-        for alpha in roots:
+        for alpha in O.positive_roots:
             for beta, k in table.strings.get(alpha, ()):
                 if not _no_negative_ray(alpha, beta):
                     continue
                 found = _lemcon_conclusion(table.signed, alpha, beta, k, min_entry)
-                triples += 1
+                triples += weight
                 if found:
                     witnesses.append((oi, alpha, beta, k, found))
     return CheckReport("lemcon_sweep", FAIL if witnesses else PASS, witnesses,
                        {"triples_checked": triples})
 
 
-def check_convexity_statements(G: GroupoidGraph) -> CheckReport:
+def check_convexity_statements(G: GroupoidGraph, orbits=None) -> CheckReport:
     """(a) the only unimodular difference-free positive triple is the simple
     one; (b) a positive root completing two simples to a unimodular triple
     is simple or exceeds one of them by a root; (c) no irreducible object
@@ -256,7 +294,8 @@ def check_convexity_statements(G: GroupoidGraph) -> CheckReport:
         return CheckReport("convexity", SKIP, [], {"reason": "rank 3 only"})
     simples = set(simple_roots(3))
     witnesses = []
-    for oi, O in enumerate(G.objects):
+    for oi, _ in _visits(G, orbits):
+        O = G.objects[oi]
         roots = O.positive_roots
         table = O.pair_table
         full, ordered, free = table.signed, table.ordered, table.free
@@ -301,19 +340,19 @@ def check_convexity_statements(G: GroupoidGraph) -> CheckReport:
     return CheckReport("convexity", FAIL if witnesses else PASS, witnesses, {})
 
 
-def check_vol2_bound(G: GroupoidGraph) -> CheckReport:
+def check_vol2_bound(G: GroupoidGraph, orbits=None) -> CheckReport:
     """Vol_2 over all pairs of positive roots is at most ``VOL2_MAX``."""
     hi = 0
     witnesses = []
-    for oi, O in enumerate(G.objects):
-        table = O.pair_table
+    for oi, _ in _visits(G, orbits):
+        table = G.objects[oi].pair_table
         hi = max(hi, table.max_vol2)
         witnesses += [(oi, *w) for w in table.above]
     return CheckReport("vol2_bound", FAIL if witnesses else PASS, witnesses,
                        {"max_vol2": hi, "m": VOL2_MAX})
 
 
-def check_plane_roots(G: GroupoidGraph) -> CheckReport:
+def check_plane_roots(G: GroupoidGraph, orbits=None) -> CheckReport:
     """Localization-cycle facts: cycles close with period n; in an
     irreducible object no two cyclically consecutive auxiliary entries
     vanish; the plane roots exist with gamma_2 = (d_2, c_1*d_2 + d_1, 1)
@@ -326,10 +365,10 @@ def check_plane_roots(G: GroupoidGraph) -> CheckReport:
         return CheckReport("plane_roots", SKIP, [], {"reason": "rank 3 only"})
     witnesses = []
     pairs_checked = 0
-    for oi, O in enumerate(G.objects):
-        irreducible = is_object_irreducible(O)
+    for oi, weight in _visits(G, orbits):
+        irreducible = is_object_irreducible(G.objects[oi])
         for i, j in permutations(range(3), 2):
-            pairs_checked += 1
+            pairs_checked += weight
             try:
                 pairs, cs, d, gammas, _ = plane_walk(G, oi, i, j)
             except (MissingRootError, CycleBrokenError) as e:
@@ -360,19 +399,32 @@ def check_pigeonhole(G: GroupoidGraph, max_vol2) -> CheckReport:
 
 def run_all(G: GroupoidGraph):
     """The full suite on a closure built by ``traverse`` (``check_plane_roots``
-    walks its edges); returns the list of reports."""
-    vol2 = check_vol2_bound(G)
+    walks its edges); returns the list of reports.
+
+    The suite runs on ``G.orbits``.  When some report has a witness and
+    some orbit has more than one object, it runs again on every object, so
+    the witnesses and their order are those of a run over every object (see
+    the module docstring)."""
+    orbits = G.orbits
+    reports = _suite(G, orbits)
+    if len(orbits) < len(G.objects) and any(r.witnesses for r in reports):
+        reports = _suite(G, None)
+    return reports
+
+
+def _suite(G: GroupoidGraph, orbits):
+    vol2 = check_vol2_bound(G, orbits)
     return [
-        check_sum_of_roots(G),
+        check_sum_of_roots(G, orbits),
         check_r111(G),
-        check_bound7(G),
-        check_b128(G),
-        check_k0(G),
+        check_bound7(G, orbits),
+        check_b128(G, orbits),
+        check_k0(G, orbits),
         vol2,
-        check_convexity_statements(G),
-        check_plane_roots(G),
+        check_convexity_statements(G, orbits),
+        check_plane_roots(G, orbits),
         check_pigeonhole(G, vol2.stats["max_vol2"]),
-        lemcon_sweep(G),
+        lemcon_sweep(G, orbits),
     ]
 
 

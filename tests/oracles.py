@@ -6,10 +6,12 @@ enumeration with Fourier-Motzkin feasibility, determinants from cofactor
 expansion, elementary divisors from gcds of minors, Catalan numbers
 from the binomial closed form, the simpliciality and chamber count of
 a rank-3 arrangement from its intersection points (Melchior, Zaslavsky),
-and the plane roots of a localization walk from their definition
+the plane roots of a localization walk from their definition
 (``plane_roots_from_definition``, with no routine of ``localization`` or
-``rank2``).
-Thirty-six references are the exception, each kept as the slow path that
+``rank2``), and the symmetries of a closure and the orbits of its objects
+from theirs (``symmetries_from_definition``: each relabelled object found
+by a scan and the whole edge dict relabelled; ``orbits_from_definition``).
+Thirty-seven references are the exception, each kept as the slow path that
 a faster one replaced: ``clear_denominators`` (lines of Fraction vectors,
 for the integer-only ``direction``), ``make_root_set_fractions`` (every
 input check on Fractions, for the checks on covectors scaled to integers
@@ -69,9 +71,11 @@ each support, for the bit-mask closure of the linked coordinates),
 ``planes_support_dispatch`` and ``cartan_support_scan`` (one pass over
 the roots dispatched on each support, and a scan of the two-coordinate
 supports with a fix-up of the entries left at 2, for the plane table
-built by ``localize`` and the Cartan matrix read from it) and
+built by ``localize`` and the Cartan matrix read from it),
 ``localize_every_coordinate`` (every coordinate of each root read, for
-the test of the coordinates off the support alone).
+the test of the coordinates off the support alone) and
+``run_all_every_object`` (each check called with no ``orbits``, on every
+object, for the suite over one object of each symmetry orbit).
 ``rays_for_signs_scan`` (every candidate ray, for the clipping of
 ``_chamber_rays``), which the two rescans use with ``walls_exact``,
 reads the signs of the rays from exact products of its own, not from the
@@ -83,7 +87,7 @@ from functools import lru_cache
 from itertools import chain, combinations, compress, permutations, product
 from math import comb, gcd, inf, lcm
 
-from cryarr import search
+from cryarr import search, verifier
 from cryarr.errors import (
     ClosureOverflowError,
     CycleBrokenError,
@@ -474,6 +478,44 @@ def canonical_form_every_object(G: GroupoidGraph) -> bytes:
         if best is None or s < best:
             best = s
     return best.encode("utf-8")
+
+
+def symmetries_from_definition(G: GroupoidGraph):
+    """The relabellings pi, in ``permutations`` order (the identity first),
+    whose permuted copy of G is G: the object pi.O_o found by a scan of the
+    objects for each o, and the edge dict rebuilt from
+    (o, s) -> e as (pi.o, pi^-1(s)) -> pi.e equal to G's.  A graph with a
+    repeated object has the identity only."""
+    objects = [O.positive_roots for O in G.objects]
+    identity = tuple(range(G.rank))
+    if len(set(objects)) < len(objects):
+        return (identity,)
+    found = []
+    for perm in permutations(range(G.rank)):
+        images = []
+        for O in G.objects:
+            image = permute_object(O, perm).positive_roots
+            images.append(next((j for j, roots in enumerate(objects) if roots == image), None))
+        if None in images:
+            continue
+        moved = {(images[o], perm.index(s)): images[e] for (o, s), e in G.edges.items()}
+        if moved == G.edges:
+            found.append(perm)
+    return tuple(found)
+
+
+def orbits_from_definition(G: GroupoidGraph):
+    """(least index, size) of each orbit of the objects under
+    ``symmetries_from_definition``, each orbit the set of objects equal to
+    an image of one object, in the order of their least indices."""
+    objects = [O.positive_roots for O in G.objects]
+    symmetries = symmetries_from_definition(G)[1:]
+    orbits = {}
+    for oi, O in enumerate(G.objects):
+        orbit = {oi} | {objects.index(permute_object(O, perm).positive_roots)
+                        for perm in symmetries}
+        orbits[min(orbit)] = len(orbit)
+    return tuple(sorted(orbits.items()))
 
 
 def scaled_ray_coordinates(basis, rays, covector):
@@ -957,6 +999,24 @@ def vol2_bound_every_pair(G: GroupoidGraph) -> CheckReport:
                 witnesses.append((oi, a, b, v))
     return CheckReport("vol2_bound", FAIL if witnesses else PASS, witnesses,
                        {"max_vol2": hi, "m": VOL2_MAX})
+
+
+def run_all_every_object(G: GroupoidGraph):
+    """``verifier.run_all`` with every check called with no ``orbits``, so
+    each visits every object with weight 1."""
+    vol2 = verifier.check_vol2_bound(G)
+    return [
+        verifier.check_sum_of_roots(G),
+        verifier.check_r111(G),
+        verifier.check_bound7(G),
+        verifier.check_b128(G),
+        verifier.check_k0(G),
+        vol2,
+        verifier.check_convexity_statements(G),
+        verifier.check_plane_roots(G),
+        verifier.check_pigeonhole(G, vol2.stats["max_vol2"]),
+        verifier.lemcon_sweep(G),
+    ]
 
 
 def convexity_statements_vol3(G: GroupoidGraph) -> CheckReport:

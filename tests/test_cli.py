@@ -299,8 +299,10 @@ def test_catalog_export_round_trip(tmp_path, capsys):
 
 
 def test_catalog_unknown(capsys):
-    code, _, _ = run(capsys, "catalog", "export", "E8")
+    code, out, err = run(capsys, "catalog", "export", "E8")
     assert code == 2
+    # the message itself, not the repr that str() of a KeyError gives
+    assert (out, err) == ("", "no catalog entry named 'E8'\n")
 
 
 @pytest.mark.parametrize("argv", [("A3", "extra"), ("export",), ("export", "A3", "extra")])

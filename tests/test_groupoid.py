@@ -37,8 +37,10 @@ from cryarr.linalg import vol
 from cryarr.rank2 import enumerate_esequences
 from oracles import (
     canonical_form_every_object,
+    orbits_from_definition,
     permute_object,
     reflect_object_every_coordinate,
+    symmetries_from_definition,
     traverse_every_edge,
     verify_column_scan,
     verify_every_chamber,
@@ -46,7 +48,7 @@ from oracles import (
 )
 from strategies import arrangements, rescaled_roots, small_objects
 from test_search import _inputs
-from test_verifier import closure_corpus, single_object_graphs
+from test_verifier import closure, closure_corpus, single_object_graphs
 
 
 def test_make_root_object_validation():
@@ -150,6 +152,82 @@ def test_traverse_matches_the_every_edge_walk_on_the_corpus():
 def test_traverse_matches_the_every_edge_walk_on_random_objects(base, max_objects):
     assert (traverse_outcome(traverse, base, max_objects)
             == traverse_outcome(traverse_every_edge, base, max_objects))
+
+
+@pytest.mark.parametrize("max_objects", [0, -1])
+def test_traverse_rejects_a_cap_below_one_object(max_objects):
+    with pytest.raises(ValueError, match="max_objects must be at least 1"):
+        traverse(cat.root_object_of(cat.get("A2")), max_objects=max_objects)
+
+
+SYMMETRIES = {"A2": 2, "rank2-7": 2, "A3": 2, "A4": 2, "B3": 1, "C3": 1, "D4": 6,
+              "F4-restriction-012": 1, "E6-restriction-013": 2, "E7-restriction-013": 1,
+              "E8-restriction-013": 2, "E8-restriction-014": 1}
+
+
+def test_symmetries_of_the_benchmark_closures():
+    found = {}
+    for obj in _inputs().objects():
+        G = traverse(make_root_object(obj["rank"], obj["roots"]), max_objects=1000)
+        assert G.symmetries[0] == tuple(range(G.rank))
+        found[obj["name"]] = len(G.symmetries)
+    assert found == SYMMETRIES
+
+
+def test_symmetries_and_orbits_match_their_definitions_on_the_corpus():
+    objects = orbits = 0
+    for name, G in closure_corpus():
+        assert G.symmetries == symmetries_from_definition(G), name
+        assert G.orbits == orbits_from_definition(G), name
+        assert G.orbits[0][0] == 0 and sum(size for _, size in G.orbits) == len(G.objects)
+        objects += len(G.objects)
+        orbits += len(G.orbits)
+    assert (objects, orbits) == (370, 255)
+
+
+@st.composite
+def symmetric_graphs(draw):
+    """A graph of ``small_objects`` of one rank together with their images
+    under a relabelling, a repeated object included, with no edges or with
+    edges to arbitrary objects."""
+    rank = draw(st.sampled_from((2, 3, 4)))
+    roots = draw(st.lists(small_objects(ranks=(rank,)), min_size=1, max_size=3))
+    perm = draw(st.permutations(range(rank)))
+    objects = roots + [permute_object(O, perm) for O in roots]
+    objects = draw(st.lists(st.sampled_from(objects), min_size=1, max_size=6))
+    edges = {}
+    if draw(st.booleans()):
+        target = st.none() | st.integers(0, len(objects) - 1)
+        for oi in range(len(objects)):
+            for label in range(rank):
+                oj = draw(target)
+                if oj is not None:
+                    edges[oi, label] = oj
+    return GroupoidGraph(rank=rank, objects=tuple(objects), edges=edges)
+
+
+@settings(max_examples=500, deadline=None)
+@given(G=symmetric_graphs())
+def test_symmetries_and_orbits_match_their_definitions_on_random_graphs(G):
+    assert G.symmetries == symmetries_from_definition(G)
+    assert G.orbits == orbits_from_definition(G)
+
+
+def test_symmetries_test_the_objects_and_the_edges():
+    G = closure("rank2-7")
+    assert G.symmetries == ((0, 1), (1, 0)) and G.orbits[0] == (0, 2)
+    # an edge at object 0 sent elsewhere: swapping the labels maps the
+    # objects onto the objects but no longer the edges
+    edges = dict(G.edges)
+    edges[0, 0] = 0 if edges[0, 0] else 1
+    H = GroupoidGraph(rank=2, objects=G.objects, edges=edges)
+    assert H.symmetries == ((0, 1),)
+    assert H.orbits == tuple((oi, 1) for oi in range(14))
+    # a repeated object
+    O = cat.root_object_of(cat.get("A2"))
+    assert GroupoidGraph(rank=2, objects=(O,), edges={}).symmetries == ((0, 1), (1, 0))
+    H = GroupoidGraph(rank=2, objects=(O, O), edges={})
+    assert (H.symmetries, H.orbits) == (((0, 1),), ((0, 1), (1, 1)))
 
 
 def _reflection_outcome(reflect, O, i):

@@ -52,6 +52,7 @@ from cryarr.verifier import (
     run_all,
 )
 from oracles import (
+    canonical_form_every_object,
     check_plane_roots_from_definition,
     check_plane_roots_per_pair,
     check_plane_roots_reflecting,
@@ -61,7 +62,11 @@ from oracles import (
     lemcon_sweep_triple_loop,
     level_walk_states,
     no_negative_ray_box,
+    orbits_from_definition,
+    permute_object,
+    run_all_every_object,
     sum_of_roots_every_pair,
+    symmetries_from_definition,
     vol2_bound_every_pair,
 )
 from strategies import small_objects
@@ -134,6 +139,18 @@ def test_compute_k0_preconditions():
     G = closure("A3")  # all localizations have at most 3 positive roots
     with pytest.raises(PreconditionFailedError):
         compute_k0(G, 0, (0, 1, 2))
+
+
+@pytest.mark.parametrize("ordering", [(0, 0, 1), (5, 1, 2), (0, 1), (0, 1, 2, 3)])
+def test_compute_k0_rejects_an_ordering_that_is_no_permutation(ordering):
+    with pytest.raises(ValueError, match="is not a permutation of"):
+        compute_k0(closure("B3"), 0, ordering)
+
+
+@pytest.mark.parametrize("name", ["A2", "A4"])
+def test_compute_k0_rejects_a_closure_of_another_rank(name):
+    with pytest.raises(ValueError, match="k0 needs a rank-3 closure"):
+        compute_k0(closure(name), 0, (0, 1, 2))
 
 
 def k0_matches_the_lookup(G):
@@ -516,8 +533,9 @@ def test_run_all_builds_each_plane_table_once(monkeypatch):
 
 
 def test_run_all_builds_each_pair_table_once(monkeypatch):
-    # run_all reads the pairs of positive roots from one table per object,
-    # built the first time a check reads it; the search never builds one
+    # run_all reads the pairs of positive roots from one table per orbit
+    # representative, built the first time a check reads it; the search
+    # never builds one
     closures = [traverse(RootObject(G.rank, G.objects[0].positive_roots),
                          max_objects=len(G.objects))
                 for G in [closure(e.name) for e in cat.entries() if e.crystallographic]
@@ -527,8 +545,100 @@ def test_run_all_builds_each_pair_table_once(monkeypatch):
     assert builds == Counter()
     for G in closures:
         assert all_ok(run_all(G))
-    assert builds == Counter({id(O): 1 for G in closures for O in G.objects})
-    assert len(builds) == 20 + 116
+    # the suite passes, so it visits one object of each symmetry orbit only
+    assert builds == Counter({id(G.objects[oi]): 1 for G in closures for oi, _ in G.orbits})
+    assert (len(builds), sum(len(G.objects) for G in closures)) == (107, 20 + 116)
+
+
+def assert_fast_paths_match(G):
+    reports = run_all(G)
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in run_all_every_object(G)]
+    assert canonical_form(G) == canonical_form_every_object(G)
+    return reports
+
+
+def test_run_all_matches_the_every_object_suite_on_the_corpus():
+    # 17 of the 33 failing closures have an orbit of more than one object,
+    # so their witnesses come from the run over every object
+    failing = []
+    for name, G in closure_corpus():
+        if not all_ok(assert_fast_paths_match(G)):
+            failing.append(len(G.orbits) < len(G.objects))
+    assert (len(failing), sum(failing)) == (33, 17)
+
+
+@st.composite
+def symmetric_bases(draw):
+    """A ``small_objects`` base, or one made symmetric under a transposition
+    of two coordinates: each root and its image, as primitive vectors, so
+    that no two are parallel."""
+    base = draw(small_objects())
+    if draw(st.booleans()):
+        s, t = draw(st.lists(st.integers(0, base.rank - 1), min_size=2, max_size=2,
+                             unique=True))
+        roots = set()
+        for v in base.positive_roots:
+            w = list(v)
+            w[s], w[t] = w[t], w[s]
+            roots |= {direction(v), direction(tuple(w))}
+        base = RootObject(base.rank, frozenset(roots))
+    return base
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=symmetric_bases())
+def test_run_all_matches_the_every_object_suite_on_random_closures(base):
+    try:
+        G = traverse(base, max_objects=30)
+    except (NotClosedError, ClosureOverflowError):
+        return
+    assert_fast_paths_match(G)
+
+
+def moved_objects(G):
+    """The indices of the objects that some symmetry of G moves."""
+    index = {O.positive_roots: oi for oi, O in enumerate(G.objects)}
+    return sorted({oi for oi, O in enumerate(G.objects) for perm in G.symmetries
+                   if index[permute_object(O, perm).positive_roots] != oi})
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_run_all_matches_the_every_object_suite_when_edges_break_the_symmetry(data):
+    # a corpus closure with one edge at a moved object sent elsewhere or
+    # removed: a symmetry that moves the object no longer maps the edges
+    name, G = data.draw(st.sampled_from([(name, G) for name, G in closure_corpus()
+                                         if len(G.orbits) < len(G.objects)]))
+    oi = data.draw(st.sampled_from(moved_objects(G)))
+    key = oi, data.draw(st.integers(0, G.rank - 1))
+    edges = dict(G.edges)
+    target = data.draw(st.none() | st.integers(0, len(G.objects) - 1).filter(
+        lambda j: j != edges[key]))
+    if target is None:
+        del edges[key]
+    else:
+        edges[key] = target
+    H = GroupoidGraph(rank=G.rank, objects=G.objects, edges=edges)
+    assert set(H.symmetries) != set(G.symmetries)
+    assert (H.symmetries, H.orbits) == (symmetries_from_definition(H), orbits_from_definition(H))
+    assert_fast_paths_match(H)
+
+
+def test_checks_do_not_depend_on_the_labelling():
+    # every check visits every object here; the closure of a relabelled
+    # base has the same verdicts and stats
+    def summary(G):
+        return [(r.check, r.verdict, r.stats) for r in run_all_every_object(G)]
+
+    closures = 0
+    for name, G in closure_corpus():
+        expected = summary(G)
+        base = G.objects[0]
+        for perm in permutations(range(G.rank)):
+            H = traverse(permute_object(base, perm), max_objects=len(G.objects))
+            assert summary(H) == expected, (name, perm)
+        closures += 1
+    assert closures == 66
 
 
 def test_reports_are_deterministic_and_serializable():
