@@ -440,10 +440,8 @@ def _negated_chamber(R: RootSet, K: Chamber, i: int, A: Chamber) -> Chamber:
             p = A.rays.index(vec_neg(u))
             walls[t] = A.walls[p]
             rest ^= 1 << p
-    a = A.rays[rest.bit_length() - 1]
-    w = vec_neg(a)
-    if w not in R.rows:
-        R.rows[w] = _negated_row(_row(R, a))
+    w = vec_neg(A.rays[rest.bit_length() - 1])
+    _row(R, w)
     rays = list(K.rays)
     rays[i] = w
     return Chamber(signs=tuple([-s for s in A.signs]), rays=tuple(rays),
@@ -509,28 +507,18 @@ def chamber_graph(R: RootSet):
     return chambers, edges
 
 
-def chamber_root_basis(R: RootSet, K: Chamber):
-    """The wall roots of K, signed to be non-negative on K (the basis B^K)."""
-    out = []
-    for i in range(R.rank):
-        idx = K.walls[i]
-        cov = R.positives[idx]
-        if K.signs[idx] < 0:
-            cov = vec_neg(cov)
-        out.append(cov)
-    return tuple(out)
-
-
 def cartan_of_chamber(R: RootSet, K: Chamber, neighbours):
     """Cartan matrix of (K, B^K): 2 on the diagonal and, in row i,
     c_ij = <alpha_j, w> / <alpha_i, w> for the new ray w across wall i,
     the one ray of ``neighbours[i]``, the chamber across wall i as
-    ``chamber_graph``'s edges name it, that is not a ray of K."""
-    basis = chamber_root_basis(R, K)
+    ``chamber_graph``'s edges name it, that is not a ray of K.  The wall
+    root alpha_j is K's wall covector signed by K's sign on it, so
+    <alpha_j, w> is that sign times the value on w in w's row."""
     rows = []
     for i in range(R.rank):
         w = next(v for v in neighbours[i].rays if v not in K.rays)
-        coeff = [dot(b, w) for b in basis]
+        values = ray_values(R, w)
+        coeff = [K.signs[k] * values[k] for k in K.walls]
         rows.append(tuple(Fraction(2) if j == i else Fraction(coeff[j]) / coeff[i]
                           for j in range(R.rank)))
     return tuple(rows)

@@ -43,8 +43,8 @@ class PairTable:
     the pairs with Vol_2 above ``VOL2_MAX``, in pair order, and
     ``max_vol2`` is the largest Vol_2 (0 with no pair).  ``strings`` maps
     a root to its sorted root-string candidates (beta, k) of
-    ``verifier.lemcon_sweep``: each pair with k = gcd(d) >= 2,
-    beta = d/k in +-R and Vol_2(a, b) = k, which is Vol_2(a, beta) = 1,
+    ``verifier.lemcon_sweep``: each pair with k = gcd(d) = Vol_2(a, b)
+    >= 2, which is Vol_2(a, beta) = 1 for beta = d/k, a root or not,
     gives a the candidate (beta, k) and b the candidate (-beta, k)."""
     signed: frozenset
     ordered: tuple
@@ -133,9 +133,8 @@ class RootObject:
                     above.append((a, b, v))
                 if v >= 2 and gcd(*d) == v:
                     beta = tuple(x // v for x in d)
-                    if beta in signed:
-                        strings.setdefault(a, []).append((beta, v))
-                        strings.setdefault(b, []).append((tuple(-x for x in beta), v))
+                    strings.setdefault(a, []).append((beta, v))
+                    strings.setdefault(b, []).append((tuple(-x for x in beta), v))
             free.append(f)
             unimodular.append(m)
         return PairTable(signed, ordered, tuple(free), tuple(unimodular), frozenset(sums),

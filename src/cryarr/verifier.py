@@ -20,13 +20,16 @@ pi[i] and pi[j] at the objects of the walk at (O, pi[i], pi[j]), so it
 returns or raises what that walk does.  Each check tests every pair or
 ordering of labels and every root, pair or triple of roots of an object,
 so its outcomes at O' are those at O renamed: the same verdicts, counts
-and stats, and witnesses exactly when O has them.  The counter stats
-(``pairs``, ``triples_checked``) are summed with the orbit sizes as
-weights; the others are maxima, minima and sets, which an orbit
-representative fills as its whole orbit does.  So a suite over the orbit
-representatives has the verdicts and stats of one over every object, and
-no witness exactly when that one has none.  The witnesses themselves name
-objects and roots, so ``run_all`` takes them from a run over every
+and stats, and witnesses exactly when O has them.  The one counter stat
+summed over the visited objects, ``triples_checked``, is weighted by the
+orbit sizes; ``check_plane_roots`` reports ``pairs`` as 6 per object of
+the graph, as ``check_sum_of_roots`` reports ``objects``; the other stats
+are maxima, minima and sets, which an orbit representative fills as its
+whole orbit does.  So a check run on the orbit representatives has the
+verdict and stats of its run over every object, and no witness exactly
+when that run has none: a report without a witness is the report of the
+run over every object.  The witnesses themselves name objects and roots,
+so ``run_all`` takes a report with witnesses from a run over every
 object."""
 
 from __future__ import annotations
@@ -247,8 +250,7 @@ def _lemcon_conclusion(full, alpha, beta, k, min_entry):
 
 
 def lemcon_sweep(G: GroupoidGraph, orbits=None) -> CheckReport:
-    """check_lemcon over every hypothesis-satisfying (object, alpha, beta, k)
-    with beta a root.
+    """check_lemcon over every hypothesis-satisfying (object, alpha, beta, k).
 
     The candidates come from the roots gamma = alpha + k*beta themselves:
     Vol_2(alpha, beta) = 1 makes beta primitive, so k is the gcd of
@@ -264,9 +266,8 @@ def lemcon_sweep(G: GroupoidGraph, orbits=None) -> CheckReport:
     {alpha, gamma} of positive roots gives alpha (beta, k) and gamma
     (-beta, k); the object's ``pair_table`` holds these candidates in its
     ``strings``.  Each alpha's candidates are checked in the order
-    (beta, k), and only those meeting the negative ray reach the conclusion.
-    The sweep tries only beta in +-R, so it never tests "beta is a root";
-    testing it means dropping the ``beta in +-R`` filter of the pair table."""
+    (beta, k), and only those meeting the negative ray reach the conclusion,
+    which tests "beta is a root" too."""
     min_entry = _min_cartan_entry(G)
     witnesses = []
     triples = 0
@@ -364,11 +365,9 @@ def check_plane_roots(G: GroupoidGraph, orbits=None) -> CheckReport:
     if G.rank != 3:
         return CheckReport("plane_roots", SKIP, [], {"reason": "rank 3 only"})
     witnesses = []
-    pairs_checked = 0
-    for oi, weight in _visits(G, orbits):
+    for oi, _ in _visits(G, orbits):
         irreducible = is_object_irreducible(G.objects[oi])
         for i, j in permutations(range(3), 2):
-            pairs_checked += weight
             try:
                 pairs, cs, d, gammas, _ = plane_walk(G, oi, i, j)
             except (MissingRootError, CycleBrokenError) as e:
@@ -384,7 +383,7 @@ def check_plane_roots(G: GroupoidGraph, orbits=None) -> CheckReport:
             if 2 * len(set(gammas)) < len(pairs):
                 witnesses.append((oi, (i, j), "too few distinct gammas"))
     return CheckReport("plane_roots", FAIL if witnesses else PASS, witnesses,
-                       {"pairs": pairs_checked})
+                       {"pairs": 6 * len(G.objects)})
 
 
 def check_pigeonhole(G: GroupoidGraph, max_vol2) -> CheckReport:
@@ -401,30 +400,30 @@ def run_all(G: GroupoidGraph):
     """The full suite on a closure built by ``traverse`` (``check_plane_roots``
     walks its edges); returns the list of reports.
 
-    The suite runs on ``G.orbits``.  When some report has a witness and
-    some orbit has more than one object, it runs again on every object, so
-    the witnesses and their order are those of a run over every object (see
-    the module docstring)."""
+    Each check that tests objects on their own runs on ``G.orbits``.  When
+    its report has a witness and some orbit has more than one object, that
+    check runs again on every object, so its witnesses and their order are
+    those of a run over every object; every other report already is that
+    run's (see the module docstring)."""
     orbits = G.orbits
-    reports = _suite(G, orbits)
-    if len(orbits) < len(G.objects) and any(r.witnesses for r in reports):
-        reports = _suite(G, None)
-    return reports
+    symmetric = len(orbits) < len(G.objects)
 
+    def run(check):
+        report = check(G, orbits)
+        return check(G) if symmetric and report.witnesses else report
 
-def _suite(G: GroupoidGraph, orbits):
-    vol2 = check_vol2_bound(G, orbits)
+    vol2 = run(check_vol2_bound)
     return [
-        check_sum_of_roots(G, orbits),
+        run(check_sum_of_roots),
         check_r111(G),
-        check_bound7(G, orbits),
-        check_b128(G, orbits),
-        check_k0(G, orbits),
+        run(check_bound7),
+        run(check_b128),
+        run(check_k0),
         vol2,
-        check_convexity_statements(G, orbits),
-        check_plane_roots(G, orbits),
+        run(check_convexity_statements),
+        run(check_plane_roots),
         check_pigeonhole(G, vol2.stats["max_vol2"]),
-        lemcon_sweep(G, orbits),
+        run(lemcon_sweep),
     ]
 
 

@@ -928,29 +928,35 @@ def lemcon_conclusion_every_term(full, alpha, beta, k, min_entry):
 def lemcon_sweep_triple_loop(G: GroupoidGraph) -> CheckReport:
     """check_lemcon over every hypothesis-satisfying (object, alpha, beta, k).
 
-    The loop tests all five hypotheses itself (k >= 2, alpha in R+,
-    alpha + k*beta in +-R, Vol_2(alpha, beta) = 1 and the negative ray,
-    the last by ``no_negative_ray_box``) and tests the conclusion on the
-    triples that meet them with ``lemcon_conclusion_every_term``."""
+    For every alpha in R+ and gamma != alpha in +-R, and every k >= 2 that
+    divides gamma - alpha, beta = (gamma - alpha)/k, a root or not, so that
+    alpha + k*beta = gamma.  The loop tests the other hypotheses itself
+    (Vol_2(alpha, beta) = 1 and the negative ray, the last by
+    ``no_negative_ray_box``) and tests the conclusion on the triples that
+    meet them, in the order of (beta, k) for each alpha, with
+    ``lemcon_conclusion_every_term``."""
     min_entry = _min_cartan_entry(G)
     witnesses = []
     triples = 0
     for oi, O in enumerate(G.objects):
         roots = O.positive_roots
         full = _signed(roots)
-        betas = sorted(full)
         top = max(max(v) for v in roots)
         for alpha in roots:
-            for beta in betas:
-                for k in range(2, 2 * top + 2):
-                    if (tuple(a + k * b for a, b in zip(alpha, beta)) not in full
-                            or vol(2, [alpha, beta]) != 1
-                            or not no_negative_ray_box(alpha, beta, top + 1)):
-                        continue
-                    found = lemcon_conclusion_every_term(full, alpha, beta, k, min_entry)
-                    triples += 1
-                    if found:
-                        witnesses.append((oi, alpha, beta, k, found))
+            candidates = []
+            for gamma in full - {alpha}:
+                d = [g - a for g, a in zip(gamma, alpha)]
+                for k in range(2, 2 * top + 1):
+                    if all(x % k == 0 for x in d):
+                        candidates.append((tuple(x // k for x in d), k))
+            for beta, k in sorted(candidates):
+                if (vol(2, [alpha, beta]) != 1
+                        or not no_negative_ray_box(alpha, beta, top + 1)):
+                    continue
+                found = lemcon_conclusion_every_term(full, alpha, beta, k, min_entry)
+                triples += 1
+                if found:
+                    witnesses.append((oi, alpha, beta, k, found))
     return CheckReport("lemcon_sweep", FAIL if witnesses else PASS, witnesses,
                        {"triples_checked": triples})
 

@@ -728,13 +728,16 @@ def _assert_pair_table_matches_its_definitions(O):
     vols = [(a, b, vol(2, [a, b])) for a, b in combinations(ordered, 2)]
     assert table.max_vol2 == max((v for _, _, v in vols), default=0)
     assert table.above == tuple(w for w in vols if w[2] > VOL2_MAX)
-    # (beta, k): k >= 2, beta in +-R, alpha + k*beta in R+, Vol_2(alpha, beta) = 1
+    # (beta, k): k >= 2, beta = (gamma - alpha)/k for gamma != alpha in R+,
+    # a root or not, Vol_2(alpha, beta) = 1
     top = max(max(v) for v in roots)
     strings = {}
     for alpha in ordered:
-        for beta in sorted(signed):
+        for gamma in roots - {alpha}:
+            d = [g - a for g, a in zip(gamma, alpha)]
             for k in range(2, 2 * top + 1):
-                if (tuple(a + k * b for a, b in zip(alpha, beta)) in roots
-                        and vol(2, [alpha, beta]) == 1):
-                    strings.setdefault(alpha, []).append((beta, k))
-    assert table.strings == {alpha: tuple(c) for alpha, c in strings.items()}
+                if all(x % k == 0 for x in d):
+                    beta = tuple(x // k for x in d)
+                    if vol(2, [alpha, beta]) == 1:
+                        strings.setdefault(alpha, []).append((beta, k))
+    assert table.strings == {alpha: tuple(sorted(c)) for alpha, c in strings.items()}

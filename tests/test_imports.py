@@ -1,8 +1,11 @@
-"""Which modules an import loads, and that no module imports a name it
-never uses."""
+"""Which modules an import loads, that no module imports a name it never
+uses, and that every name the README lists under a module is defined
+there."""
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +15,7 @@ import pytest
 from test_tracing_names import _wrapped_names
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 
 
 def loaded_after(statement):
@@ -66,3 +70,20 @@ def test_no_module_imports_a_name_it_never_uses(path):
 def test_unused_imports_are_found():
     source = "from .rank2 import slope_sorted, walk\nimport os.path\nwalk()\n"
     assert unused_imports(source) == {"slope_sorted", "os"}
+
+
+def readme_import_note():
+    """module -> the names of its bullet under "What's inside" in the
+    README: each bullet starts with ``- `cryarr.<module>`:`` and goes on
+    over the indented lines below it."""
+    section = README.read_text(encoding="utf-8").split("## What's inside", 1)[1]
+    bullets = re.findall(r"^- `(cryarr\.\w+)`:(.*(?:\n  .*)*)", section, re.MULTILINE)
+    return {module: re.findall(r"`(\w+)`", names) for module, names in bullets}
+
+
+def test_every_name_in_the_readme_import_note_resolves():
+    note = readme_import_note()
+    assert sum(map(len, note.values())) == 49
+    for module, names in note.items():
+        loaded = importlib.import_module(module)
+        assert [name for name in names if not hasattr(loaded, name)] == [], module

@@ -567,6 +567,36 @@ def test_run_all_matches_the_every_object_suite_on_the_corpus():
     assert (len(failing), sum(failing)) == (33, 17)
 
 
+PER_OBJECT_CHECKS = ("check_sum_of_roots", "check_bound7", "check_b128", "check_k0",
+                     "check_vol2_bound", "check_convexity_statements",
+                     "check_plane_roots", "lemcon_sweep")
+
+
+def test_run_all_runs_again_only_the_checks_with_witnesses(monkeypatch):
+    # on a failing closure with an orbit of more than one object, a check
+    # whose report has a witness runs on the orbits and then on every
+    # object; every other check runs once, on the orbits
+    graphs = [G for _, G in closure_corpus()
+              if len(G.orbits) < len(G.objects) and not all_ok(run_all_every_object(G))]
+    expected = [{name: [G.orbits, None] if getattr(verifier, name)(G).witnesses else [G.orbits]
+                 for name in PER_OBJECT_CHECKS} for G in graphs]
+    calls = {}
+
+    for name in PER_OBJECT_CHECKS:
+        def recording(G, orbits=None, name=name, check=getattr(verifier, name)):
+            calls.setdefault(name, []).append(orbits)
+            return check(G, orbits)
+        monkeypatch.setattr(verifier, name, recording)
+    seen = []
+    for G in graphs:
+        calls.clear()
+        run_all(G)
+        seen.append(dict(calls))
+    assert seen == expected
+    # k0 and plane_roots have witnesses on each of the 17 closures
+    assert Counter(len(c) for e in expected for c in e.values()) == Counter({1: 6 * 17, 2: 2 * 17})
+
+
 @st.composite
 def symmetric_bases(draw):
     """A ``small_objects`` base, or one made symmetric under a transposition
@@ -739,21 +769,33 @@ def test_lemcon_reports_the_missing_inner_terms():
     assert rep.witnesses == [("missing intermediate", (1, 1)), ("missing intermediate", (1, 2))]
 
 
+def test_lemcon_sweep_reports_a_beta_that_is_not_a_root():
+    # gamma = (1,2,2) = alpha + 2*beta for alpha = (1,0,0) and
+    # beta = (0,1,1), which is no root, with Vol_2(alpha, beta) = 1: the
+    # sweep tests the candidate and reports beta, from either end
+    G = single_object_graph(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 2)])
+    rep = lemcon_sweep(G)
+    assert rep.witnesses == [
+        (0, alpha, beta, 2, [("beta not a root", beta),
+                             ("missing intermediate", (1, 1, 1)),
+                             ("no Cartan entry <= -k", 0)])
+        for alpha, beta in (((1, 0, 0), (0, 1, 1)), ((1, 2, 2), (0, -1, -1)))]
+    assert rep.stats == {"triples_checked": 2}
+
+
 def negative_gamma_candidates(G):
     """(alpha, beta, top) for every alpha in R+ and gamma in -R+ of an object
-    with k = gcd(gamma - alpha) >= 2 and beta = (gamma - alpha)/k in +-R,
-    where top is the object's largest coordinate."""
+    with k = gcd(gamma - alpha) >= 2 and beta = (gamma - alpha)/k, a root
+    or not, where top is the object's largest coordinate."""
     for O in G.objects:
         roots = O.positive_roots
-        full = verifier._signed(roots)
         top = max(max(v) for v in roots)
         for alpha in roots:
             for gamma in roots:
                 d = [-g - a for g, a in zip(gamma, alpha)]
                 k = gcd(*d)
-                beta = tuple(x // k for x in d)
-                if k >= 2 and beta in full:
-                    yield alpha, beta, top
+                if k >= 2:
+                    yield alpha, tuple(x // k for x in d), top
 
 
 def test_negative_gamma_candidates_meet_a_negative_ray_on_closures():
