@@ -581,7 +581,6 @@ def test_run_all_runs_again_only_the_checks_with_witnesses(monkeypatch):
     expected = [{name: [G.orbits, None] if getattr(verifier, name)(G).witnesses else [G.orbits]
                  for name in PER_OBJECT_CHECKS} for G in graphs]
     calls = {}
-
     for name in PER_OBJECT_CHECKS:
         def recording(G, orbits=None, name=name, check=getattr(verifier, name)):
             calls.setdefault(name, []).append(orbits)
