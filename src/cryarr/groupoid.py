@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
 from math import gcd
-from operator import itemgetter, mul, sub
+from operator import itemgetter, mul, neg, sub
 
 from .errors import ClosureOverflowError, NonSimplicialError, NotClosedError
 from .geometry import RootSet, cartan_of_chamber, chamber_graph, ray_values, supports_connected
@@ -26,7 +26,7 @@ VOL2_MAX = 6
 
 def signed_roots(roots):
     """+-R: the roots and their negatives."""
-    return roots | {tuple(-x for x in v) for v in roots}
+    return roots | {tuple(map(neg, v)) for v in roots}
 
 
 @dataclass(frozen=True)
@@ -63,23 +63,24 @@ class RootObject:
 
     @cached_property
     def cartan(self):
-        """c_ij = -max{k >= 0 : k*alpha_i + alpha_j in R}, c_ii = 2: the
-        largest v_i among the roots v of ``planes[i, j]`` with v_j = 1,
-        negated, or 0 when there is none."""
-        planes = self.planes
+        """c_ij = -max{k >= 0 : k*alpha_i + alpha_j in R}, c_ii = 2, in one
+        pass over the roots: k*e_i + e_j with k >= 1 is a root v with
+        exactly two nonzero coordinates s < t, so v raises -c_st to v_s
+        when v_t = 1 and -c_ts to v_t when v_s = 1.  An entry that no root
+        raises is 0.  No plane table is built."""
         r = self.rank
-        rows = []
+        c = [[0] * r for _ in range(r)]
+        for v in self.positive_roots:
+            if v.count(0) == r - 2:
+                s, t = [u for u, x in enumerate(v) if x]
+                vs, vt = v[s], v[t]
+                if vt == 1 and -vs < c[s][t]:
+                    c[s][t] = -vs
+                if vs == 1 and -vt < c[t][s]:
+                    c[t][s] = -vt
         for i in range(r):
-            row = [2] * r
-            for j in range(r):
-                if j != i:
-                    k = 0
-                    for v in planes[i, j]:
-                        if v[j] == 1 and v[i] > k:
-                            k = v[i]
-                    row[j] = -k
-            rows.append(tuple(row))
-        return tuple(rows)
+            c[i][i] = 2
+        return tuple(map(tuple, c))
 
     @cached_property
     def planes(self):
@@ -95,13 +96,13 @@ class RootObject:
     def pair_table(self):
         """The ``PairTable``, built in one pass over the pairs a < b of the
         sorted positive roots: one difference, one lookup in +-R and one
-        Vol_2 per pair.  In rank 3 the difference and Vol_2, the gcd of the
+        Vol_2 per pair, with the gcd of the difference taken only when
+        Vol_2 >= 2.  In rank 3 the difference and Vol_2, the gcd of the
         entries of a x b as in ``linalg.vol2``, are taken from unpacked
         coordinates."""
         ordered = tuple(sorted(self.positive_roots))
         signed = signed_roots(self.positive_roots)
         rank3 = self.rank == 3
-        n = len(ordered)
         free = []
         unimodular = []
         sums = set()
@@ -112,8 +113,9 @@ class RootObject:
             if rank3:
                 a0, a1, a2 = a
             f = m = 0
-            for u in range(t + 1, n):
-                b = ordered[u]
+            bit = 1 << t
+            for b in ordered[t + 1:]:
+                bit <<= 1
                 if rank3:
                     b0, b1, b2 = b
                     d = (b0 - a0, b1 - a1, b2 - a2)
@@ -123,18 +125,23 @@ class RootObject:
                     v = vol2(a, b)
                 if d in signed:
                     sums.add(b)
+                elif v == 1:
+                    # the common pair: free, unimodular, no string candidate
+                    f |= bit
+                    m |= bit
+                    hi = hi or 1
+                    continue
                 else:
-                    f |= 1 << u
-                    if v == 1:
-                        m |= 1 << u
+                    f |= bit
                 if v > hi:
                     hi = v
-                if v > VOL2_MAX:
-                    above.append((a, b, v))
-                if v >= 2 and gcd(*d) == v:
-                    beta = tuple(x // v for x in d)
-                    strings.setdefault(a, []).append((beta, v))
-                    strings.setdefault(b, []).append((tuple(-x for x in beta), v))
+                if v >= 2:
+                    if v > VOL2_MAX:
+                        above.append((a, b, v))
+                    if gcd(*d) == v:
+                        beta = tuple(x // v for x in d)
+                        strings.setdefault(a, []).append((beta, v))
+                        strings.setdefault(b, []).append((tuple(map(neg, beta)), v))
             free.append(f)
             unimodular.append(m)
         return PairTable(signed, ordered, tuple(free), tuple(unimodular), frozenset(sums),
@@ -178,8 +185,43 @@ def reflect_roots(roots, i, row):
     """sigma_i(v) = v - <row, v> e_i on each of ``roots``, re-positivized.
     sigma_i changes only coordinate i, so an image is positive when that
     coordinate is nonnegative, and negative only when every other
-    coordinate is 0; any other image raises ``NotClosedError(v, image)``."""
+    coordinate is 0; any other image raises ``NotClosedError(v, image)``.
+    In rank 3 the image is built from unpacked coordinates, with one loop
+    per label."""
     out = set()
+    if len(row) == 3:
+        c0, c1, c2 = row
+        if i == 0:
+            for v in roots:
+                v0, v1, v2 = v
+                x = v0 - c0 * v0 - c1 * v1 - c2 * v2
+                if x >= 0:
+                    out.add((x, v1, v2))
+                elif v1 or v2:
+                    raise NotClosedError(v, (x, v1, v2))
+                else:
+                    out.add((-x, v1, v2))
+        elif i == 1:
+            for v in roots:
+                v0, v1, v2 = v
+                x = v1 - c0 * v0 - c1 * v1 - c2 * v2
+                if x >= 0:
+                    out.add((v0, x, v2))
+                elif v0 or v2:
+                    raise NotClosedError(v, (v0, x, v2))
+                else:
+                    out.add((v0, -x, v2))
+        else:
+            for v in roots:
+                v0, v1, v2 = v
+                x = v2 - c0 * v0 - c1 * v1 - c2 * v2
+                if x >= 0:
+                    out.add((v0, v1, x))
+                elif v0 or v1:
+                    raise NotClosedError(v, (v0, v1, x))
+                else:
+                    out.add((v0, v1, -x))
+        return frozenset(out)
     for v in roots:
         x = v[i] - sum(map(mul, row, v))
         if x >= 0:
@@ -444,8 +486,9 @@ def canonical_form(G: GroupoidGraph) -> bytes:
         if perm in rendered_cosets:
             continue
         rendered_cosets.update(tuple([g[p] for p in perm]) for g in G.symmetries)
-        image = {v: tuple([v[p] for p in perm]) for v in all_roots}
-        text = {v: coordinates % w for v, w in image.items()}
+        # in rank 1 the getter returns an int, which renders and sorts as (int,)
+        image = dict(zip(all_roots, map(itemgetter(*perm), all_roots)))
+        text = dict(zip(image, map(coordinates.__mod__, image.values())))
         rendered = {"|".join(map(text.__getitem__, sorted(roots, key=image.__getitem__)))
                     for roots in object_sets}
         s = str(r) + ";" + ";".join(sorted(rendered))

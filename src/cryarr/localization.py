@@ -11,6 +11,7 @@ reconstructed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import CycleBrokenError, MissingRootError
@@ -52,9 +53,12 @@ def rank2_cycles(G: GroupoidGraph, oi, i, j) -> LocalizationCycles:
     ``G.edges``, and a missing edge is a CycleBrokenError.  Labels
     alternate: the step into K_{l+1} uses i when l+1 is even, j when it is
     odd.  c_l = -c_{i,j} (l odd) or -c_{j,i} (l even) read at K_l, and d_l
-    likewise with the third index in place of the second."""
+    likewise with the third index in place of the second.  A label outside
+    range(3), or i == j, raises ValueError."""
     if G.rank != 3:
         raise ValueError("rank-2 cycles require a rank-3 object")
+    if i not in range(3) or j not in range(3):
+        raise ValueError(f"labels ({i!r}, {j!r}) are not both in range(3)")
     if i == j:
         raise ValueError("indices must differ")
     n = len(G.objects[oi].planes[i, j])
@@ -107,9 +111,12 @@ def plane_roots(G: GroupoidGraph, oi, i, j) -> PlaneRoots:
     delta_l = e_3 + sum_{m<=l} d_{2n+1-m} beta_{n+1-m} with the auxiliary
     cycle of ``rank2_cycles(G, oi, j, i)``, which starts with the j-side.
     Every gamma_l and delta_l must be a positive root; its third
-    coordinate is 1 because the betas' is 0."""
+    coordinate is 1 because the betas' is 0.  A label outside range(3),
+    or i == j, raises ValueError."""
     if G.rank != 3:
         raise ValueError("plane roots require a rank-3 object")
+    if i not in range(3) or j not in range(3):
+        raise ValueError(f"labels ({i!r}, {j!r}) are not both in range(3)")
     if i == j:
         raise ValueError("indices must differ")
     pairs, cs, ds, gammas, deltas = plane_walk(G, oi, i, j)
@@ -137,23 +144,26 @@ def plane_walk(G: GroupoidGraph, oi, i, j):
     if pairs[-1] != (1, 0):
         raise MissingRootError((1, 0, 0))
     cs, ds, _ = walk_cycle(G, oi, j, i, len(pairs))
-    # running sums over the pairs, forwards for the gammas and backwards
-    # for the deltas
+    # running sums, forwards for the gammas and backwards for the deltas,
+    # each new one placed at coordinates i, j and the third and tested: a
+    # zero d_l repeats the last sum, and delta_0 is gamma_0
+    place = itemgetter(*map((i, j, 3 - i - j).index, range(3)))
+    roots = O.positive_roots
+    if place((0, 0, 1)) not in roots:
+        raise MissingRootError((0, 0, 1))
     sums = []
     for steps in (zip(ds, pairs), zip(reversed(ds), reversed(pairs))):
         x = y = 0
-        out = [(0, 0, 1)]
+        v = (0, 0, 1)
+        out = [v]
         for dl, (bx, by) in steps:
-            x += dl * bx
-            y += dl * by
-            out.append((x, y, 1))
+            if dl:
+                x += dl * bx
+                y += dl * by
+                v = (x, y, 1)
+                if place(v) not in roots:
+                    raise MissingRootError(v)
+            out.append(v)
         sums.append(tuple(out))
     gammas, deltas = sums
-    roots = O.positive_roots
-    w = [0, 0, 0]
-    w[3 - i - j] = 1
-    for v in gammas + deltas:
-        w[i], w[j] = v[0], v[1]
-        if tuple(w) not in roots:
-            raise MissingRootError(v)
     return pairs, cs, ds, gammas, deltas

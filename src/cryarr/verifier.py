@@ -323,17 +323,21 @@ def check_convexity_statements(G: GroupoidGraph, orbits=None) -> CheckReport:
                     c = ordered[low.bit_length() - 1]
                     if x * c[0] + y * c[1] + z * c[2] in (1, -1) and {a, b, c} != simples:
                         witnesses.append((oi, "a", (a, b, c)))
-        for g1, g2 in combinations(sorted(simples), 2):
-            # Vol_3(g1, g2, a) = |a_k| for the third coordinate k, and a - g
-            # lowers the coordinate p of g = e_p by one
-            p, q = g1.index(1), g2.index(1)
-            k = 3 - p - q
-            for a in roots:
-                if a in simples or abs(a[k]) != 1:
-                    continue
-                if (a[:p] + (a[p] - 1,) + a[p + 1:] not in full
-                        and a[:q] + (a[q] - 1,) + a[q + 1:] not in full):
-                    witnesses.append((oi, "b", (g1, g2, a)))
+        # (b) at (e_2, e_1), (e_2, e_0), (e_1, e_0) in one pass over the
+        # roots: Vol_3(e_p, e_q, a) = |a_k| for the third coordinate k
+        found = [], [], []
+        for a in roots:
+            if a in simples:
+                continue
+            a0, a1, a2 = a
+            if abs(a0) == 1 and (a0, a1 - 1, a2) not in full and (a0, a1, a2 - 1) not in full:
+                found[0].append(a)
+            if abs(a1) == 1 and (a0 - 1, a1, a2) not in full and (a0, a1, a2 - 1) not in full:
+                found[1].append(a)
+            if abs(a2) == 1 and (a0 - 1, a1, a2) not in full and (a0, a1 - 1, a2) not in full:
+                found[2].append(a)
+        for (g1, g2), hits in zip(combinations(sorted(simples), 2), found):
+            witnesses += [(oi, "b", (g1, g2, a)) for a in hits]
         if is_object_irreducible(O):
             for i in range(3):
                 if sum(len(O.planes[i, j]) == 2 for j in range(3) if j != i) == 2:

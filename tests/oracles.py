@@ -10,8 +10,10 @@ the plane roots of a localization walk from their definition
 (``plane_roots_from_definition``, with no routine of ``localization`` or
 ``rank2``), and the symmetries of a closure and the orbits of its objects
 from theirs (``symmetries_from_definition``: each relabelled object found
-by a scan and the whole edge dict relabelled; ``orbits_from_definition``).
-Thirty-seven references are the exception, each kept as the slow path that
+by a scan and the whole edge dict relabelled; ``orbits_from_definition``),
+and the Cartan matrix from its definition (``cartan_from_definition``:
+each k*e_i + e_j looked up for every k up to the largest coordinate).
+Thirty-six references are the exception, each kept as the slow path that
 a faster one replaced: ``clear_denominators`` (lines of Fraction vectors,
 for the integer-only ``direction``), ``make_root_set_fractions`` (every
 input check on Fractions, for the checks on covectors scaled to integers
@@ -68,10 +70,8 @@ key call per root, for the image sorted by (height, image) pairs),
 for the representative read from the images the search keeps) and
 ``supports_connected_union_find`` (a union-find over the coordinates of
 each support, for the bit-mask closure of the linked coordinates),
-``planes_support_dispatch`` and ``cartan_support_scan`` (one pass over
-the roots dispatched on each support, and a scan of the two-coordinate
-supports with a fix-up of the entries left at 2, for the plane table
-built by ``localize`` and the Cartan matrix read from it),
+``planes_support_dispatch`` (one pass over the roots dispatched on each
+support, for the plane table built by ``localize``),
 ``localize_every_coordinate`` (every coordinate of each root read, for
 the test of the coordinates off the support alone) and
 ``run_all_every_object`` (each check called with no ``orbits``, on every
@@ -1091,24 +1091,19 @@ def planes_support_dispatch(O: RootObject):
             for i, j in permutations(range(O.rank), 2)}
 
 
-def cartan_support_scan(O: RootObject):
-    """``RootObject.cartan`` by a scan of the roots with a support of two
-    coordinates, every entry never lowered from 2 set to 0 afterwards."""
+def cartan_from_definition(O: RootObject):
+    """c_ij = -max{k >= 0 : k*e_i + e_j in R+}, c_ii = 2, with k scanned
+    from 1 up to the largest coordinate of any root; 0 when no k >= 1
+    gives a root."""
     r = O.rank
+    top = max((max(v) for v in O.positive_roots), default=0)
     c = [[2] * r for _ in range(r)]
-    for v in O.positive_roots:
-        support = [t for t, x in enumerate(v) if x != 0]
-        if len(support) != 2:
-            continue
-        s, t = support
-        if v[s] == 1 and c[t][s] > -v[t]:
-            c[t][s] = -v[t]
-        if v[t] == 1 and c[s][t] > -v[s]:
-            c[s][t] = -v[s]
     for i in range(r):
         for j in range(r):
-            if i != j and c[i][j] == 2:
-                c[i][j] = 0
+            if i != j:
+                ks = [k for k in range(1, top + 1)
+                      if tuple(k * (t == i) + (t == j) for t in range(r)) in O.positive_roots]
+                c[i][j] = -max(ks, default=0)
     return tuple(tuple(row) for row in c)
 
 

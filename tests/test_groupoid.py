@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cryarr import catalog as cat
@@ -28,6 +28,7 @@ from cryarr.groupoid import (
     is_object_irreducible,
     make_root_object,
     reflect_object,
+    reflect_roots,
     root_object_of_chamber,
     simple_roots,
     traverse,
@@ -40,6 +41,7 @@ from oracles import (
     orbits_from_definition,
     permute_object,
     reflect_object_every_coordinate,
+    reflect_vector,
     symmetries_from_definition,
     traverse_every_edge,
     verify_column_scan,
@@ -244,6 +246,58 @@ def test_reflect_object_matches_the_every_coordinate_oracle(O):
     for i in range(O.rank):
         assert (_reflection_outcome(reflect_object, O, i)
                 == _reflection_outcome(reflect_object_every_coordinate, O, i))
+
+
+def reflect_roots_by_vector(roots, i, row):
+    """``reflect_roots`` from ``reflect_vector``: each image kept when it is
+    >= 0, negated when it is <= 0, and NotClosedError(root, image) at the
+    first other root in the iteration order of ``roots``."""
+    out = set()
+    for v in roots:
+        w = reflect_vector(v, i, row)
+        if min(w) >= 0:
+            out.add(w)
+        elif max(w) <= 0:
+            out.add(tuple(-x for x in w))
+        else:
+            raise NotClosedError(v, w)
+    return frozenset(out)
+
+
+def _roots_outcome(reflect, roots, i, row):
+    try:
+        return reflect(roots, i, row)
+    except NotClosedError as e:
+        return "not closed", e.root, e.image, e.args
+
+
+def test_rank3_reflect_roots_matches_reflect_vector_on_the_corpus():
+    # every label with every row of the object's Cartan matrix, so the rows
+    # of the other labels give an entry i that is not 2
+    raised = 0
+    for _, G in closure_corpus():
+        for O in G.objects:
+            if O.rank != 3:
+                continue
+            for i in range(3):
+                for row in O.cartan:
+                    outcome = _roots_outcome(reflect_roots, O.positive_roots, i, row)
+                    assert outcome == _roots_outcome(reflect_roots_by_vector,
+                                                     O.positive_roots, i, row)
+                    raised += isinstance(outcome, tuple)
+    assert raised > 0
+
+
+@settings(max_examples=500, deadline=None)
+@given(roots=st.frozensets(st.tuples(*[st.integers(0, 4)] * 3), max_size=10),
+       i=st.integers(0, 2), row=st.tuples(*[st.integers(-4, 4)] * 3))
+@example(roots=frozenset({(2, 0, 0), (0, 1, 0)}), i=0, row=(3, 0, 0))
+@example(roots=frozenset({(1, 0, 0), (1, 1, 0), (0, 1, 0)}), i=0, row=(2, 3, 0))
+def test_rank3_reflect_roots_matches_reflect_vector(roots, i, row):
+    # any integer row, entry i = 2 or not: the same images, or
+    # NotClosedError with the same arguments at the same first root
+    assert (_roots_outcome(reflect_roots, roots, i, row)
+            == _roots_outcome(reflect_roots_by_vector, roots, i, row))
 
 
 @settings(max_examples=400, deadline=None)
@@ -706,6 +760,33 @@ def test_pair_table_matches_its_definitions_on_the_closure_corpus():
     assert sum(bool(O.pair_table.strings) for O in objects) == 350
     assert sum(O.pair_table.max_vol2 > 1 for O in objects) == 350
     assert max(O.pair_table.max_vol2 for O in objects) == VOL2_MAX
+
+
+@pytest.mark.parametrize("rank, roots", [
+    (2, [(1, 0), (2, 0)]),
+    (2, [(1, 0), (3, 0), (0, 1), (2, 2), (1, 1), (2, 1)]),
+    (3, [(1, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 2, 2),
+         (1, 2, 0), (2, 4, 0), (3, 6, 0), (1, 3, 2)]),
+    (4, [(1, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 3, 3),
+         (1, 1, 1, 1)]),
+])
+def test_pair_table_matches_its_definitions_with_parallel_roots(rank, roots):
+    # an unvalidated object: a parallel pair has Vol_2 = 0, a difference
+    # such as (2,2,2) - (1,1,1) lies in +-R, and max_vol2 stays exact
+    O = RootObject(rank, frozenset(roots))
+    _assert_pair_table_matches_its_definitions(O)
+    if len(roots) == 2:
+        assert O.pair_table.max_vol2 == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 4)).flatmap(lambda r: st.tuples(st.just(r), st.frozensets(
+    st.tuples(*[st.integers(0, 3)] * r).filter(any), min_size=1, max_size=10))))
+def test_pair_table_matches_its_definitions_on_unvalidated_objects(case):
+    # nonzero vectors, parallel ones and missing simple roots included;
+    # no zero vector, which the definition of sums would read as v - v
+    rank, roots = case
+    _assert_pair_table_matches_its_definitions(RootObject(rank, roots))
 
 
 def _assert_pair_table_matches_its_definitions(O):

@@ -5,15 +5,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cryarr import catalog as cat
-from cryarr.groupoid import RootObject, make_root_object, simple_roots, traverse
+from cryarr.errors import MissingRootError
+from cryarr.groupoid import GroupoidGraph, RootObject, make_root_object, simple_roots, traverse
 from cryarr.linalg import direction, matrix_rank
 from cryarr.localization import localize, plane_roots, rank2_cycles
 from cryarr.rank2 import is_crystallographic_rank2, quiddity_of
 from oracles import (
-    cartan_support_scan,
+    cartan_from_definition,
     localize_every_coordinate,
     plane_roots_reflecting,
     planes_support_dispatch,
+    plane_roots_from_definition,
     rank2_cycles_reflecting,
 )
 from test_verifier import closure_corpus
@@ -69,13 +71,13 @@ def test_localize_matches_the_every_coordinate_loop(case):
 
 def test_plane_table_matches_localize_on_the_corpus():
     # the table of localize calls equals the support dispatch it replaced,
-    # and the Cartan matrix read from it the support scan, on all 370
-    # objects of the corpus
+    # and the one-pass Cartan matrix its definition, on all 370 objects of
+    # the corpus
     objects = [(name, oi, O) for name, G in closure_corpus() for oi, O in enumerate(G.objects)]
     assert len(objects) == 370
     for name, oi, O in objects:
         assert O.planes == planes_support_dispatch(O), (name, oi)
-        assert O.cartan == cartan_support_scan(O), (name, oi)
+        assert O.cartan == cartan_from_definition(O), (name, oi)
 
 
 @st.composite
@@ -111,8 +113,10 @@ def test_plane_table_matches_localize(O):
 
 @settings(max_examples=300, deadline=None)
 @given(O=st.one_of(root_objects(), root_objects(raw=True)))
-def test_cartan_matches_the_support_scan(O):
-    assert O.cartan == cartan_support_scan(O)
+def test_cartan_matches_its_definition(O):
+    # raw objects too: zero vectors, multiples of simple roots, parallel
+    # roots and missing simple roots
+    assert O.cartan == cartan_from_definition(O)
 
 
 def test_rank2_cycles_a3():
@@ -177,6 +181,44 @@ def test_rank2_cycles_requires_rank3():
     G = traverse(make_root_object(2, [(1, 0), (0, 1)]), max_objects=10)
     with pytest.raises(ValueError):
         rank2_cycles(G, 0, 0, 1)
+
+
+def test_rank2_cycles_rejects_a_label_out_of_range():
+    # a ValueError, not a KeyError from the plane table
+    G = traverse(cat.root_object_of(cat.get("B3")), max_objects=100)
+    for i, j in ((3, 0), (0, 3), (-1, 2)):
+        with pytest.raises(ValueError, match="not both in range"):
+            rank2_cycles(G, 0, i, j)
+
+
+def test_plane_roots_rejects_a_label_out_of_range():
+    # -1 would index the permuted coordinates from the end
+    G = traverse(cat.root_object_of(cat.get("B3")), max_objects=100)
+    for i, j in ((0, -1), (-1, 0), (3, 1)):
+        with pytest.raises(ValueError, match="not both in range"):
+            plane_roots(G, 0, i, j)
+
+
+def test_plane_roots_tests_delta_n_when_the_auxiliary_cycle_is_not_periodic():
+    # one object whose edges loop back to it: at the pair (0, 1), n = 5, the
+    # quiddity is 2 throughout and the auxiliary cycle alternates 0, 1, so
+    # it is not 5-periodic and delta_5 = (2,2,1) differs from
+    # gamma_5 = (3,3,1); every other gamma and delta is a root
+    roots = simple_roots(3) + ((1, 2, 0), (1, 1, 0), (2, 1, 0), (1, 0, 1), (1, 2, 1),
+                               (3, 3, 1), (2, 1, 1))
+    outcomes = []
+    for extra in ((), ((2, 2, 1),)):
+        G = GroupoidGraph(rank=3, objects=(make_root_object(3, roots + extra),),
+                          edges={(0, s): 0 for s in range(3)})
+        for walk in (plane_roots, plane_roots_from_definition):
+            try:
+                outcomes.append(walk(G, 0, 0, 1))
+            except MissingRootError as e:
+                outcomes.append(e.vector)
+    assert outcomes[:2] == [(2, 2, 1)] * 2
+    assert outcomes[2] == outcomes[3]
+    assert (outcomes[2].auxiliary[:2], outcomes[2].gammas[5], outcomes[2].deltas[5]) == (
+        (0, 1), (3, 3, 1), (2, 2, 1))
 
 
 @pytest.mark.parametrize("walk", [rank2_cycles, plane_roots])

@@ -503,9 +503,12 @@ def count_table_builds(monkeypatch, name):
 
 def test_run_all_builds_each_plane_table_once(monkeypatch):
     # over the catalog and Weyl-restriction closures, walked afresh, the
-    # first Cartan read of traverse builds each object's plane table by one
-    # localize call per coordinate pair; run_all reads the planes from those
-    # tables and computes Vol_2 by vol2: no vol call and no second build
+    # Cartan matrices that traverse reads build no plane table; run_all
+    # builds one at each rank-3 orbit representative, by one localize call
+    # per coordinate pair, the first time b128, k0, convexity (c) or a plane
+    # walk reads it, and none elsewhere; Vol_2 comes from vol2, with no vol
+    # call.  The search builds no plane table: its localize calls are its
+    # own plane test
     graphs = ([closure(e.name) for e in cat.entries() if e.crystallographic]
               + [G for _, G in weyl_restriction_closures()])
     calls = Counter()
@@ -521,15 +524,19 @@ def test_run_all_builds_each_plane_table_once(monkeypatch):
             if module_name.startswith("cryarr.") and getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counting(name, fn))
     builds = count_table_builds(monkeypatch, "planes")
+    assert search.enumerate_rank3(9).verdict == search.COMPLETE
+    assert builds == Counter()
+    calls.clear()
     closures = [traverse(RootObject(G.rank, G.objects[0].positive_roots), max_objects=len(G.objects))
                 for G in graphs]
+    assert builds == calls == Counter()
     for G in closures:
         assert all_ok(run_all(G))
-    objects = [O for G in closures for O in G.objects]
-    assert builds == Counter({id(O): 1 for O in objects})
-    assert calls == Counter({"localize": sum(comb(O.rank, 2) for O in objects)})
-    # 15 objects of rank 2, 119 of rank 3 and 2 of rank 4
-    assert (len(objects), calls["localize"]) == (15 + 119 + 2, 15 * 1 + 119 * 3 + 2 * 6)
+    representatives = [G.objects[oi] for G in closures if G.rank == 3 for oi, _ in G.orbits]
+    assert builds == Counter({id(O): 1 for O in representatives})
+    assert calls == Counter({"localize": 3 * len(representatives)})
+    # 97 orbit representatives among the 119 rank-3 objects
+    assert (len(representatives), calls["localize"]) == (97, 97 * 3)
 
 
 def test_run_all_builds_each_pair_table_once(monkeypatch):
@@ -720,6 +727,23 @@ def test_sweep_and_convexity_match_their_slow_paths(G):
     assert lemcon_sweep(G).to_dict() == lemcon_sweep_triple_loop(G).to_dict()
     assert (check_convexity_statements(G).to_dict()
             == convexity_statements_vol3(G).to_dict())
+
+
+def test_convexity_b_witnesses_come_in_the_order_of_the_simple_pairs():
+    # (1,1,2) fails (b) at (e_2, e_1) and (e_2, e_0), (2,1,0) at (e_2, e_0)
+    # and (1,2,1) at (e_2, e_1) and (e_1, e_0): the witnesses come pair by
+    # pair, and within a pair in the object's iteration order
+    G = single_object_graph(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                (1, 1, 2), (2, 1, 0), (1, 2, 1)])
+    report = check_convexity_statements(G)
+    assert report.to_dict() == convexity_statements_vol3(G).to_dict()
+    b = [w[2] for w in report.witnesses if w[1] == "b"]
+    e0, e1, e2 = simple_roots(3)
+    roots = list(G.objects[0].positive_roots)
+    expected = [(e2, e1, a) for a in roots if a in ((1, 1, 2), (1, 2, 1))]
+    expected += [(e2, e0, a) for a in roots if a in ((1, 1, 2), (2, 1, 0))]
+    expected += [(e1, e0, a) for a in roots if a == (1, 2, 1)]
+    assert b == expected
 
 
 @settings(max_examples=300, deadline=None)
