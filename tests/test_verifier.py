@@ -6,7 +6,7 @@ import sys
 from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import permutations
-from math import comb, gcd
+from math import gcd
 from pathlib import Path
 
 import pytest
