@@ -1,13 +1,16 @@
 """Chambers, walls and Cartan matrices of a central hyperplane arrangement.
 
 An arrangement is given by a finite set of covectors (one per hyperplane,
-up to sign).  Chambers are identified by their sign vector over the
-positive covector representatives; every computation is exact, on integer
-covectors, and only Cartan entries are rational.
+up to sign).  A chamber is identified by its positive mask, the int with
+bit k set when the k-th positive covector representative is positive on
+it; no covector vanishes on an open chamber, so the mask gives every sign.
+Every computation is exact, on integer covectors, and only Cartan entries
+are rational.
 
 Rays of a sign vector.  ``_chamber_rays`` finds the extreme rays of the
-closed cone C(s) = {x : s_k * c_k(x) >= 0 for every k} by double
-description (Motzkin et al. 1953; Fukuda-Prodon 1996).  It starts from
+closed cone C(s) = {x : s_k * c_k(x) >= 0 for every k}, s the sign vector
+of a positive mask, by double description (Motzkin et al. 1953;
+Fukuda-Prodon 1996).  It starts from
 the simplicial cone of r independent signed covectors, whose rays are the
 kernel lines of r - 1 of them, and clips it by each other signed covector
 g in turn: the rays with g >= 0 stay, and each pair p, n of adjacent rays
@@ -27,7 +30,8 @@ finds, for every sign vector, feasible or not.
 
 Local wall crossing.  Let K be a simplicial chamber with rays u_1..u_r
 and walls w_1..w_r (w_j vanishes on every u_k but u_j), H = w_i, and K'
-the chamber across H: K's signs with the sign of H flipped.
+the chamber across H: K's signs with the sign of H flipped, so K's mask
+with the bit of H flipped.
 
   - K' is not empty and meets K's facet F = cone{u_k : k != i}: every
     covector other than H has K's sign on the relative interior of F (it
@@ -64,7 +68,7 @@ the chamber across H: K's signs with the sign of H flipped.
 So a crossing reads the rows of K's rays and computes at most one new row,
 that of w, and the new chamber is simplicial exactly when every covector has
 the new chamber's sign or 0 on w.  Every crossing out of K reads the same
-rows, zero masks and positive mask, so the walk builds them once per chamber.
+rows and zero masks, so the walk builds them once per chamber.
 
 The rank-3 new ray.  At rank 3, with {i, j, k} = {1, 2, 3}, let c be the
 cross product of the covectors of W_j and W_k, divided by the gcd of its
@@ -81,14 +85,14 @@ result.  Nothing here assumes that the new chamber is simplicial, so its
 test reads the same vector either way.
 
 Antipodal chambers.  The arrangement is central, so -A is a chamber for
-every chamber A: its signs are A's negated, its rays the negatives of A's
-(primitive again), and its wall opposite -a is A's wall opposite a.  Let
-K' across wall i of K be -A for a chamber A already built.  K' is simplicial,
+every chamber A: its mask is the complement of A's, its rays the negatives
+of A's (primitive again), and its wall opposite -a is A's wall opposite a.
+Let K' across wall i of K be -A for a chamber A already built.  K' is simplicial,
 and by the first point above its rays are the u_t (t != i) and one new ray.
 So each u_t (t != i) is -a for one ray a of A, and the wall of K' opposite
 u_t is A's wall opposite -u_t; the new ray, at label i, is the negative of
 A's remaining ray, and the wall opposite it is H, since it holds the facet F.
-These are the signs, rays and walls that the crossing computes, so -A in
+These are the mask, rays and walls that the crossing computes, so -A in
 K's frame is that crossing's result, with no row scanned and no covector
 tested.  The row of a ray -v is the row of v with its values negated and
 its plus and minus masks swapped.
@@ -209,15 +213,23 @@ def make_root_set(covectors, rank=None) -> RootSet:
 class Chamber:
     """An open simplicial chamber.
 
-    ``signs[k]`` is the sign of the k-th positive covector on the chamber,
-    ``rays[i]`` the primitive integer extreme ray at frame position i, and
-    ``walls[i]`` the index of the positive covector whose kernel carries
-    the wall opposite to all rays except ``rays[i]``.
+    ``positive`` has bit k set when the k-th positive covector is positive
+    on the chamber, and is negative there otherwise; ``rays[i]`` is the
+    primitive integer extreme ray at frame position i, and ``walls[i]`` the
+    index of the positive covector whose kernel carries the wall opposite
+    to all rays except ``rays[i]``.
     """
 
-    signs: tuple
+    positive: int
     rays: tuple
     walls: tuple
+
+
+def sign_vector(R: RootSet, positive):
+    """The signs of the positive covectors on the chamber with mask
+    ``positive``: 1 where bit k is set, -1 elsewhere.  Only the failure
+    witnesses are written this way."""
+    return tuple(1 if positive >> k & 1 else -1 for k in range(len(R.positives)))
 
 
 def _negated_row(row):
@@ -261,13 +273,15 @@ def ray_values(R: RootSet, v):
     return _row(R, v)[0]
 
 
-def _chamber_rays(R: RootSet, signs):
+def _chamber_rays(R: RootSet, positive):
     """The extreme rays of the closed cone on which every positive covector
-    has its sign or 0, as primitive integer vectors, each mapped to its
-    zero mask (bit k when the k-th positive covector vanishes on it); by
-    double description, as the module docstring describes."""
+    has the sign that the mask ``positive`` gives it, or 0, as primitive
+    integer vectors, each mapped to its zero mask (bit k when the k-th
+    positive covector vanishes on it); by double description, as the module
+    docstring describes."""
     r = R.rank
-    halves = [cov if s > 0 else vec_neg(cov) for cov, s in zip(R.positives, signs)]
+    halves = [cov if positive >> k & 1 else vec_neg(cov)
+              for k, cov in enumerate(R.positives)]
     basis = []
     for k, g in enumerate(halves):
         if matrix_rank([halves[b] for b in basis] + [g]) > len(basis):
@@ -324,10 +338,10 @@ def initial_chamber(R: RootSet) -> Chamber:
     covectors come out as e1, e2, ...  The wall opposite a ray is the one
     hyperplane in the zero masks of all the other rays."""
     p = generic_point(R)
-    signs = tuple(1 if dot(cov, p) > 0 else -1 for cov in R.positives)
-    rays = _chamber_rays(R, signs)
+    positive = sum(1 << k for k, cov in enumerate(R.positives) if dot(cov, p) > 0)
+    rays = _chamber_rays(R, positive)
     if len(rays) != R.rank:
-        raise NonSimplicialError(signs, len(rays))
+        raise NonSimplicialError(sign_vector(R, positive), len(rays))
     frame = []
     for v in rays:
         common = (1 << len(R.positives)) - 1
@@ -336,34 +350,22 @@ def initial_chamber(R: RootSet) -> Chamber:
                 common &= zeros
         wall = common.bit_length() - 1
         cov = R.positives[wall]
-        frame.append((cov if signs[wall] > 0 else vec_neg(cov), v, wall))
+        frame.append((cov if positive >> wall & 1 else vec_neg(cov), v, wall))
     frame.sort(reverse=True)
-    return Chamber(signs=signs, rays=tuple(v for _, v, _ in frame),
+    return Chamber(positive=positive, rays=tuple(v for _, v, _ in frame),
                    walls=tuple(wall for _, _, wall in frame))
-
-
-def _crossed_signs(K: Chamber, i: int):
-    """The signs of the chamber across wall i of K."""
-    signs = list(K.signs)
-    signs[K.walls[i]] *= -1
-    return tuple(signs)
 
 
 def _crossing_state(R: RootSet, K: Chamber):
     """What every crossing out of K reads: the values of the positive
-    covectors on each of K's rays, the zero mask of each ray, and the mask
-    of the covectors positive on K.  A covector is positive on K exactly
-    when it is positive on one of K's rays, since the rays span and none
-    has the opposite sign."""
+    covectors on each of K's rays and the zero mask of each ray."""
     values, zeros = [], []
     full = (1 << len(R.positives)) - 1
-    positive = 0
     for v in K.rays:
         row, plus, minus = _row(R, v)
         values.append(row)
         zeros.append(full ^ (plus | minus))
-        positive |= plus
-    return values, zeros, positive
+    return values, zeros
 
 
 def adjacent_chamber(R: RootSet, K: Chamber, i: int, state=None) -> Chamber:
@@ -375,9 +377,9 @@ def adjacent_chamber(R: RootSet, K: Chamber, i: int, state=None) -> Chamber:
     when some covector has the sign opposite to the new chamber's on w."""
     if not 0 <= i < R.rank:
         raise IndexError("wall index out of range")
-    values, zeros, positive = state or _crossing_state(R, K)
-    signs = _crossed_signs(K, i)
+    values, zeros = state or _crossing_state(R, K)
     h = K.walls[i]
+    positive = K.positive ^ (1 << h)
     others = ((1 << len(R.positives)) - 1) ^ (1 << h)
     ui = values[i]
     walls = list(K.walls)
@@ -419,13 +421,13 @@ def adjacent_chamber(R: RootSet, K: Chamber, i: int, state=None) -> Chamber:
         d = gcd(*w)
     w = tuple(x // d for x in w)
     row = R.rows.get(w) or _row_of(R, w)
-    positive ^= 1 << h
     if row[1] & ~positive or row[2] & positive:
-        raise NonSimplicialError(signs, len(_chamber_rays(R, signs)))
+        raise NonSimplicialError(sign_vector(R, positive),
+                                 len(_chamber_rays(R, positive)))
     R.rows[w] = row
     rays = list(K.rays)
     rays[i] = w
-    return Chamber(signs=signs, rays=tuple(rays), walls=tuple(walls))
+    return Chamber(positive=positive, rays=tuple(rays), walls=tuple(walls))
 
 
 def _negated_chamber(R: RootSet, K: Chamber, i: int, A: Chamber) -> Chamber:
@@ -444,7 +446,7 @@ def _negated_chamber(R: RootSet, K: Chamber, i: int, A: Chamber) -> Chamber:
     _row(R, w)
     rays = list(K.rays)
     rays[i] = w
-    return Chamber(signs=tuple([-s for s in A.signs]), rays=tuple(rays),
+    return Chamber(positive=((1 << len(R.positives)) - 1) ^ A.positive, rays=tuple(rays),
                    walls=tuple(walls))
 
 
@@ -456,15 +458,14 @@ def chamber_graph(R: RootSet):
     as a chamber with other than ``rank`` extreme rays is met.
 
     Each chamber is built once, by the first crossing that reaches it; a
-    later crossing only looks it up.  A chamber is keyed by the int mask of
-    the covectors positive on it (bit k for the k-th), which its signs
-    determine, since no sign is 0; crossing wall i flips only the sign of
-    covector ``walls[i]``, so the key across it is the mask with that bit
-    flipped, and its antipode's key is the complement of that mask.  When
-    the antipode is already built, the new chamber is built from it by
-    negation (``_negated_chamber``); otherwise by ``adjacent_chamber``
-    from K's ``_crossing_state``, built at K's first such crossing and read
-    by the others, and the walk tests that crossing from the same rows,
+    later crossing only looks it up.  A chamber is keyed by its ``positive``
+    mask; crossing wall i flips only the sign of covector ``walls[i]``, so
+    the key across it is the mask with that bit flipped, and its antipode's
+    key is the complement of that mask.  When the antipode is already
+    built, the new chamber is built from it by negation
+    (``_negated_chamber``); otherwise by ``adjacent_chamber`` from K's
+    ``_crossing_state``, built at K's first such crossing and read by the
+    others, and the walk tests that crossing from the same rows,
     O(r), adding the new chamber's index to ``R.lattice_changes`` when
     some wall j has |W_j(u_j)| != |w_j(u_j)| (module docstring).  A
     chamber that is not simplicial is never indexed, nor is its antipode,
@@ -473,8 +474,7 @@ def chamber_graph(R: RootSet):
     """
     k0 = initial_chamber(R)
     chambers = [k0]
-    masks = [sum(1 << k for k, s in enumerate(k0.signs) if s > 0)]
-    index = {masks[0]: 0}
+    index = {k0.positive: 0}
     full = (1 << len(R.positives)) - 1
     changes = R.lattice_changes
     edges = {}
@@ -482,10 +482,10 @@ def chamber_graph(R: RootSet):
     while head < len(chambers):
         ci = head
         head += 1
-        K, mask = chambers[ci], masks[ci]
+        K = chambers[ci]
         state = None
         for i in range(R.rank):
-            key = mask ^ (1 << K.walls[i])
+            key = K.positive ^ (1 << K.walls[i])
             j = index.get(key)
             if j is None:
                 j = len(chambers)
@@ -502,7 +502,6 @@ def chamber_graph(R: RootSet):
                             break
                 index[key] = j
                 chambers.append(Kn)
-                masks.append(key)
             edges[(ci, i)] = j
     return chambers, edges
 
@@ -512,14 +511,19 @@ def cartan_of_chamber(R: RootSet, K: Chamber, neighbours):
     c_ij = <alpha_j, w> / <alpha_i, w> for the new ray w across wall i,
     the one ray of ``neighbours[i]``, the chamber across wall i as
     ``chamber_graph``'s edges name it, that is not a ray of K.  The wall
-    root alpha_j is K's wall covector signed by K's sign on it, so
-    <alpha_j, w> is that sign times the value on w in w's row."""
+    root alpha_j is K's wall covector signed by K's sign on it, and
+    <alpha_j, w> is read from w's row with no sign: w is a ray of the
+    chamber K' across wall i, so it lies in K''s closure, and off wall i,
+    which holds K''s other rays.  K' has K's sign on every wall j != i, so
+    alpha_j(w) >= 0 is the absolute value of wall j's covector on w; it has
+    the sign opposite to K's on wall i, so alpha_i(w) < 0 is minus that
+    absolute value.  So c_ij = -|<cov_{w_j}, w>| / |<cov_{w_i}, w>|."""
     rows = []
     for i in range(R.rank):
         w = next(v for v in neighbours[i].rays if v not in K.rays)
         values = ray_values(R, w)
-        coeff = [K.signs[k] * values[k] for k in K.walls]
-        rows.append(tuple(Fraction(2) if j == i else Fraction(coeff[j]) / coeff[i]
+        coeff = [abs(values[k]) for k in K.walls]
+        rows.append(tuple(Fraction(2) if j == i else Fraction(-coeff[j], coeff[i])
                           for j in range(R.rank)))
     return tuple(rows)
 

@@ -16,7 +16,14 @@ from math import gcd
 from operator import itemgetter, mul, neg, sub
 
 from .errors import ClosureOverflowError, NonSimplicialError, NotClosedError
-from .geometry import RootSet, cartan_of_chamber, chamber_graph, ray_values, supports_connected
+from .geometry import (
+    RootSet,
+    cartan_of_chamber,
+    chamber_graph,
+    ray_values,
+    sign_vector,
+    supports_connected,
+)
 from .linalg import vol2
 from .localization import localize
 
@@ -187,7 +194,9 @@ def reflect_roots(roots, i, row):
     coordinate is nonnegative, and negative only when every other
     coordinate is 0; any other image raises ``NotClosedError(v, image)``.
     In rank 3 the image is built from unpacked coordinates, with one loop
-    per label."""
+    per label.  A label i outside range(len(row)) raises ValueError."""
+    if i not in range(len(row)):
+        raise ValueError(f"label {i!r} is not in range({len(row)})")
     out = set()
     if len(row) == 3:
         c0, c1, c2 = row
@@ -234,7 +243,10 @@ def reflect_roots(roots, i, row):
 
 
 def reflect_object(O: RootObject, i):
-    """Apply sigma_i, with row i of O's Cartan matrix, and re-positivize."""
+    """Apply sigma_i, with row i of O's Cartan matrix, and re-positivize.
+    A label i outside range(O.rank) raises ValueError."""
+    if i not in range(O.rank):
+        raise ValueError(f"label {i!r} is not in range({O.rank})")
     return RootObject(rank=O.rank, positive_roots=reflect_roots(O.positive_roots, i, O.cartan[i]))
 
 
@@ -254,6 +266,13 @@ class GroupoidGraph:
     rank: int
     objects: tuple          # RootObject, index 0 is the base
     edges: dict             # (object index, label) -> object index
+
+    def object_at(self, oi):
+        """Object ``oi``; an index outside range(len(objects)) raises
+        ValueError."""
+        if oi not in range(len(self.objects)):
+            raise ValueError(f"object index {oi!r} is not in range({len(self.objects)})")
+        return self.objects[oi]
 
     @cached_property
     def _automorphisms(self):
@@ -386,11 +405,14 @@ class VerifyResult:
 
 def root_object_of_chamber(R: RootSet, K):
     """Root coordinates of all covectors in the chamber's wall-root basis:
-    x_i = <cov, ray_i> / s_i with s_i = <b_i, ray_i> = K.signs[w_i] *
-    <cov_{w_i}, ray_i> for the signed wall root b_i at wall w_i; every value
-    is read from the rows that the walk memoized.  The failure witness is
-    (chamber signs, the first covector with a non-integral coordinate, its
-    coordinates) in the document's own scale, as Fractions.
+    x_i = <cov, ray_i> / s_i with s_i = <b_i, ray_i> for the wall root b_i
+    at wall w_i, its covector signed non-negative on K.  ray_i lies in K's
+    closure, so b_i(ray_i) >= 0, and off wall w_i, which vanishes on the
+    other rays, so b_i(ray_i) != 0 since the rays span; so
+    s_i = |<cov_{w_i}, ray_i>|.  Every value is read from the rows that the
+    walk memoized.  The failure witness is (chamber signs, the first
+    covector with a non-integral coordinate, its coordinates) in the
+    document's own scale, as Fractions.
 
     ``verify_crystallographic`` calls this once: at the base chamber on
     success, or at the first chamber with a non-integral coordinate, so
@@ -402,12 +424,13 @@ def root_object_of_chamber(R: RootSet, K):
     covectors, and a covector's coordinates share one sign; and the wall
     root b_i has coordinates e_i."""
     columns = [ray_values(R, v) for v in K.rays]
-    scales = [K.signs[w] * col[w] for w, col in zip(K.walls, columns)]
+    scales = [abs(col[w]) for w, col in zip(K.walls, columns)]
     roots = set()
     for cov, values in zip(R.positives, zip(*columns)):
         coords = [divmod(x, s) for x, s in zip(values, scales)]
         if any(rem for _, rem in coords):
-            return None, (K.signs, tuple(Fraction(x, R.denominator) for x in cov),
+            return None, (sign_vector(R, K.positive),
+                          tuple(Fraction(x, R.denominator) for x in cov),
                           tuple(map(Fraction, values, scales)))
         # no hyperplane cuts the open chamber: the values share one sign
         roots.add(tuple(abs(q) for q, _ in coords))
@@ -438,7 +461,7 @@ def verify_crystallographic(R: RootSet) -> VerifyResult:
     failing = None
     for v, w in zip(base.rays, base.walls):
         values = ray_values(R, v)
-        scale = base.signs[w] * values[w]
+        scale = abs(values[w])
         if any(x % scale for x in values):
             failing = base
             break

@@ -54,14 +54,15 @@ def rank2_cycles(G: GroupoidGraph, oi, i, j) -> LocalizationCycles:
     alternate: the step into K_{l+1} uses i when l+1 is even, j when it is
     odd.  c_l = -c_{i,j} (l odd) or -c_{j,i} (l even) read at K_l, and d_l
     likewise with the third index in place of the second.  A label outside
-    range(3), or i == j, raises ValueError."""
+    range(3), i == j, or an object index outside range(len(G.objects))
+    raises ValueError."""
     if G.rank != 3:
         raise ValueError("rank-2 cycles require a rank-3 object")
     if i not in range(3) or j not in range(3):
         raise ValueError(f"labels ({i!r}, {j!r}) are not both in range(3)")
     if i == j:
         raise ValueError("indices must differ")
-    n = len(G.objects[oi].planes[i, j])
+    n = len(G.object_at(oi).planes[i, j])
     cs, ds, path = walk_cycle(G, oi, i, j, n)
     return LocalizationCycles(n=n, quiddity=cs, auxiliary=ds,
                               objects=tuple(G.objects[o] for o in path))
@@ -112,13 +113,15 @@ def plane_roots(G: GroupoidGraph, oi, i, j) -> PlaneRoots:
     cycle of ``rank2_cycles(G, oi, j, i)``, which starts with the j-side.
     Every gamma_l and delta_l must be a positive root; its third
     coordinate is 1 because the betas' is 0.  A label outside range(3),
-    or i == j, raises ValueError."""
+    i == j, or an object index outside range(len(G.objects)) raises
+    ValueError."""
     if G.rank != 3:
         raise ValueError("plane roots require a rank-3 object")
     if i not in range(3) or j not in range(3):
         raise ValueError(f"labels ({i!r}, {j!r}) are not both in range(3)")
     if i == j:
         raise ValueError("indices must differ")
+    G.object_at(oi)  # rejects an index out of range
     pairs, cs, ds, gammas, deltas = plane_walk(G, oi, i, j)
     return PlaneRoots(n=len(pairs), betas=tuple((x, y, 0) for x, y in pairs),
                       gammas=gammas, deltas=deltas, auxiliary=ds,

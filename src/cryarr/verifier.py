@@ -134,13 +134,14 @@ def compute_k0(G: GroupoidGraph, object_index, ordering):
     object of a rank-3 closure, or None when there is no such root.
 
     Requires the localization <a_i, a_j> to have at least 5 positive roots.
-    A graph that is not of rank 3, or an ordering that is not a permutation
-    of (0, 1, 2), raises ValueError."""
+    A graph that is not of rank 3, an ordering that is not a permutation of
+    (0, 1, 2), or an object index outside range(len(G.objects)) raises
+    ValueError."""
     if G.rank != 3:
         raise ValueError("k0 needs a rank-3 closure")
     if sorted(ordering) != [0, 1, 2]:
         raise ValueError(f"ordering {ordering!r} is not a permutation of (0, 1, 2)")
-    O = G.objects[object_index]
+    O = G.object_at(object_index)
     i, j, k = ordering
     if len(O.planes[i, j]) < 5:
         raise PreconditionFailedError("localization has fewer than 5 positive roots")
@@ -207,8 +208,9 @@ def _min_cartan_entry(G: GroupoidGraph):
 def check_lemcon(G: GroupoidGraph, object_index, alpha, beta, k) -> CheckReport:
     """Root-string convexity: under the stated hypotheses, beta and all of
     alpha + l*beta (0 <= l <= k) are roots, and some object in the closure
-    has a Cartan entry <= -k."""
-    roots = G.objects[object_index].positive_roots
+    has a Cartan entry <= -k.  An object index outside
+    range(len(G.objects)) raises ValueError."""
+    roots = G.object_at(object_index).positive_roots
     full = _signed(roots)
     alpha, beta = tuple(alpha), tuple(beta)
     if k < 2:

@@ -79,7 +79,9 @@ object, for the suite over one object of each symmetry orbit).
 ``rays_for_signs_scan`` (every candidate ray, for the clipping of
 ``_chamber_rays``), which the two rescans use with ``walls_exact``,
 reads the signs of the rays from exact products of its own, not from the
-package's row memo.
+package's row memo.  The rescans and the Fraction verify work on sign
+vectors of +-1, and convert with ``mask_of`` and ``signs_of`` where they
+meet a chamber's ``positive`` mask.
 """
 
 from fractions import Fraction
@@ -441,9 +443,10 @@ def verify_column_scan(R: RootSet) -> VerifyResult:
         R, chambers[0], [chambers[edges[0, i]] for i in range(R.rank)])
     passed = set()
     for K in chambers:
+        signs = signs_of(K.positive, len(R.positives))
         for v, w in zip(K.rays, K.walls):
             values = ray_values(R, v)
-            column = (v, K.signs[w] * values[w])
+            column = (v, signs[w] * values[w])
             if column not in passed:
                 if any(x % column[1] for x in values):
                     return VerifyResult(False, "non-integral root coordinates",
@@ -539,7 +542,8 @@ def verify_fraction_coordinates(covectors, rank):
         return "non-simplicial", 0, (), None, (e.signs, e.ray_count)
 
     def basis(K):
-        return [positives[k] if K.signs[k] > 0 else tuple(-x for x in positives[k])
+        signs = signs_of(K.positive, len(positives))
+        return [positives[k] if signs[k] > 0 else tuple(-x for x in positives[k])
                 for k in K.walls]
 
     b0 = basis(chambers[0])
@@ -557,7 +561,7 @@ def verify_fraction_coordinates(covectors, rank):
             if any(x.denominator != 1 for x in coords) or not (
                     all(x >= 0 for x in coords) or all(x <= 0 for x in coords)):
                 return ("non-integral root coordinates", len(chambers), cartan, None,
-                        (K.signs, cov, coords))
+                        (signs_of(K.positive, len(positives)), cov, coords))
             roots.add(tuple(abs(int(x)) for x in coords))
         if base is None:
             base = make_root_object(rank, roots)
@@ -1404,6 +1408,16 @@ def walls_exact(R: RootSet, rays):
     return tuple(walls)
 
 
+def mask_of(signs):
+    """The ``positive`` mask of a sign vector: bit k where signs[k] > 0."""
+    return sum(1 << k for k, s in enumerate(signs) if s > 0)
+
+
+def signs_of(positive, count):
+    """The sign vector of ``count`` covectors with mask ``positive``."""
+    return tuple(1 if positive & (1 << k) else -1 for k in range(count))
+
+
 def chamber_from_signs_rescan(R: RootSet, signs, frame=None) -> Chamber:
     rays = rays_for_signs_scan(R, signs)
     if len(rays) != R.rank:
@@ -1426,14 +1440,14 @@ def chamber_from_signs_rescan(R: RootSet, signs, frame=None) -> Chamber:
             raise ValueError("frame hint does not match chamber rays")
         rays = list(frame)
         walls = walls_exact(R, rays)
-    return Chamber(signs=tuple(signs), rays=tuple(rays), walls=walls)
+    return Chamber(positive=mask_of(signs), rays=tuple(rays), walls=walls)
 
 
 def adjacent_chamber_rescan(R: RootSet, K: Chamber, i: int) -> Chamber:
     """The chamber across wall i of K, with frame labels propagated."""
     if not 0 <= i < R.rank:
         raise IndexError("wall index out of range")
-    signs = list(K.signs)
+    signs = list(signs_of(K.positive, len(R.positives)))
     signs[K.walls[i]] *= -1
     rays = rays_for_signs_scan(R, signs)
     if len(rays) != R.rank:
@@ -1452,7 +1466,7 @@ def chamber_graph_every_crossing(R: RootSet):
     those that land in a chamber already reached."""
     k0 = initial_chamber(R)
     chambers = [k0]
-    index = {k0.signs: 0}
+    index = {signs_of(k0.positive, len(R.positives)): 0}
     edges = {}
     head = 0
     while head < len(chambers):
@@ -1461,10 +1475,11 @@ def chamber_graph_every_crossing(R: RootSet):
         K = chambers[ci]
         for i in range(R.rank):
             Kn = adjacent_chamber(R, K, i)
-            j = index.get(Kn.signs)
+            signs = signs_of(Kn.positive, len(R.positives))
+            j = index.get(signs)
             if j is None:
                 j = len(chambers)
-                index[Kn.signs] = j
+                index[signs] = j
                 chambers.append(Kn)
             edges[(ci, i)] = j
     return chambers, edges

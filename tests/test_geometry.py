@@ -31,6 +31,7 @@ from oracles import (
     clear_denominators,
     count_chambers,
     make_root_set_fractions,
+    mask_of,
     melchior_zaslavsky,
     rank3_rays_scan,
     rays_for_signs_scan,
@@ -130,7 +131,7 @@ def test_wall_crossing_is_involutive():
     K = initial_chamber(R)
     for i in range(2):
         Kn = adjacent_chamber(R, K, i)
-        assert Kn.signs != K.signs
+        assert Kn.positive == K.positive ^ (1 << K.walls[i])
         back = adjacent_chamber(R, Kn, i)
         assert back == K
 
@@ -183,7 +184,7 @@ def _check_crossings_against_rescan(R):
     assert K0 == _outcome(chamber_from_signs_rescan, R, signs)
     outcomes = [K0]
     chambers = [K0] if isinstance(K0, Chamber) else []
-    seen = {signs}
+    seen = {mask_of(signs)}
     for K in chambers:
         obj, _ = root_object_of_chamber(R, K)
         if obj is not None:
@@ -192,8 +193,8 @@ def _check_crossings_against_rescan(R):
             Kn = _outcome(adjacent_chamber, R, K, i)
             assert Kn == _outcome(adjacent_chamber_rescan, R, K, i)
             outcomes.append(Kn)
-            if isinstance(Kn, Chamber) and Kn.signs not in seen:
-                seen.add(Kn.signs)
+            if isinstance(Kn, Chamber) and Kn.positive not in seen:
+                seen.add(Kn.positive)
                 chambers.append(Kn)
     return outcomes
 
@@ -203,7 +204,7 @@ def test_wall_crossing_matches_rescan_on_catalog(name):
     entry = cat.get(name)
     outcomes = _check_crossings_against_rescan(cat.root_set_of(entry))
     assert all(isinstance(K, Chamber) for K in outcomes)
-    assert len({K.signs for K in outcomes}) == entry.expected_chambers
+    assert len({K.positive for K in outcomes}) == entry.expected_chambers
 
 
 def test_wall_crossing_matches_rescan_when_not_simplicial():
@@ -222,6 +223,23 @@ def test_wall_crossing_matches_rescan(covectors):
     except ValueError:
         assume(False)
     _check_crossings_against_rescan(R)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 4)).flatmap(arrangements))
+def test_chamber_mask_is_the_signs_at_the_sum_of_its_rays(covectors):
+    # the sum of the rays lies in the open chamber: no covector vanishes
+    # there, and each has its sign on the chamber
+    try:
+        R = make_root_set(covectors)
+        chambers, _ = chamber_graph(R)
+    except (ValueError, NonSimplicialError):
+        assume(False)
+    for K in chambers:
+        point = [sum(column) for column in zip(*K.rays)]
+        values = [dot(cov, point) for cov in R.positives]
+        assert 0 not in values
+        assert K.positive == sum(1 << k for k, x in enumerate(values) if x > 0)
 
 
 def _check_walk_against_every_crossing(R):
@@ -304,7 +322,7 @@ def _check_chamber_rays(R):
     rays that exact products find, in any order, each with the mask of
     the covectors that vanish on it."""
     for signs in product((1, -1), repeat=len(R.positives)):
-        rays = _chamber_rays(R, signs)
+        rays = _chamber_rays(R, mask_of(signs))
         assert sorted(rays) == sorted(rays_for_signs_scan(R, signs))
         for v, zeros in rays.items():
             assert zeros == sum(1 << k for k, cov in enumerate(R.positives)

@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
@@ -13,6 +14,7 @@ from cryarr import catalog as cat
 from cryarr import geometry, groupoid
 from cryarr.errors import ClosureOverflowError, NonSimplicialError, NotClosedError
 from cryarr.geometry import (
+    Chamber,
     adjacent_chamber,
     cartan_of_chamber,
     chamber_graph,
@@ -38,10 +40,12 @@ from cryarr.linalg import vol
 from cryarr.rank2 import enumerate_esequences
 from oracles import (
     canonical_form_every_object,
+    mask_of,
     orbits_from_definition,
     permute_object,
     reflect_object_every_coordinate,
     reflect_vector,
+    signs_of,
     symmetries_from_definition,
     traverse_every_edge,
     verify_column_scan,
@@ -111,6 +115,18 @@ def test_reflect_is_involution():
             once = reflect_object(O, i)
             twice = reflect_object(once, i)
             assert twice.positive_roots == O.positive_roots
+
+
+@pytest.mark.parametrize("name, i", [
+    ("A4", -1), ("A4", 4), ("B3", -1), ("B3", 3), ("rank2-7", 2)])
+def test_reflection_rejects_a_label_out_of_range(name, i):
+    # -1 reflected at the last label or spliced an image of twice the rank
+    # together, and a label past the rank raised a bare IndexError
+    O = cat.root_object_of(cat.get(name))
+    with pytest.raises(ValueError, match=f"label {i} is not in range"):
+        reflect_object(O, i)
+    with pytest.raises(ValueError, match=f"label {i} is not in range"):
+        reflect_roots(O.positive_roots, i, O.cartan[0])
 
 
 def test_broken_object_fails_closure():
@@ -425,6 +441,31 @@ def test_verify_builds_one_crossing_state_per_chamber_that_crosses(monkeypatch):
     assert chambers == 141
 
 
+@pytest.mark.parametrize("roots, rank, reason", [
+    (cat.get("D4").positive_roots, 4, ""),
+    (_inputs().restriction(_inputs().CARTAN["E8"], (0, 1, 3)), 3, ""),
+    ([(2, 2, 2) if v == (1, 1, 1) else v for v in cat.get("A3").positive_roots], 3,
+     "non-integral root coordinates"),
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 3, "non-simplicial")],
+    ids=["D4", "E8-restriction-013", "A3-222", "non-simplicial"])
+def test_only_a_failure_witness_expands_a_mask(roots, rank, reason, monkeypatch):
+    # a chamber carries its positive mask alone; the +-1 sign vector is
+    # written out once, for the witness of a walk that fails
+    assert [f.name for f in fields(Chamber)] == ["positive", "rays", "walls"]
+    expanded = []
+    expand = geometry.sign_vector
+
+    def counting(R, positive):
+        expanded.append(positive)
+        return expand(R, positive)
+
+    for module in (geometry, groupoid):
+        monkeypatch.setattr(module, "sign_vector", counting)
+    res = verify_crystallographic(make_root_set(roots, rank))
+    assert res.reason == reason
+    assert len(expanded) == (1 if reason else 0)
+
+
 def test_geometric_cartan_cross_check():
     # chamber route and root-coordinate route agree at every chamber
     for name in ("A2", "A3", "A4", "B3", "C3", "D4", "rank2-7"):
@@ -628,7 +669,7 @@ def test_verify_matches_column_scan_on_integer_images():
         outcome = res.reason or "ok"
         if res.reason == "non-integral root coordinates":
             chambers, _ = chamber_graph(R)
-            first = [K.signs for K in chambers].index(res.witness[0])
+            first = [K.positive for K in chambers].index(mask_of(res.witness[0]))
             outcome += " at the base" if first == 0 else " past the base"
         outcomes[outcome] += 1
     assert outcomes == {"ok": 21, "rejected": 7,
@@ -641,12 +682,13 @@ def _built_by_negation(R):
     with the crossing that first reaches it: (chamber index, parent index,
     wall label)."""
     chambers, edges = chamber_graph(R)
-    index = {K.signs: c for c, K in enumerate(chambers)}
+    signs = [signs_of(K.positive, len(R.positives)) for K in chambers]
+    index = {s: c for c, s in enumerate(signs)}
     first = {}
     for (p, i), c in edges.items():
         first.setdefault(c, (p, i))
     return chambers, [(c, p, i) for c, (p, i) in first.items()
-                      if index[tuple(-s for s in chambers[c].signs)] < c]
+                      if index[tuple(-x for x in signs[c])] < c]
 
 
 def _check_negated_chambers(R):
@@ -682,7 +724,7 @@ def test_first_non_integral_chamber_after_the_base(name, old, new, first):
     res = assert_same_verify_result(R)
     chambers, _ = chamber_graph(R)
     assert res.reason == "non-integral root coordinates"
-    assert [K.signs for K in chambers].index(res.witness[0]) == first
+    assert [K.positive for K in chambers].index(mask_of(res.witness[0])) == first
 
 
 @pytest.mark.parametrize("roots, reason", [
@@ -712,7 +754,7 @@ def test_distinct_columns(name, columns):
     # against rank columns at each of 120 / 192 chambers
     R = cat.root_set_of(cat.get(name))
     chambers, _ = chamber_graph(R)
-    pairs = {(v, K.signs[w] * ray_values(R, v)[w])
+    pairs = {(v, signs_of(K.positive, len(R.positives))[w] * ray_values(R, v)[w])
              for K in chambers for v, w in zip(K.rays, K.walls)}
     assert len(pairs) == columns
 

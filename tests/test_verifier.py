@@ -232,6 +232,20 @@ def test_no_assert_statement_in_src():
     assert found == []
 
 
+@pytest.mark.parametrize("oi", [-1, 1, 5, 9])
+def test_an_object_index_out_of_range_is_rejected(oi):
+    # B3's closure has one object: -1 read it from the end and reported a
+    # broken cycle, a failed precondition or a failed hypothesis, and an
+    # index past it raised a bare IndexError
+    G = closure("B3")
+    assert len(G.objects) == 1
+    for call in (lambda: rank2_cycles(G, oi, 0, 1), lambda: plane_roots(G, oi, 0, 1),
+                 lambda: compute_k0(G, oi, (0, 1, 2)),
+                 lambda: check_lemcon(G, oi, (1, 0, 0), (0, 1, 0), 2)):
+        with pytest.raises(ValueError, match=f"object index {oi} is not in range"):
+            call()
+
+
 def test_lemcon_hypothesis_failure():
     G = closure("A3")
     with pytest.raises(HypothesisFailedError):
