@@ -116,7 +116,9 @@ B^-A = -B^A, so -A is integral exactly when A is.  In the walk every
 chamber but the first is built from an earlier one, by a crossing or by
 negation; so, by induction in walk order, when the first chamber is
 integral, the first chamber that is not is the first one built by a
-crossing that fails the test above.
+crossing that fails the test above.  The first chamber is integral
+exactly when each of its columns, the values on ray i divided by
+s_i = |<cov_{w_i}, ray_i>| (``chamber_roots``), is integral.
 """
 
 from __future__ import annotations
@@ -166,9 +168,11 @@ class RootSet:
     def lattice_changes(self):
         """Memo that ``chamber_graph`` fills: the indices, in its chamber
         order, of the chambers built by a crossing that changes the lattice
-        ZB^K, one with |W_j(u_j)| != |w_j(u_j)| for some wall j (see the
-        module docstring).  The walk is deterministic, so every walk of the
-        root set adds the same indices."""
+        ZB^K, one with |W_j(u_j)| != |w_j(u_j)| for some wall j, and 0 when
+        the first chamber is not integral.  So its least index is the first
+        chamber that is not integral, and it is empty when every chamber is
+        (see the module docstring).  The walk is deterministic, so every
+        walk of the root set adds the same indices."""
         return set()
 
 
@@ -470,13 +474,20 @@ def chamber_graph(R: RootSet):
     some wall j has |W_j(u_j)| != |w_j(u_j)| (module docstring).  A
     chamber that is not simplicial is never indexed, nor is its antipode,
     so the first crossing into it raises, as it would if every crossing
-    built its chamber.
+    built its chamber.  The first chamber's columns are tested for
+    divisibility, adding 0 to ``R.lattice_changes`` when one fails.
     """
     k0 = initial_chamber(R)
     chambers = [k0]
     index = {k0.positive: 0}
     full = (1 << len(R.positives)) - 1
     changes = R.lattice_changes
+    for v, w in zip(k0.rays, k0.walls):
+        values = _row(R, v)[0]
+        scale = abs(values[w])
+        if any(x % scale for x in values):
+            changes.add(0)
+            break
     edges = {}
     head = 0
     while head < len(chambers):
@@ -504,6 +515,37 @@ def chamber_graph(R: RootSet):
                 chambers.append(Kn)
             edges[(ci, i)] = j
     return chambers, edges
+
+
+def chamber_roots(R: RootSet, K: Chamber):
+    """Root coordinates of all covectors in the chamber's wall-root basis,
+    as (frozenset of coordinate tuples, None), or (None, witness) when one
+    is not an integer: x_i = <cov, ray_i> / s_i with s_i = <b_i, ray_i> for
+    the wall root b_i at wall w_i, its covector signed non-negative on K.
+    ray_i lies in K's closure, so b_i(ray_i) >= 0, and off wall w_i, which
+    vanishes on the other rays, so b_i(ray_i) != 0 since the rays span; so
+    s_i = |<cov_{w_i}, ray_i>|.  Every value is read from the row memo.
+    The witness is (chamber signs, the first covector with a non-integral
+    coordinate, its coordinates) in the document's own scale, as
+    Fractions.
+
+    The coordinate set is a valid root object: no coordinate vector is
+    zero, because the rays form a basis; no two are parallel, because the
+    coordinates are an injective linear image of pairwise non-parallel
+    covectors, and a covector's coordinates share one sign; and the wall
+    root b_i has coordinates e_i."""
+    columns = [_row(R, v)[0] for v in K.rays]
+    scales = [abs(col[w]) for w, col in zip(K.walls, columns)]
+    roots = set()
+    for cov, values in zip(R.positives, zip(*columns)):
+        coords = [divmod(x, s) for x, s in zip(values, scales)]
+        if any(rem for _, rem in coords):
+            return None, (sign_vector(R, K.positive),
+                          tuple(Fraction(x, R.denominator) for x in cov),
+                          tuple(map(Fraction, values, scales)))
+        # no hyperplane cuts the open chamber: the values share one sign
+        roots.add(tuple(abs(q) for q, _ in coords))
+    return frozenset(roots), None
 
 
 def cartan_of_chamber(R: RootSet, K: Chamber, neighbours):

@@ -9,7 +9,6 @@ in the crystallographic case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
 from math import gcd
@@ -20,8 +19,7 @@ from .geometry import (
     RootSet,
     cartan_of_chamber,
     chamber_graph,
-    ray_values,
-    sign_vector,
+    chamber_roots,
     supports_connected,
 )
 from .linalg import vol2
@@ -403,53 +401,14 @@ class VerifyResult:
     graph: object              # GroupoidGraph on success, else None
 
 
-def root_object_of_chamber(R: RootSet, K):
-    """Root coordinates of all covectors in the chamber's wall-root basis:
-    x_i = <cov, ray_i> / s_i with s_i = <b_i, ray_i> for the wall root b_i
-    at wall w_i, its covector signed non-negative on K.  ray_i lies in K's
-    closure, so b_i(ray_i) >= 0, and off wall w_i, which vanishes on the
-    other rays, so b_i(ray_i) != 0 since the rays span; so
-    s_i = |<cov_{w_i}, ray_i>|.  Every value is read from the rows that the
-    walk memoized.  The failure witness is (chamber signs, the first
-    covector with a non-integral coordinate, its coordinates) in the
-    document's own scale, as Fractions.
-
-    ``verify_crystallographic`` calls this once: at the base chamber on
-    success, or at the first chamber with a non-integral coordinate, so
-    the witness is that of a walk that built every chamber's object.
-
-    The root object needs no validation: no coordinate vector is zero,
-    because the rays form a basis; no two roots are parallel, because the
-    coordinates are an injective linear image of pairwise non-parallel
-    covectors, and a covector's coordinates share one sign; and the wall
-    root b_i has coordinates e_i."""
-    columns = [ray_values(R, v) for v in K.rays]
-    scales = [abs(col[w]) for w, col in zip(K.walls, columns)]
-    roots = set()
-    for cov, values in zip(R.positives, zip(*columns)):
-        coords = [divmod(x, s) for x, s in zip(values, scales)]
-        if any(rem for _, rem in coords):
-            return None, (sign_vector(R, K.positive),
-                          tuple(Fraction(x, R.denominator) for x in cov),
-                          tuple(map(Fraction, values, scales)))
-        # no hyperplane cuts the open chamber: the values share one sign
-        roots.add(tuple(abs(q) for q, _ in coords))
-    return RootObject(R.rank, frozenset(roots)), None
-
-
 def verify_crystallographic(R: RootSet) -> VerifyResult:
     """Simpliciality, integrality of root coordinates at every chamber, and
     termination of the groupoid closure.
 
-    Coordinate i of every root at chamber K is <cov, ray_i> / s_i (see
-    ``root_object_of_chamber``).  Only the base chamber's columns are
-    tested for divisibility.  If one fails, the base chamber is the first
-    with a non-integral coordinate; otherwise that chamber is the first one
-    that ``chamber_graph`` built by a crossing that changes the lattice ZB^K
-    (``R.lattice_changes``), since every other crossing keeps ZB^K and a
-    chamber built by negation has its antipode's lattice (the lemma of the
-    ``geometry`` module docstring).  That chamber's object gives the
-    witness."""
+    The first chamber that is not integral is the least index of
+    ``R.lattice_changes`` (the lattice lemma of the ``geometry`` module
+    docstring), and its ``chamber_roots`` give the witness; when there is
+    none, the base chamber's give the base object."""
     try:
         chambers, edges = chamber_graph(R)
     except NonSimplicialError as e:
@@ -458,21 +417,11 @@ def verify_crystallographic(R: RootSet) -> VerifyResult:
     base = chambers[0]
     base_cartan = cartan_of_chamber(
         R, base, [chambers[edges[0, i]] for i in range(R.rank)])
-    failing = None
-    for v, w in zip(base.rays, base.walls):
-        values = ray_values(R, v)
-        scale = abs(values[w])
-        if any(x % scale for x in values):
-            failing = base
-            break
-    else:
-        if R.lattice_changes:
-            failing = chambers[min(R.lattice_changes)]
-    if failing is not None:
+    if R.lattice_changes:
         return VerifyResult(False, "non-integral root coordinates",
-                            root_object_of_chamber(R, failing)[1], len(chambers),
-                            base_cartan, None, None)
-    base_object, _ = root_object_of_chamber(R, base)
+                            chamber_roots(R, chambers[min(R.lattice_changes)])[1],
+                            len(chambers), base_cartan, None, None)
+    base_object = RootObject(R.rank, chamber_roots(R, base)[0])
     try:
         graph = traverse(base_object, max_objects=len(chambers))
     except NotClosedError as e:

@@ -45,6 +45,17 @@ class LocalizationCycles:
     objects: tuple      # the 2n objects K_1, ..., K_2n along the walk
 
 
+def _plane_object(G: GroupoidGraph, oi, i, j):
+    """Object ``oi`` of a rank-3 closure for labels i != j in range(3)."""
+    if G.rank != 3:
+        raise ValueError("plane walks require a rank-3 object")
+    if i not in range(3) or j not in range(3):
+        raise ValueError(f"labels ({i!r}, {j!r}) are not both in range(3)")
+    if i == j:
+        raise ValueError("indices must differ")
+    return G.object_at(oi)
+
+
 def rank2_cycles(G: GroupoidGraph, oi, i, j) -> LocalizationCycles:
     """Walk the 2n chambers adjacent to <alpha_i, alpha_j> around object
     ``oi`` of a rank-3 closure.
@@ -56,13 +67,7 @@ def rank2_cycles(G: GroupoidGraph, oi, i, j) -> LocalizationCycles:
     likewise with the third index in place of the second.  A label outside
     range(3), i == j, or an object index outside range(len(G.objects))
     raises ValueError."""
-    if G.rank != 3:
-        raise ValueError("rank-2 cycles require a rank-3 object")
-    if i not in range(3) or j not in range(3):
-        raise ValueError(f"labels ({i!r}, {j!r}) are not both in range(3)")
-    if i == j:
-        raise ValueError("indices must differ")
-    n = len(G.object_at(oi).planes[i, j])
+    n = len(_plane_object(G, oi, i, j).planes[i, j])
     cs, ds, path = walk_cycle(G, oi, i, j, n)
     return LocalizationCycles(n=n, quiddity=cs, auxiliary=ds,
                               objects=tuple(G.objects[o] for o in path))
@@ -115,13 +120,7 @@ def plane_roots(G: GroupoidGraph, oi, i, j) -> PlaneRoots:
     coordinate is 1 because the betas' is 0.  A label outside range(3),
     i == j, or an object index outside range(len(G.objects)) raises
     ValueError."""
-    if G.rank != 3:
-        raise ValueError("plane roots require a rank-3 object")
-    if i not in range(3) or j not in range(3):
-        raise ValueError(f"labels ({i!r}, {j!r}) are not both in range(3)")
-    if i == j:
-        raise ValueError("indices must differ")
-    G.object_at(oi)  # rejects an index out of range
+    _plane_object(G, oi, i, j)
     pairs, cs, ds, gammas, deltas = plane_walk(G, oi, i, j)
     return PlaneRoots(n=len(pairs), betas=tuple((x, y, 0) for x, y in pairs),
                       gammas=gammas, deltas=deltas, auxiliary=ds,

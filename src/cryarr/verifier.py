@@ -6,7 +6,8 @@ observed (so regression tests can pin exact values).
 
 The eight checks that test each object on its own take ``orbits``, the
 (object index, weight) pairs to visit; the default, None, visits every
-object with weight 1, and ``run_all`` passes ``G.orbits``.
+object with weight 1, and ``run_all`` passes ``G.orbits``.  An index
+outside range(len(G.objects)) raises ValueError.
 
 Let pi be an automorphism of the graph (``GroupoidGraph.symmetries``) and
 O' = pi.O an image of an object O.  The roots of O' are those of O with
@@ -78,16 +79,18 @@ class CheckReport:
 
 
 def _visits(G: GroupoidGraph, orbits):
-    """``orbits``, or every object with weight 1 when it is None."""
-    return [(oi, 1) for oi in range(len(G.objects))] if orbits is None else orbits
+    """(index, object, weight) for each of ``orbits``, each object read by
+    ``G.object_at``, or for every object with weight 1 when it is None."""
+    if orbits is None:
+        return [(oi, O, 1) for oi, O in enumerate(G.objects)]
+    return [(oi, G.object_at(oi), weight) for oi, weight in orbits]
 
 
 def check_sum_of_roots(G: GroupoidGraph, orbits=None) -> CheckReport:
     """Every non-simple positive root is a sum of two positive roots."""
     simples = set(simple_roots(G.rank))
     witnesses = []
-    for oi, _ in _visits(G, orbits):
-        O = G.objects[oi]
+    for oi, O, _ in _visits(G, orbits):
         sums = O.pair_table.sums
         witnesses += [(oi, v) for v in O.positive_roots if v not in simples and v not in sums]
     return CheckReport("sum_of_roots", FAIL if witnesses else PASS, witnesses,
@@ -105,8 +108,8 @@ def check_r111(G: GroupoidGraph) -> CheckReport:
 
 def check_bound7(G: GroupoidGraph, orbits=None) -> CheckReport:
     """All Cartan entries are >= -7; reports the minimum entry."""
-    witnesses = [(oi, G.objects[oi].cartan) for oi, _ in _visits(G, orbits)
-                 if min(min(row) for row in G.objects[oi].cartan) < -7]
+    witnesses = [(oi, O.cartan) for oi, O, _ in _visits(G, orbits)
+                 if min(min(row) for row in O.cartan) < -7]
     return CheckReport("bound7", FAIL if witnesses else PASS, witnesses,
                        {"min_cartan_entry": _min_cartan_entry(G)})
 
@@ -118,8 +121,8 @@ def check_b128(G: GroupoidGraph, orbits=None) -> CheckReport:
         return CheckReport("b128", SKIP, [], {"reason": "rank 3 only"})
     hi = 0
     witnesses = []
-    for oi, _ in _visits(G, orbits):
-        planes = G.objects[oi].planes
+    for oi, O, _ in _visits(G, orbits):
+        planes = O.planes
         for i, j in combinations(range(3), 2):
             n = len(planes[i, j])
             hi = max(hi, n)
@@ -155,8 +158,8 @@ def check_k0(G: GroupoidGraph, orbits=None) -> CheckReport:
         return CheckReport("k0", SKIP, [], {"reason": "rank 3 only"})
     values = []
     witnesses = []
-    for oi, _ in _visits(G, orbits):
-        c = G.objects[oi].cartan
+    for oi, O, _ in _visits(G, orbits):
+        c = O.cartan
         for ordering in permutations(range(3)):
             try:
                 k0 = compute_k0(G, oi, ordering)
@@ -273,8 +276,7 @@ def lemcon_sweep(G: GroupoidGraph, orbits=None) -> CheckReport:
     min_entry = _min_cartan_entry(G)
     witnesses = []
     triples = 0
-    for oi, weight in _visits(G, orbits):
-        O = G.objects[oi]
+    for oi, O, weight in _visits(G, orbits):
         table = O.pair_table
         for alpha in O.positive_roots:
             for beta, k in table.strings.get(alpha, ()):
@@ -297,8 +299,7 @@ def check_convexity_statements(G: GroupoidGraph, orbits=None) -> CheckReport:
         return CheckReport("convexity", SKIP, [], {"reason": "rank 3 only"})
     simples = set(simple_roots(3))
     witnesses = []
-    for oi, _ in _visits(G, orbits):
-        O = G.objects[oi]
+    for oi, O, _ in _visits(G, orbits):
         roots = O.positive_roots
         table = O.pair_table
         full, ordered, free = table.signed, table.ordered, table.free
@@ -351,8 +352,8 @@ def check_vol2_bound(G: GroupoidGraph, orbits=None) -> CheckReport:
     """Vol_2 over all pairs of positive roots is at most ``VOL2_MAX``."""
     hi = 0
     witnesses = []
-    for oi, _ in _visits(G, orbits):
-        table = G.objects[oi].pair_table
+    for oi, O, _ in _visits(G, orbits):
+        table = O.pair_table
         hi = max(hi, table.max_vol2)
         witnesses += [(oi, *w) for w in table.above]
     return CheckReport("vol2_bound", FAIL if witnesses else PASS, witnesses,
@@ -371,8 +372,8 @@ def check_plane_roots(G: GroupoidGraph, orbits=None) -> CheckReport:
     if G.rank != 3:
         return CheckReport("plane_roots", SKIP, [], {"reason": "rank 3 only"})
     witnesses = []
-    for oi, _ in _visits(G, orbits):
-        irreducible = is_object_irreducible(G.objects[oi])
+    for oi, O, _ in _visits(G, orbits):
+        irreducible = is_object_irreducible(O)
         for i, j in permutations(range(3), 2):
             try:
                 pairs, cs, d, gammas, _ = plane_walk(G, oi, i, j)

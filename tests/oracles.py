@@ -104,6 +104,7 @@ from cryarr.geometry import (
     adjacent_chamber,
     cartan_of_chamber,
     chamber_graph,
+    chamber_roots,
     initial_chamber,
     is_irreducible,
     make_root_set,
@@ -118,7 +119,6 @@ from cryarr.groupoid import (
     is_object_irreducible,
     make_root_object,
     reflect_object,
-    root_object_of_chamber,
     simple_roots,
     traverse,
     verify_crystallographic,
@@ -408,12 +408,12 @@ def verify_every_chamber(R: RootSet) -> VerifyResult:
         R, chambers[0], [chambers[edges[0, i]] for i in range(R.rank)])
     base_object = None
     for K in chambers:
-        obj, witness = root_object_of_chamber(R, K)
-        if obj is None:
+        roots, witness = chamber_roots(R, K)
+        if roots is None:
             return VerifyResult(False, "non-integral root coordinates", witness,
                                 len(chambers), base_cartan, None, None)
         if base_object is None:
-            base_object = obj
+            base_object = RootObject(R.rank, roots)
     try:
         graph = traverse(base_object, max_objects=len(chambers))
     except NotClosedError as e:
@@ -450,10 +450,10 @@ def verify_column_scan(R: RootSet) -> VerifyResult:
             if column not in passed:
                 if any(x % column[1] for x in values):
                     return VerifyResult(False, "non-integral root coordinates",
-                                        root_object_of_chamber(R, K)[1], len(chambers),
+                                        chamber_roots(R, K)[1], len(chambers),
                                         base_cartan, None, None)
                 passed.add(column)
-    base_object, _ = root_object_of_chamber(R, chambers[0])
+    base_object = RootObject(R.rank, chamber_roots(R, chambers[0])[0])
     try:
         graph = traverse(base_object, max_objects=len(chambers))
     except NotClosedError as e:

@@ -14,6 +14,7 @@ from cryarr.geometry import (
     adjacent_chamber,
     cartan_of_chamber,
     chamber_graph,
+    chamber_roots,
     generic_point,
     initial_chamber,
     is_irreducible,
@@ -22,7 +23,7 @@ from cryarr.geometry import (
     supports_connected,
 )
 from cryarr import catalog as cat
-from cryarr.groupoid import make_root_object, root_object_of_chamber
+from cryarr.groupoid import make_root_object
 from cryarr.linalg import direction, dot, invert, sign_normalize
 from oracles import (
     adjacent_chamber_rescan,
@@ -186,9 +187,9 @@ def _check_crossings_against_rescan(R):
     chambers = [K0] if isinstance(K0, Chamber) else []
     seen = {mask_of(signs)}
     for K in chambers:
-        obj, _ = root_object_of_chamber(R, K)
-        if obj is not None:
-            assert obj == make_root_object(R.rank, obj.positive_roots)
+        roots, _ = chamber_roots(R, K)
+        if roots is not None:
+            assert roots == make_root_object(R.rank, roots).positive_roots
         for i in range(R.rank):
             Kn = _outcome(adjacent_chamber, R, K, i)
             assert Kn == _outcome(adjacent_chamber_rescan, R, K, i)

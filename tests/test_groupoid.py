@@ -18,6 +18,7 @@ from cryarr.geometry import (
     adjacent_chamber,
     cartan_of_chamber,
     chamber_graph,
+    chamber_roots,
     make_root_set,
     ray_values,
 )
@@ -31,7 +32,6 @@ from cryarr.groupoid import (
     make_root_object,
     reflect_object,
     reflect_roots,
-    root_object_of_chamber,
     simple_roots,
     traverse,
     verify_crystallographic,
@@ -459,8 +459,7 @@ def test_only_a_failure_witness_expands_a_mask(roots, rank, reason, monkeypatch)
         expanded.append(positive)
         return expand(R, positive)
 
-    for module in (geometry, groupoid):
-        monkeypatch.setattr(module, "sign_vector", counting)
+    monkeypatch.setattr(geometry, "sign_vector", counting)
     res = verify_crystallographic(make_root_set(roots, rank))
     assert res.reason == reason
     assert len(expanded) == (1 if reason else 0)
@@ -472,7 +471,7 @@ def test_geometric_cartan_cross_check():
         R = cat.root_set_of(cat.get(name))
         chambers, edges = chamber_graph(R)
         for ci, K in enumerate(chambers):
-            obj, _ = root_object_of_chamber(R, K)
+            obj = RootObject(R.rank, chamber_roots(R, K)[0])
             neighbours = [chambers[edges[ci, i]] for i in range(R.rank)]
             assert cartan_of_chamber(R, K, neighbours) == obj.cartan
 
@@ -670,6 +669,8 @@ def test_verify_matches_column_scan_on_integer_images():
         if res.reason == "non-integral root coordinates":
             chambers, _ = chamber_graph(R)
             first = [K.positive for K in chambers].index(mask_of(res.witness[0]))
+            # the walk's integrality record names that chamber first
+            assert min(R.lattice_changes) == first
             outcome += " at the base" if first == 0 else " past the base"
         outcomes[outcome] += 1
     assert outcomes == {"ok": 21, "rejected": 7,
@@ -734,16 +735,17 @@ def test_first_non_integral_chamber_after_the_base(name, old, new, first):
      "non-integral root coordinates"),
     (cat.get("noncrystallographic-2.6").positive_roots, "non-integral root coordinates")])
 def test_verify_builds_one_root_object(roots, reason, monkeypatch):
-    # the column test needs no root object; one is built for the base
-    # object on success or for the witness on a non-integral reject
+    # the walk's integrality record reads no coordinate set; chamber_roots
+    # runs once, for the base object on success or for the witness of the
+    # first chamber that is not integral
     calls = []
-    build = groupoid.root_object_of_chamber
+    build = groupoid.chamber_roots
 
     def counting(R, K):
         calls.append(K)
         return build(R, K)
 
-    monkeypatch.setattr(groupoid, "root_object_of_chamber", counting)
+    monkeypatch.setattr(groupoid, "chamber_roots", counting)
     assert verify_crystallographic(make_root_set(roots)).reason == reason
     assert len(calls) == 1
 

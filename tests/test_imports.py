@@ -67,6 +67,16 @@ def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == set()
 
 
+def test_groupoid_imports_no_fraction():
+    # chamber integrality and its Fraction witnesses live in geometry; the
+    # root-object core holds ints only
+    tree = ast.parse((SRC / "cryarr" / "groupoid.py").read_text(encoding="utf-8"))
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    assert "fractions" not in modules
+
+
 def test_unused_imports_are_found():
     source = "from .rank2 import slope_sorted, walk\nimport os.path\nwalk()\n"
     assert unused_imports(source) == {"slope_sorted", "os"}

@@ -42,6 +42,7 @@ from cryarr.verifier import (
     check_b128,
     check_bound7,
     check_convexity_statements,
+    check_k0,
     check_lemcon,
     check_plane_roots,
     check_r111,
@@ -244,6 +245,18 @@ def test_an_object_index_out_of_range_is_rejected(oi):
                  lambda: check_lemcon(G, oi, (1, 0, 0), (0, 1, 0), 2)):
         with pytest.raises(ValueError, match=f"object index {oi} is not in range"):
             call()
+
+
+@pytest.mark.parametrize("check", [
+    check_sum_of_roots, check_bound7, check_b128, check_k0, check_vol2_bound,
+    check_convexity_statements, check_plane_roots, lemcon_sweep])
+@pytest.mark.parametrize("oi", [-1, 1, 3])
+def test_every_per_object_check_rejects_an_orbit_index_out_of_range(check, oi):
+    # -1 silently checked the last object, and 3 raised a bare IndexError
+    G = closure("B3")
+    assert len(G.objects) == 1
+    with pytest.raises(ValueError, match=f"object index {oi} is not in range"):
+        check(G, orbits=((oi, 1),))
 
 
 def test_lemcon_hypothesis_failure():
